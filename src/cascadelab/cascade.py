@@ -25,12 +25,17 @@ from .words import Word
 
 DEFAULT_CELL_BUDGET = 2**26
 
-_MASK64 = (1 << 64) - 1
-
 
 def level_rng(seed: int, level: int) -> np.random.Generator:
-    """The counter-based stream holding the weights of one tree level."""
-    return np.random.Generator(np.random.Philox(key=[seed & _MASK64, level & _MASK64]))
+    """The counter-based stream holding the weights of one tree level.
+
+    The Philox key is the uint64 pair (seed, level), so every seed in
+    [0, 2**64) keys its own streams.
+    """
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
+    key = np.array([seed, level], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def level_weights(model: WeightModel, seed: int, level: int):
@@ -45,7 +50,8 @@ class CascadeRealization:
     ``weights[m - 1]`` and ``products[m]`` hold the level-m arrays
     (products[0] is the root pair (1, 1)); ``grid`` holds the two
     cumulative-sum arrays of length base**depth + 1 with
-    grid[k][j] = F_{k,n}(j * b**-n).  Immutable once built.
+    grid[k][j] = F_{k,n}(j * b**-n).  Immutable once built; the per-level
+    grid min/max tables are memoized on first use (see grid_min_max).
     """
 
     model: WeightModel
@@ -54,6 +60,7 @@ class CascadeRealization:
     weights: list = field(repr=False)
     products: list = field(repr=False)
     grid: tuple = field(repr=False)
+    _min_max: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def base(self) -> int:
@@ -140,13 +147,32 @@ def grid_min_max(real: CascadeRealization, level: int):
     """Per-word (min, max) of each grid component over closed intervals.
 
     Returns ((min1, max1), (min2, max2)) arrays of length base**level.
+    The tables are memoized on the realization and read-only.  A level
+    is derived from the nearest finer level already held when there is
+    one (a closed word interval is the union of its children's closed
+    intervals, so this is exact), else computed from the grid.
     """
     if not 0 <= level <= real.depth:
         raise ConfigError(f"level {level} outside [0, {real.depth}]")
-    blocks = real.base**level
-    step = real.base ** (real.depth - level)
-    f1, f2 = real.grid
-    return _block_min_max(f1, blocks, step), _block_min_max(f2, blocks, step)
+    cache = real._min_max
+    if level in cache:
+        return cache[level]
+    finer = min((m for m in cache if m > level), default=None)
+    if finer is None:
+        blocks = real.base**level
+        step = real.base ** (real.depth - level)
+        tables = tuple(_block_min_max(f, blocks, step) for f in real.grid)
+    else:
+        width = real.base ** (finer - level)
+        tables = tuple(
+            (lo.reshape(-1, width).min(axis=1), hi.reshape(-1, width).max(axis=1))
+            for lo, hi in cache[finer]
+        )
+    for pair in tables:
+        for a in pair:
+            a.flags.writeable = False
+    cache[level] = tables
+    return tables
 
 
 @dataclass(frozen=True)

@@ -34,13 +34,21 @@ EXIT_NUMERIC = 4
 EXIT_RESOURCE = 5
 
 
+def _number(convert, text: str, what: str):
+    """``convert(text)``, with a malformed number reported as a ConfigError."""
+    try:
+        return convert(text)
+    except ValueError as e:
+        raise ConfigError(f"bad {what} {text!r}: {e}") from e
+
+
 def _parse_q_list(text: str) -> list[tuple[float, float]]:
     out = []
     for chunk in text.split(";"):
         parts = chunk.split(",")
         if len(parts) != 2:
             raise ConfigError(f"bad q pair {chunk!r} (expected 'q1,q2')")
-        out.append((float(parts[0]), float(parts[1])))
+        out.append(tuple(_number(float, p, "q value") for p in parts))
     return out
 
 
@@ -49,24 +57,24 @@ def _parse_testset(text: str, base: int) -> estimate.TestSet:
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"bad test-set spec {text!r} (expected 'block:digits:gens')")
-    block = int(parts[0])
-    keep = tuple(int(d) for d in parts[1].split(","))
-    return estimate.cantor_set(base, keep, int(parts[2]), block)
+    block = _number(int, parts[0], "test-set block")
+    keep = tuple(_number(int, d, "test-set digit") for d in parts[1].split(","))
+    return estimate.cantor_set(base, keep, _number(int, parts[2], "test-set generations"), block)
 
 
 def _parse_window(text: str) -> tuple[int, int]:
     parts = text.split(":")
     if len(parts) != 2:
         raise ConfigError(f"bad scale window {text!r} (expected 'lo:hi')")
-    return int(parts[0]), int(parts[1])
+    return _number(int, parts[0], "scale"), _number(int, parts[1], "scale")
 
 
 def _xi0_grid(spec: str) -> list[float]:
     """Either an integer point count for a uniform grid on [0,1], or a
     comma-separated list of values."""
     if "," in spec:
-        return [float(v) for v in spec.split(",")]
-    n = int(spec)
+        return [_number(float, v, "xi0 value") for v in spec.split(",")]
+    n = _number(int, spec, "xi0 grid size")
     if n < 2:
         raise ConfigError("xi0 grid needs at least 2 points")
     return [i / (n - 1) for i in range(n)]
@@ -257,7 +265,10 @@ def cmd_partition(args) -> int:
 def cmd_holder(args) -> int:
     t0 = time.time()
     model, out = _prepare(args)
-    q = _parse_q_list(args.q)[0]
+    qs = _parse_q_list(args.q)
+    if len(qs) != 1:
+        raise ConfigError(f"holder takes one q pair, got {len(qs)}")
+    q = qs[0]
     lo, hi = _parse_window(args.scales) if args.scales else (2, args.depth - 4)
     real = cascade.build(model, args.seed, args.depth)
     rng = np.random.default_rng(args.seed + 1)

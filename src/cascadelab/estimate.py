@@ -150,13 +150,14 @@ def _count_squares(x0, x1, y0, y1, j: int) -> int:
     iy0 -= shift
     iy1 -= shift
     width = int(max(ix1.max(), iy1.max())) + 2
-    single = (ix0 == ix1) & (iy0 == iy1)
-    keys = set((ix0[single] * width + iy0[single]).tolist())
-    for a0, a1, b0, b1 in zip(ix0[~single], ix1[~single], iy0[~single], iy1[~single]):
-        for ix in range(a0, a1 + 1):
-            base_key = ix * width
-            keys.update(range(base_key + b0, base_key + b1 + 1))
-    return len(keys)
+    # expand every box into its nx * ny squares, row-major within the box
+    ny = iy1 - iy0 + 1
+    per_box = (ix1 - ix0 + 1) * ny
+    box = np.repeat(np.arange(len(per_box)), per_box)
+    first = np.cumsum(per_box) - per_box
+    dx, dy = np.divmod(np.arange(len(box)) - first[box], ny[box])
+    keys = (ix0[box] + dx) * width + (iy0[box] + dy)
+    return len(np.unique(keys))
 
 
 def image_box_dim(
@@ -242,17 +243,11 @@ def partition_function(
     return DimensionEstimate(slope, stderr, (level_lo, level_hi), r2, tuple(zip(ms, logs)))
 
 
-def oscillation_tables(real: CascadeRealization, level_lo: int, level_hi: int):
-    """Oscillation tables for a window of levels, for reuse across queries."""
-    return {m: cascade.oscillations(real, m) for m in range(level_lo, level_hi + 1)}
-
-
 def holder_exponents(
     real: CascadeRealization,
     word_indices,
     level_lo: int,
     level_hi: int,
-    tables=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Estimated Holder pair for each depth-``level_hi`` word index.
 
@@ -261,8 +256,6 @@ def holder_exponents(
     """
     if not 1 <= level_lo < level_hi <= real.depth:
         raise ConfigError(f"bad level window [{level_lo}, {level_hi}]")
-    if tables is None:
-        tables = oscillation_tables(real, level_lo, level_hi)
     idx = np.asarray(word_indices, dtype=np.int64)
     ms = np.arange(level_lo, level_hi + 1)
     logs1 = np.empty((len(ms), len(idx)))
@@ -270,7 +263,7 @@ def holder_exponents(
     lb = math.log(real.base)
     for row, m in enumerate(ms):
         prefix = idx // real.base ** (level_hi - m)
-        t = tables[m]
+        t = cascade.oscillations(real, m)
         o1, o2 = t.o1[prefix], t.o2[prefix]
         if (o1 == 0.0).any() or (o2 == 0.0).any():
             raise ZeroOscillationError(f"zero oscillation at level {m}")

@@ -56,6 +56,8 @@ class SignJoint:
 
     def __post_init__(self):
         probs = (self.pp, self.pm, self.mp, self.mm)
+        if not all(math.isfinite(p) for p in probs):
+            raise ConfigError(f"non-finite sign probability in {probs}")
         if any(p < -_PROB_TOL for p in probs):
             raise ConfigError(f"negative sign probability in {probs}")
         if abs(sum(probs) - 1.0) > _PROB_TOL:
@@ -80,6 +82,22 @@ class SignJoint:
 
     def cumulative(self) -> np.ndarray:
         return np.cumsum([self.pp, self.pm, self.mp, self.mm])
+
+    def sample(self, u: np.ndarray, mag1: float, mag2: float):
+        """Signed moduli (+-mag1, +-mag2) for uniforms ``u`` in [0, 1).
+
+        Each u falls in the cell ++, +-, -+ or -- given by the number of
+        the first three cumulative bounds at or below it: the cell that
+        ``searchsorted(cumulative(), u, side="right")`` finds, with u
+        past the last bound kept in --.
+        """
+        c0, c1, c2, _ = self.cumulative()
+        cell = (u >= c0).astype(np.uint8)
+        cell += u >= c1
+        cell += u >= c2
+        w1 = np.array([mag1, mag1, -mag1, -mag1])
+        w2 = np.array([mag2, -mag2, mag2, -mag2])
+        return w1[cell], w2[cell]
 
 
 def default_sign_plus(base: int, alpha: float) -> float:
@@ -161,6 +179,11 @@ def _validate_alpha(alpha: float, lo: float = 0.0) -> None:
         raise ConfigError(f"alpha must be in ({lo}, 1], got {alpha}")
 
 
+def _validate_sigma(sigma: float) -> None:
+    if not 0.0 <= sigma < math.inf:
+        raise ConfigError(f"sigma must be finite and >= 0, got {sigma}")
+
+
 @dataclass(frozen=True)
 class Fractional(WeightModel):
     """|W_k| = b**-alpha_k almost surely, signs from ``sign_joint``.
@@ -195,12 +218,9 @@ class Fractional(WeightModel):
                 )
 
     def sample_pairs(self, rng, size):
-        u = rng.random(size)
-        cell = np.searchsorted(self.sign_joint.cumulative(), u, side="right")
-        cell = np.minimum(cell, 3)
-        s1 = np.where(cell <= 1, 1.0, -1.0)
-        s2 = np.where((cell == 0) | (cell == 2), 1.0, -1.0)
-        return s1 * self.base**-self.alpha1, s2 * self.base**-self.alpha2
+        return self.sign_joint.sample(
+            rng.random(size), self.base**-self.alpha1, self.base**-self.alpha2
+        )
 
     def joint_moment(self, q1, q2):
         return float(self.base ** -(q1 * self.alpha1 + q2 * self.alpha2))
@@ -227,8 +247,8 @@ class Fractional(WeightModel):
 
 def sigma_from_beta(beta: float, base: int) -> float:
     """Invert beta = sigma**2 / (2 ln b)."""
-    if beta < 0:
-        raise ConfigError(f"beta must be >= 0, got {beta}")
+    if not 0.0 <= beta < math.inf:
+        raise ConfigError(f"beta must be finite and >= 0, got {beta}")
     return math.sqrt(2.0 * beta * math.log(base))
 
 
@@ -248,8 +268,7 @@ class LognormalSigned(WeightModel):
 
     def __post_init__(self):
         _validate_alpha(self.alpha)
-        if self.sigma < 0:
-            raise ConfigError(f"sigma must be >= 0, got {self.sigma}")
+        _validate_sigma(self.sigma)
         if self.sign_joint is None:
             p = default_sign_plus(self.base, self.alpha)
             object.__setattr__(self, "sign_joint", SignJoint.independent(p, p))
@@ -271,12 +290,10 @@ class LognormalSigned(WeightModel):
     def sample_pairs(self, rng, size):
         u = rng.random(size)
         g = rng.standard_normal(size)
-        cell = np.minimum(np.searchsorted(self.sign_joint.cumulative(), u, side="right"), 3)
-        s1 = np.where(cell <= 1, 1.0, -1.0)
-        s2 = np.where((cell == 0) | (cell == 2), 1.0, -1.0)
-        factor = np.exp(self.sigma * g - self.sigma**2 / 2.0)
         mag = self.base**-self.alpha
-        return s1 * mag * factor, s2 * mag * factor
+        x1, x2 = self.sign_joint.sample(u, mag, mag)
+        factor = np.exp(self.sigma * g - self.sigma**2 / 2.0)
+        return x1 * factor, x2 * factor
 
     def joint_moment(self, q1, q2):
         s = q1 + q2
@@ -320,8 +337,7 @@ class Mixed(WeightModel):
 
     def __post_init__(self):
         _validate_alpha(self.alpha)
-        if self.sigma < 0:
-            raise ConfigError(f"sigma must be >= 0, got {self.sigma}")
+        _validate_sigma(self.sigma)
         if self.sign_plus is None:
             object.__setattr__(
                 self, "sign_plus", default_sign_plus(self.base, self.alpha)
@@ -385,6 +401,8 @@ class DiscreteTable(WeightModel):
         if not self.atoms:
             raise ConfigError("DiscreteTable needs at least one atom")
         atoms = tuple(((float(w1), float(w2)), float(p)) for (w1, w2), p in self.atoms)
+        if not all(math.isfinite(v) for (w1, w2), p in atoms for v in (w1, w2, p)):
+            raise ConfigError(f"non-finite atom value or probability in {atoms}")
         object.__setattr__(self, "atoms", atoms)
         total = sum(p for _, p in atoms)
         if abs(total - 1.0) > _PROB_TOL:

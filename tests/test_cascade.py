@@ -5,7 +5,7 @@ import pytest
 
 from cascadelab import cascade
 from cascadelab.errors import ConfigError, ResourceError
-from cascadelab.weights import DiscreteTable, Fractional, SignJoint
+from cascadelab.weights import DiscreteTable, Fractional, LognormalSigned, SignJoint
 from cascadelab.words import Word, parse_word
 
 IDENTITY = Fractional(2, 1.0, 1.0, SignJoint(1.0, 0.0, 0.0, 0.0))
@@ -294,3 +294,72 @@ def test_save_load_round_trip(tmp_path):
     assert np.array_equal(loaded.products[5][1], real.products[5][1])
     with pytest.raises(ConfigError):
         cascade.load(path, FRAC)
+
+
+# ---------------------------------------------------------------------------
+# memoized grid min/max against the uncached block reduction
+
+
+def block_min_max_oracle(real, level):
+    blocks, step = real.base**level, real.base ** (real.depth - level)
+    return tuple(cascade._block_min_max(f, blocks, step) for f in real.grid)
+
+
+MIN_MAX_CASES = [(Fractional(2, 0.75, 0.75), 10), (Fractional(3, 0.7, 0.9), 6), (Fractional(4, 0.75, 0.75), 5)]
+
+
+@pytest.mark.parametrize("model,depth", MIN_MAX_CASES)
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_memoized_grid_min_max_equals_block_oracle(model, depth, order):
+    real = cascade.build(model, seed=7, depth=depth)
+    levels = list(range(depth + 1))
+    if order == "descending":
+        levels.reverse()
+    elif order == "shuffled":
+        np.random.default_rng(depth).shuffle(levels)
+    for level in levels + levels:  # the second round reads the memo
+        got = cascade.grid_min_max(real, level)
+        want = block_min_max_oracle(real, level)
+        for (lo, hi), (lo_w, hi_w) in zip(got, want):
+            assert np.array_equal(lo, lo_w) and np.array_equal(hi, hi_w)
+    assert cascade.grid_min_max(real, 3) is cascade.grid_min_max(real, 3)
+
+
+def test_grid_min_max_tables_are_read_only():
+    real = cascade.build(FRAC, seed=1, depth=8)
+    cascade.grid_min_max(real, 8)
+    for level in (8, 4):  # computed from the grid, then derived from level 8
+        for pair in cascade.grid_min_max(real, level):
+            for a in pair:
+                with pytest.raises(ValueError):
+                    a[0] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# seed domain
+
+
+def test_seeds_at_and_above_two_to_the_63_give_distinct_streams():
+    seeds = (2**63, 2**63 + 1, 2**64 - 1)
+    grids = [cascade.build(FRAC, seed, depth=8).grid[0] for seed in seeds]
+    for i in range(len(grids)):
+        for j in range(i):
+            assert not np.array_equal(grids[i], grids[j])
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**63), 2**64, 2**70])
+def test_seeds_outside_uint64_are_config_errors(seed):
+    with pytest.raises(ConfigError):
+        cascade.build(FRAC, seed, depth=4)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2**62, 2**63 - 1])
+def test_uint64_key_keeps_weights_of_seeds_below_two_to_the_63(seed):
+    lognormal = LognormalSigned.from_beta(2, 0.8, 0.1)
+    for model in (FRAC, TABLE, lognormal):
+        for level in (1, 7):
+            # the former key: a plain list of python ints
+            old = np.random.Generator(np.random.Philox(key=[seed, level]))
+            want = model.sample_pairs(old, 2**level)
+            got = cascade.level_weights(model, seed, level)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])

@@ -280,3 +280,31 @@ def test_resource_error_exit_code(model_file, tmp_path):
         ]
     )
     assert rc == 5
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["partition", "--depth", "8", "--q", "1,x"],
+        ["partition", "--depth", "8", "--q", "1,0", "--scales", "2:y"],
+        ["holder", "--depth", "8", "--q", "1,1", "--scales", "a:5"],
+        ["image-dim", "--depth", "8", "--testset", "1:0,z:4"],
+        ["image-dim", "--depth", "8", "--testset", "one:0,1:4"],
+        ["uniform-sweep", "--depth", "8", "--testset", "1:0,1:four"],
+        ["predict", "--xi0-grid", "many"],
+        ["predict", "--xi0-grid", "0.1,zero"],
+        ["holder", "--depth", "8", "--q", "1,1;0,1"],
+    ],
+)
+def test_bad_cli_text_is_config_error(model_file, tmp_path, capsys, argv):
+    argv = [*argv, "--model", model_file(FRACTIONAL), "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config"
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_outside_uint64_is_config_error(model_file, tmp_path, seed):
+    argv = ["simulate", "--model", model_file(FRACTIONAL), "--out", str(tmp_path / "o"),
+            "--depth", "4", "--seed", seed]
+    assert main(argv) == 2

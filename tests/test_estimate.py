@@ -286,3 +286,39 @@ def test_uniform_sweep_scope_guards():
         estimate.uniform_sweep(cascade.build(ln, seed=0, depth=8), [])
     with pytest.raises(ConfigError):
         estimate.uniform_sweep(cascade.build(IDENTITY2, seed=0, depth=8), [])
+
+
+# ---------------------------------------------------------------------------
+# vectorized square counting against the set-based count
+
+
+def count_squares_oracle(x0, x1, y0, y1, j):
+    """The Python set loop the vectorized count replaced."""
+    scale = float(2**j)
+    ix0, ix1, iy0, iy1 = (np.floor(v * scale).astype(np.int64) for v in (x0, x1, y0, y1))
+    keys = set()
+    for a0, a1, b0, b1 in zip(ix0, ix1, iy0, iy1):
+        for ix in range(a0, a1 + 1):
+            for iy in range(b0, b1 + 1):
+                keys.add((ix, iy))
+    return len(keys)
+
+
+box = st.tuples(
+    st.floats(-2.0, 2.0), st.floats(0.0, 0.6), st.floats(-2.0, 2.0), st.floats(0.0, 0.6)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(box, min_size=1, max_size=40), st.integers(0, 5))
+def test_count_squares_matches_set_oracle(boxes, j):
+    x0, wx, y0, wy = (np.array(v) for v in zip(*boxes))
+    args = (x0, x0 + wx, y0, y0 + wy)
+    assert estimate._count_squares(*args, j) == count_squares_oracle(*args, j)
+
+
+def test_count_squares_box_straddling_many_squares():
+    # one box covering a 5 x 3 block of squares plus a point inside it
+    x0, x1 = np.array([0.1, 0.3]), np.array([1.2, 0.3])
+    y0, y1 = np.array([0.0, 0.4]), np.array([0.7, 0.4])
+    assert estimate._count_squares(x0, x1, y0, y1, 2) == 5 * 3

@@ -275,3 +275,97 @@ def test_fractional_moment_formula_property(a1, a2):
     assert m.joint_moment(1.3, 0.7) == pytest.approx(
         2 ** -(1.3 * a1 + 0.7 * a2), rel=1e-12
     )
+
+
+# ---------------------------------------------------------------------------
+# threshold sign sampling against the searchsorted oracle
+
+
+def searchsorted_signs(sj, u):
+    """The cell lookup the threshold sampler replaced, kept as an oracle."""
+    cell = np.minimum(np.searchsorted(sj.cumulative(), u, side="right"), 3)
+    return np.where(cell <= 1, 1.0, -1.0), np.where((cell == 0) | (cell == 2), 1.0, -1.0)
+
+
+SIGN_TABLES = [
+    SignJoint.independent(0.7, 0.8),
+    SignJoint(0.7, 0.1, 0.1, 0.1),
+    SignJoint(1.0, 0.0, 0.0, 0.0),
+    SignJoint(0.0, 0.0, 0.0, 1.0),
+    SignJoint(0.5, 0.0, 0.0, 0.5),
+    SignJoint(0.0, 0.5, 0.5, 0.0),
+    SignJoint(0.25, 0.0, 0.75, 0.0),
+    SignJoint(0.3, 0.3, 0.0, 0.4),
+    SignJoint(0.5, 0.25, 0.25 - 1e-13, 0.0),  # last bound just below 1
+]
+
+
+@pytest.mark.parametrize("sj", SIGN_TABLES)
+def test_threshold_signs_equal_searchsorted_cells(sj):
+    rng = np.random.default_rng(11)
+    cum = sj.cumulative()
+    # every cumulative bound exactly, its float neighbours, and the ends of [0, 1)
+    edges = np.concatenate([cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0)])
+    u = np.concatenate([rng.random(20000), edges, [0.0, np.nextafter(1.0, 0.0)]])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    s1, s2 = searchsorted_signs(sj, u)
+    w1, w2 = sj.sample(u, 0.5, 0.25)
+    assert np.array_equal(w1, s1 * 0.5)
+    assert np.array_equal(w2, s2 * 0.25)
+
+
+def test_fractional_sampling_matches_searchsorted_oracle():
+    for model in (Fractional(2, 0.75, 0.75), Fractional(2, 0.6, 0.8),
+                  Fractional(3, 0.7, 0.9), identity_model()):
+        w1, w2 = model.sample_pairs(np.random.default_rng(3), 5000)
+        s1, s2 = searchsorted_signs(model.sign_joint, np.random.default_rng(3).random(5000))
+        assert np.array_equal(w1, s1 * model.base**-model.alpha1)
+        assert np.array_equal(w2, s2 * model.base**-model.alpha2)
+
+
+def test_lognormal_sampling_matches_searchsorted_oracle():
+    p = (1.0 + 2 ** (0.8 - 1.0)) / 2.0
+    for sj in (None, SignJoint(p, 0.0, 0.0, 1.0 - p)):  # second table has empty cells
+        model = lognormal_beta(2, 0.8, 0.1, sj)
+        w1, w2 = model.sample_pairs(np.random.default_rng(4), 5000)
+        rng = np.random.default_rng(4)
+        u, g = rng.random(5000), rng.standard_normal(5000)
+        s1, s2 = searchsorted_signs(model.sign_joint, u)
+        factor = np.exp(model.sigma * g - model.sigma**2 / 2.0)
+        mag = 2**-model.alpha
+        assert np.array_equal(w1, s1 * mag * factor)
+        assert np.array_equal(w2, s2 * mag * factor)
+
+
+# ---------------------------------------------------------------------------
+# non-finite parameters
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sign_joint_rejects_non_finite(bad):
+    with pytest.raises(ConfigError):
+        SignJoint(bad, 0.0, 0.0, 1.0)
+    with pytest.raises(ConfigError):
+        SignJoint(0.5, 0.5, 0.0, bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_lognormal_and_mixed_reject_non_finite_sigma(bad):
+    with pytest.raises(ConfigError):
+        LognormalSigned(2, 0.8, bad)
+    with pytest.raises(ConfigError):
+        Mixed(2, 0.8, bad)
+    with pytest.raises(ConfigError):
+        LognormalSigned.from_beta(2, 0.8, bad)
+    with pytest.raises(ConfigError):
+        Mixed.from_beta(2, 0.8, bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_table_rejects_non_finite_atoms(bad):
+    with pytest.raises(ConfigError):
+        DiscreteTable(2, (((0.3, 0.7), 0.5), ((0.7, 0.3), bad)))
+    with pytest.raises(ConfigError):
+        DiscreteTable(2, (((bad, 0.7), 0.5), ((0.7, 0.3), 0.5)))
+    with pytest.raises(ConfigError):
+        DiscreteTable(2, (((0.3, 0.7), 0.5), ((0.7, bad), 0.5)))
