@@ -15,6 +15,7 @@ agree bit-exactly on all levels up to n.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,7 +71,7 @@ class CascadeRealization:
     def cells(self) -> int:
         return self.base**self.depth
 
-    def word_index(self, w: Word, level: int | None = None) -> int:
+    def word_index(self, w: Word) -> int:
         if w.base != self.base:
             raise ConfigError(f"word base {w.base} != realization base {self.base}")
         if len(w) > self.depth:
@@ -213,41 +214,39 @@ def sample_tilted_path(
     b = real.base
     idx = 0
     digits = []
-    for m in range(1, target_depth + 1):
-        w1, w2 = real.weights[m - 1]
-        children = idx * b + np.arange(b)
-        with np.errstate(divide="ignore"):
-            tw = np.abs(w1[children]) ** q1 * np.abs(w2[children]) ** q2
-        tw = np.where(np.isnan(tw), 1.0, tw)  # 0**0
-        total = tw.sum()
-        if not np.isfinite(total) or total <= 0.0:
-            raise DivergenceError(f"tilted child weights degenerate at level {m}")
-        u = rng.random() * total
-        digit = int(np.searchsorted(np.cumsum(tw), u, side="right"))
-        digit = min(digit, b - 1)
-        digits.append(digit)
-        idx = children[digit]
+    with np.errstate(divide="ignore"):
+        for m in range(1, target_depth + 1):
+            w1, w2 = real.weights[m - 1]
+            lo = idx * b
+            tw = np.abs(w1[lo : lo + b]) ** q1 * np.abs(w2[lo : lo + b]) ** q2
+            tw[np.isnan(tw)] = 1.0  # 0 * inf
+            total = tw.sum()
+            if not np.isfinite(total) or total <= 0.0:
+                raise DivergenceError(f"tilted child weights degenerate at level {m}")
+            u = rng.random() * total
+            digit = min(int(tw.cumsum().searchsorted(u, side="right")), b - 1)
+            digits.append(digit)
+            idx = lo + digit
     return Word(b, tuple(digits))
 
 
 def export_level(real: CascadeRealization, level: int):
-    """Rows (word, Q1, Q2, F1 endpoint, F2 endpoint) at one level."""
+    """Rows (word, Q1, Q2, F1 endpoint, F2 endpoint) at one level.
+
+    Rows come in word-index order; a word is its digits written out
+    without separators, and its endpoint is the grid value at its
+    interval's right end.
+    """
     if not 0 <= level <= real.depth:
         raise ConfigError(f"level {level} outside [0, {real.depth}]")
     b = real.base
     q1, q2 = real.products[level]
     step = b ** (real.depth - level)
     f1, f2 = real.grid
-    rows = []
-    for j in range(b**level):
-        digits = []
-        v = j
-        for _ in range(level):
-            v, d = divmod(v, b)
-            digits.append(d)
-        word = "".join(str(d) for d in reversed(digits))
-        rows.append((word, q1[j], q2[j], f1[(j + 1) * step], f2[(j + 1) * step]))
-    return rows
+    digits = [str(d) for d in range(b)]
+    words = ("".join(p) for p in itertools.product(digits, repeat=level))
+    ends1, ends2 = f1[step::step].tolist(), f2[step::step].tolist()
+    return list(zip(words, q1.tolist(), q2.tolist(), ends1, ends2))
 
 
 def save(real: CascadeRealization, path) -> None:

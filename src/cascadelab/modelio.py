@@ -15,6 +15,9 @@ whitespace separated; an optional ``=`` between them is accepted and
     signplus p  (mixed) marginal P(sign of W1 = +)
     atom w1 w2 p  (table) one support atom
 
+Each key and each sign row may appear once; ``atom`` rows repeat.  Any
+malformed text raises ConfigError.
+
 Omitted sign tables default to independent signs with the marginals
 that make E(W_k) = 1/b.
 """
@@ -35,6 +38,13 @@ from .weights import (
 _SIGN_KEYS = ("++", "+-", "-+", "--")
 
 
+def _number(text: str, what: str) -> float:
+    try:
+        return float(text)
+    except ValueError as e:
+        raise ConfigError(f"bad {what}: {text!r}") from e
+
+
 def parse_model(text: str) -> WeightModel:
     kv: dict[str, str] = {}
     signs: dict[str, float] = {}
@@ -43,17 +53,24 @@ def parse_model(text: str) -> WeightModel:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = [p for p in line.replace("=", " ").split() if p]
+        parts = line.replace("=", " ").split()
+        if not parts:
+            raise ConfigError(f"unparseable model line: {raw!r}")
         key = parts[0].lower()
         if key == "sign":
             if len(parts) != 3 or parts[1] not in _SIGN_KEYS:
                 raise ConfigError(f"bad sign row: {raw!r}")
-            signs[parts[1]] = float(parts[2])
+            if parts[1] in signs:
+                raise ConfigError(f"duplicate sign row {parts[1]!r}")
+            signs[parts[1]] = _number(parts[2], f"sign {parts[1]} probability")
         elif key == "atom":
             if len(parts) != 4:
                 raise ConfigError(f"bad atom row: {raw!r}")
-            atoms.append(((float(parts[1]), float(parts[2])), float(parts[3])))
+            w1, w2, p = (_number(v, "atom value") for v in parts[1:])
+            atoms.append(((w1, w2), p))
         elif len(parts) == 2:
+            if key in kv:
+                raise ConfigError(f"duplicate model key {key!r}")
             kv[key] = parts[1]
         else:
             raise ConfigError(f"unparseable model line: {raw!r}")
@@ -76,13 +93,13 @@ def parse_model(text: str) -> WeightModel:
     def get_float(key):
         if key not in kv:
             raise ConfigError(f"model kind {kind!r} requires key {key!r}")
-        return float(kv[key])
+        return _number(kv[key], key)
 
     def get_sigma():
         if "sigma" in kv and "beta" in kv:
             raise ConfigError("give sigma or beta, not both")
         if "beta" in kv:
-            return sigma_from_beta(float(kv["beta"]), base)
+            return sigma_from_beta(get_float("beta"), base)
         return get_float("sigma")
 
     try:
@@ -91,7 +108,7 @@ def parse_model(text: str) -> WeightModel:
         if kind == "lognormal":
             return LognormalSigned(base, get_float("alpha"), get_sigma(), sign_joint)
         if kind == "mixed":
-            sign_plus = float(kv["signplus"]) if "signplus" in kv else None
+            sign_plus = get_float("signplus") if "signplus" in kv else None
             return Mixed(base, get_float("alpha"), get_sigma(), sign_plus)
         if kind == "table":
             if not atoms:

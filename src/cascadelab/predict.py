@@ -5,9 +5,11 @@ Root solvers for the two moment equations
     b**-xi0 = max(E|W1|**x, E|W2|**x)                       (xi)
     b**-xi0 = max(E(|W1|**(z-1) |W2|), E(|W1| |W2|**(z-1))) (zeta)
 
-with smallest-root semantics (scan then bisect), the crossover exponent
-xi_star, the image-dimension law (min(xi, zeta) when the two components
-can differ, min(xi, 1) when they are almost surely equal), the signed
+with smallest-root semantics (bisection over the index of a fixed
+grid, exact because the moment curves are log-convex, then bisection
+of the bracketing grid cell), the crossover exponent xi_star, the
+image-dimension law (min(xi, zeta) when the two components can differ,
+min(xi, 1) when they are almost surely equal), the signed
 lognormal and mixed-kind KPZ curves in closed form, the restricted
 spectrum points xi0 + q . grad_phi(q) - phi(q), and the level-set
 dimension 1 - alpha_k of fractional cascades.
@@ -15,6 +17,7 @@ dimension 1 - alpha_k of fractional cascades.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,32 +33,59 @@ def _smallest_root(f, target: float, hi: float, step: float = SCAN_STEP) -> floa
     """Smallest x in [0, hi] with f(x) = target.
 
     f(0) >= target is assumed (it holds for the two moment curves, which
-    start at 1 >= b**-xi0 and are log-convex, so the scan cannot skip
-    the first crossing at this step size for admissible models).  Grid
-    scan for the first sign change, then bisection.
+    start at 1 >= b**-xi0).  The first grid point x_i = i * step with
+    f(x_i) <= target is found by bisection over the grid index, then the
+    root is bisected on [x_{i-1}, x_i].
+
+    The grid bisection rests on log-convexity.  Every moment curve
+    x -> E|W1|**a(x) |W2|**c(x) with affine exponents is log-convex
+    (Holder), and so is the max of two.  A convex sequence falls, then
+    rises, so the predicate ``f(x_i) <= target or f(x_{i+1}) >= f(x_i)``
+    is false up to some index and true from it on.  Where it first holds
+    either f(x_i) <= target, and no earlier grid point reached the
+    target, or the curve has turned upward above the target and never
+    comes back down.  Infinite or NaN values, which only occur on a
+    leading stretch where an exponent is negative and an atom is zero,
+    count as still falling.
     """
-    prev_x, prev_v = 0.0, f(0.0)
-    if prev_v <= target:
-        if abs(prev_v - target) <= ROOT_TOL:
+    f0 = f(0.0)
+    if f0 <= target:
+        if abs(f0 - target) <= ROOT_TOL:
             return 0.0
-        raise NoRootError(f"curve starts below target: f(0)={prev_v} < {target}")
+        raise NoRootError(f"curve starts below target: f(0)={f0} < {target}")
     n_steps = int(round(hi / step))
-    for i in range(1, n_steps + 1):
-        x = i * step
-        v = f(x)
+
+    @functools.cache
+    def at(i):
+        return f(i * step)
+
+    def settled(i):
+        v = at(i)
         if v <= target:
-            lo, hi_b = prev_x, x
-            for _ in range(100):
-                mid = 0.5 * (lo + hi_b)
-                if f(mid) <= target:
-                    hi_b = mid
-                else:
-                    lo = mid
-                if hi_b - lo <= ROOT_TOL:
-                    break
-            return 0.5 * (lo + hi_b)
-        prev_x, prev_v = x, v
-    raise NoRootError(f"no root in [0, {hi}] (curve stays above {target})")
+            return True
+        if i == n_steps:
+            return False
+        return v < math.inf and at(i + 1) >= v
+
+    lo, top = 1, n_steps
+    while lo < top:
+        mid = (lo + top) // 2
+        if settled(mid):
+            top = mid
+        else:
+            lo = mid + 1
+    if n_steps < 1 or at(lo) > target:
+        raise NoRootError(f"no root in [0, {hi}] (curve stays above {target})")
+    lo_b, hi_b = (lo - 1) * step, lo * step
+    for _ in range(100):
+        mid = 0.5 * (lo_b + hi_b)
+        if f(mid) <= target:
+            hi_b = mid
+        else:
+            lo_b = mid
+        if hi_b - lo_b <= ROOT_TOL:
+            break
+    return 0.5 * (lo_b + hi_b)
 
 
 def _check_xi0(xi0: float) -> None:

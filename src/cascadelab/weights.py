@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,6 +175,11 @@ class WeightModel:
         return hashlib.sha256(self.describe().encode()).hexdigest()[:16]
 
 
+def _validate_base(base: int) -> None:
+    if not 2 <= base <= sys.float_info.max:
+        raise ConfigError(f"base must be in [2, {sys.float_info.max:g}], got {base}")
+
+
 def _validate_alpha(alpha: float, lo: float = 0.0) -> None:
     if not lo < alpha <= 1.0:
         raise ConfigError(f"alpha must be in ({lo}, 1], got {alpha}")
@@ -198,6 +204,7 @@ class Fractional(WeightModel):
     sign_joint: SignJoint = None  # type: ignore[assignment]
 
     def __post_init__(self):
+        _validate_base(self.base)
         _validate_alpha(self.alpha1, 0.5)
         _validate_alpha(self.alpha2, 0.5)
         if self.sign_joint is None:
@@ -247,6 +254,7 @@ class Fractional(WeightModel):
 
 def sigma_from_beta(beta: float, base: int) -> float:
     """Invert beta = sigma**2 / (2 ln b)."""
+    _validate_base(base)
     if not 0.0 <= beta < math.inf:
         raise ConfigError(f"beta must be finite and >= 0, got {beta}")
     return math.sqrt(2.0 * beta * math.log(base))
@@ -267,6 +275,7 @@ class LognormalSigned(WeightModel):
     sign_joint: SignJoint = None  # type: ignore[assignment]
 
     def __post_init__(self):
+        _validate_base(self.base)
         _validate_alpha(self.alpha)
         _validate_sigma(self.sigma)
         if self.sign_joint is None:
@@ -336,6 +345,7 @@ class Mixed(WeightModel):
     sign_plus: float = None  # type: ignore[assignment]
 
     def __post_init__(self):
+        _validate_base(self.base)
         _validate_alpha(self.alpha)
         _validate_sigma(self.sigma)
         if self.sign_plus is None:
@@ -396,8 +406,7 @@ class DiscreteTable(WeightModel):
     atoms: tuple[tuple[tuple[float, float], float], ...]
 
     def __post_init__(self):
-        if self.base < 2:
-            raise ConfigError(f"base must be >= 2, got {self.base}")
+        _validate_base(self.base)
         if not self.atoms:
             raise ConfigError("DiscreteTable needs at least one atom")
         atoms = tuple(((float(w1), float(w2)), float(p)) for (w1, w2), p in self.atoms)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cascadelab import cascade
-from cascadelab.errors import ConfigError, ResourceError
+from cascadelab.errors import ConfigError, DivergenceError, ResourceError
 from cascadelab.weights import DiscreteTable, Fractional, LognormalSigned, SignJoint
 from cascadelab.words import Word, parse_word
 
@@ -363,3 +363,99 @@ def test_uint64_key_keeps_weights_of_seeds_below_two_to_the_63(seed):
             want = model.sample_pairs(old, 2**level)
             got = cascade.level_weights(model, seed, level)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+# ---------------------------------------------------------------------------
+# array-built export and sliced tilted steps against the former loops
+
+
+def export_level_oracle(real, level):
+    """The former export_level: one divmod walk per word."""
+    b = real.base
+    q1, q2 = real.products[level]
+    step = b ** (real.depth - level)
+    f1, f2 = real.grid
+    rows = []
+    for j in range(b**level):
+        digits = []
+        v = j
+        for _ in range(level):
+            v, d = divmod(v, b)
+            digits.append(d)
+        word = "".join(str(d) for d in reversed(digits))
+        rows.append((word, q1[j], q2[j], f1[(j + 1) * step], f2[(j + 1) * step]))
+    return rows
+
+
+def as_text(rows):
+    return [(w, *(f"{v:.17g}" for v in values)) for w, *values in rows]
+
+
+@pytest.mark.parametrize(
+    "model,depth",
+    [(FRAC, 8), (Fractional(3, 0.7, 0.9), 5), (Fractional(11, 0.75, 0.75), 2), (TABLE, 6)],
+)
+def test_export_level_equals_loop_oracle(model, depth):
+    real = cascade.build(model, seed=4, depth=depth)
+    for level in sorted({0, 1, depth // 2, depth}):
+        rows = cascade.export_level(real, level)
+        assert as_text(rows) == as_text(export_level_oracle(real, level))
+    assert cascade.export_level(real, 0)[0][0] == ""
+    if model.base > 10:
+        assert cascade.export_level(real, 2)[model.base * 10 + 3][0] == "103"
+
+
+def tilted_path_oracle(real, q, target_depth, rng):
+    """The former sample_tilted_path: fancy-indexed children, np.where for NaN."""
+    q1, q2 = q
+    b = real.base
+    idx = 0
+    digits = []
+    for m in range(1, target_depth + 1):
+        w1, w2 = real.weights[m - 1]
+        children = idx * b + np.arange(b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tw = np.abs(w1[children]) ** q1 * np.abs(w2[children]) ** q2
+        tw = np.where(np.isnan(tw), 1.0, tw)
+        total = tw.sum()
+        if not np.isfinite(total) or total <= 0.0:
+            raise DivergenceError(f"tilted child weights degenerate at level {m}")
+        u = rng.random() * total
+        digit = min(int(np.searchsorted(np.cumsum(tw), u, side="right")), b - 1)
+        digits.append(digit)
+        idx = children[digit]
+    return Word(b, tuple(digits))
+
+
+ZERO_ATOM = DiscreteTable(2, (((0.0, 0.0), 0.5), ((0.5, 0.5), 0.5)))
+
+
+@pytest.mark.parametrize(
+    "model,q",
+    [
+        (TABLE, (1.0, 1.0)),
+        (TABLE, (1.3, -0.4)),
+        (Fractional(3, 0.7, 0.9), (2.0, 0.5)),
+        (Fractional(11, 0.75, 0.75), (1.0, 1.0)),
+        (LognormalSigned.from_beta(4, 0.8, 0.1), (0.5, 1.5)),
+        (ZERO_ATOM, (-1.0, 1.0)),  # 0**-1 * 0**1 is NaN and weighs 1
+    ],
+)
+def test_tilted_path_equals_loop_oracle(model, q):
+    depth = 3 if model.base > 4 else 8
+    real = cascade.build(model, seed=11, depth=depth)
+    rng, rng_oracle = np.random.default_rng(5), np.random.default_rng(5)
+    with np.errstate(invalid="ignore"):
+        for _ in range(200):
+            got = cascade.sample_tilted_path(real, q, depth, rng)
+            assert got == tilted_path_oracle(real, q, depth, rng_oracle)
+
+
+@pytest.mark.parametrize("q", [(1.0, 1.0), (-1.0, 0.0)])
+def test_degenerate_tilted_weights_raise(q):
+    # all-zero children: total 0 at q = (1, 1), total inf at q = (-1, 0)
+    real = cascade.build(DiscreteTable(2, (((0.0, 0.0), 1.0),)), seed=0, depth=4)
+    with pytest.raises(DivergenceError):
+        cascade.sample_tilted_path(real, q, 4, np.random.default_rng(0))
+    with pytest.raises(DivergenceError):
+        tilted_path_oracle(real, q, 4, np.random.default_rng(0))

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cascadelab import cascade, modelio
 from cascadelab.cli import main
@@ -308,3 +310,103 @@ def test_seed_outside_uint64_is_config_error(model_file, tmp_path, seed):
     argv = ["simulate", "--model", model_file(FRACTIONAL), "--out", str(tmp_path / "o"),
             "--depth", "4", "--seed", seed]
     assert main(argv) == 2
+
+
+# ---------------------------------------------------------------------------
+# malformed model files are config errors
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        FRACTIONAL + "sign ++ abc\nsign +- 0\nsign -+ 0\nsign -- 0\n",
+        "kind table\nb 2\natom 0.3 x 0.5\natom 0.7 0.3 0.5\n",
+        "kind table\nb 2\natom 0.3 0.7 half\natom 0.7 0.3 0.5\n",
+        "kind mixed\nb 2\nalpha 0.8\nbeta 0.1\nsignplus most\n",
+        "kind lognormal\nb 2\nalpha 0.8\nbeta tiny\n",
+    ],
+    ids=["sign", "atom-value", "atom-probability", "signplus", "beta"],
+)
+def test_non_numeric_model_values_are_config_errors(model_file, text):
+    with pytest.raises(ConfigError):
+        modelio.parse_model(text)
+    assert main(["check-model", "--model", model_file(text)]) == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "kind fractional\nb 2\nalpha1 0.7\nalpha1 0.9\nalpha2 0.75\n",
+        "kind fractional\nKIND fractional\nalpha1 0.75\nalpha2 0.75\n",
+        LOGNORMAL + "b = 2\n",
+        FRACTIONAL + "sign ++ 0.5\nsign ++ 0.5\nsign +- 0\nsign -+ 0\nsign -- 0\n",
+    ],
+    ids=["alpha1", "kind-in-any-case", "b-with-equals", "sign-row"],
+)
+def test_duplicate_model_keys_are_config_errors(model_file, text):
+    with pytest.raises(ConfigError, match="duplicate"):
+        modelio.parse_model(text)
+    assert main(["check-model", "--model", model_file(text)]) == 2
+
+
+def test_repeated_atom_rows_stay_legal():
+    m = modelio.parse_model("kind table\nb 2\natom 0.5 0.5 0.5\natom 0.5 0.5 0.5\n")
+    assert m.atoms == (((0.5, 0.5), 0.5), ((0.5, 0.5), 0.5))
+
+
+@pytest.mark.parametrize("base", ["1", "0", "-3", str(10**400)], ids=["1", "0", "-3", "1e400"])
+@pytest.mark.parametrize(
+    "body",
+    [
+        "kind fractional\nalpha1 0.75\nalpha2 0.75\n",
+        "kind lognormal\nalpha 0.8\nbeta 0.1\n",
+        "kind lognormal\nalpha 0.8\nsigma 0.3\n",
+        "kind mixed\nalpha 0.8\nbeta 0.1\n",
+        "kind table\natom 0.5 0.5 1\n",
+    ],
+    ids=["fractional", "lognormal-beta", "lognormal-sigma", "mixed", "table"],
+)
+def test_base_out_of_range_is_config_error_for_every_kind(model_file, body, base):
+    text = f"{body}b {base}\n"
+    with pytest.raises(ConfigError, match="base"):
+        modelio.parse_model(text)
+    assert main(["check-model", "--model", model_file(text)]) == 2
+
+
+_FUZZ_VALUE = st.one_of(
+    st.text(max_size=8),
+    st.floats().map(repr),
+    st.integers(min_value=-(10**6), max_value=10**400).map(str),
+    st.sampled_from(["0", "1", "2", "0.5", "0.75", "0.8", "nan", "-inf", "1e999", "="]),
+)
+_FUZZ_LINE = st.one_of(
+    st.builds(
+        "{} {}".format,
+        st.sampled_from(["kind", "b", "alpha", "alpha1", "alpha2", "sigma", "beta", "signplus"]),
+        _FUZZ_VALUE,
+    ),
+    st.builds("sign {} {}".format, st.sampled_from(["++", "+-", "-+", "--"]), _FUZZ_VALUE),
+    st.builds("atom {} {} {}".format, _FUZZ_VALUE, _FUZZ_VALUE, _FUZZ_VALUE),
+    st.text(max_size=30),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["fractional", "lognormal", "mixed", "table", "other"]),
+    lines=st.lists(_FUZZ_LINE, max_size=8),
+)
+def test_parse_model_lets_only_config_errors_escape(kind, lines):
+    try:
+        modelio.parse_model("\n".join([f"kind {kind}", *lines]))
+    except ConfigError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text())
+def test_parse_model_on_arbitrary_text_lets_only_config_errors_escape(text):
+    try:
+        modelio.parse_model(text)
+    except ConfigError:
+        pass

@@ -247,3 +247,94 @@ def test_fractional_xi_closed_form_property(a1, a2, xi0):
     if want > predict.Q_MAX:
         return
     assert predict.solve_xi(m, xi0) == pytest.approx(want, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# grid bisection against the linear-scan root finder
+
+
+def linear_scan_root(f, target, hi, step=predict.SCAN_STEP):
+    """The former _smallest_root: walk the grid, then bisect the first crossing."""
+    prev_x, prev_v = 0.0, f(0.0)
+    if prev_v <= target:
+        if abs(prev_v - target) <= predict.ROOT_TOL:
+            return 0.0
+        raise NoRootError("curve starts below target")
+    for i in range(1, int(round(hi / step)) + 1):
+        x = i * step
+        if f(x) <= target:
+            lo, hi_b = prev_x, x
+            for _ in range(100):
+                mid = 0.5 * (lo + hi_b)
+                if f(mid) <= target:
+                    hi_b = mid
+                else:
+                    lo = mid
+                if hi_b - lo <= predict.ROOT_TOL:
+                    break
+            return 0.5 * (lo + hi_b)
+        prev_x = x
+    raise NoRootError("no root")
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NoRootError as e:
+        return type(e)
+
+
+def oracle_solves(model, xi0):
+    """(xi, zeta) from the linear scan, set up exactly as solve_xi/solve_zeta do."""
+    target = model.base**-xi0
+    xi = 0.0 if xi0 == 0.0 else outcome(
+        linear_scan_root,
+        lambda x: max(model.joint_moment(x, 0.0), model.joint_moment(0.0, x)),
+        target,
+        predict.Q_MAX,
+    )
+    zeta = outcome(
+        linear_scan_root,
+        lambda z: max(model.joint_moment(z - 1.0, 1.0), model.joint_moment(1.0, z - 1.0)),
+        target,
+        predict.Q_MAX + 1.0,
+    )
+    return xi, zeta
+
+
+ORACLE_MODELS = [
+    model
+    for b in (2, 3, 4, 7)
+    for model in (
+        Fractional(b, 0.75, 0.75),
+        Fractional(b, 0.6, 0.9),
+        LognormalSigned.from_beta(b, 0.8, 0.1),
+        LognormalSigned.from_beta(b, 0.5, 0.6),
+        Mixed.from_beta(b, 0.8, 0.1),
+        Mixed.from_beta(b, 1.0, 0.0),
+        DiscreteTable(b, (((0.3, 0.7), 0.5), ((0.7, 0.3), 0.5))),
+        DiscreteTable(b, (((0.0, 0.5), 0.3), ((0.4, -0.2), 0.7))),  # zeta infinite on [0, 1)
+        DiscreteTable(b, (((1.0, 1.0), 1.0),)),  # flat curve: no crossing below 1
+    )
+]
+
+
+@pytest.mark.parametrize("model", ORACLE_MODELS, ids=lambda m: f"{type(m).__name__}-b{m.base}")
+def test_grid_bisection_equals_linear_scan(model):
+    for xi0 in (0.0, 1.0 / 3.0, 0.5, 0.9, 1.0):
+        got = (
+            outcome(predict.solve_xi, model, xi0),
+            outcome(predict.solve_zeta, model, xi0),
+        )
+        assert got == oracle_solves(model, xi0)
+
+
+def test_curve_with_no_crossing_raises_like_the_scan():
+    def f(x):  # log-convex, minimum 0.6 at x = 1
+        return 0.6 * math.exp((x - 1.0) ** 2)
+
+    for hi in (0.5, 4.0):
+        with pytest.raises(NoRootError):
+            predict._smallest_root(f, 0.5, hi)
+        assert outcome(linear_scan_root, f, 0.5, hi) is NoRootError
+    assert predict._smallest_root(f, 0.7, 4.0) == linear_scan_root(f, 0.7, 4.0)
