@@ -214,7 +214,7 @@ def sample_tilted_path(
     b = real.base
     idx = 0
     digits = []
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         for m in range(1, target_depth + 1):
             w1, w2 = real.weights[m - 1]
             lo = idx * b
@@ -248,39 +248,3 @@ def export_level(real: CascadeRealization, level: int):
     ends1, ends2 = f1[step::step].tolist(), f2[step::step].tolist()
     return list(zip(words, q1.tolist(), q2.tolist(), ends1, ends2))
 
-
-def save(real: CascadeRealization, path) -> None:
-    """Binary cache of a realization, keyed by (model digest, seed, depth)."""
-    arrays = {
-        "grid1": real.grid[0],
-        "grid2": real.grid[1],
-    }
-    for m, (w1, w2) in enumerate(real.weights, start=1):
-        arrays[f"w1_{m}"] = w1
-        arrays[f"w2_{m}"] = w2
-    np.savez_compressed(
-        path,
-        digest=np.array(real.model.digest()),
-        seed=np.array(real.seed, dtype=np.int64),
-        depth=np.array(real.depth, dtype=np.int64),
-        **arrays,
-    )
-
-
-def load(path, model: WeightModel) -> CascadeRealization:
-    """Load a cached realization; the model digest must match."""
-    data = np.load(path, allow_pickle=False)
-    if str(data["digest"]) != model.digest():
-        raise ConfigError("cache digest does not match the supplied model")
-    seed = int(data["seed"])
-    depth = int(data["depth"])
-    b = model.base
-    weights = [(data[f"w1_{m}"], data[f"w2_{m}"]) for m in range(1, depth + 1)]
-    products = [(np.ones(1), np.ones(1))]
-    for m in range(1, depth + 1):
-        q1p, q2p = products[m - 1]
-        w1, w2 = weights[m - 1]
-        products.append((np.repeat(q1p, b) * w1, np.repeat(q2p, b) * w2))
-    return CascadeRealization(
-        model, seed, depth, weights, products, (data["grid1"], data["grid2"])
-    )

@@ -13,6 +13,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -34,6 +35,19 @@ EXIT_NUMERIC = 4
 EXIT_RESOURCE = 5
 
 
+# Number formats of every CSV table: estimates and predictions, exported
+# realization values (round-trip exact), and the q / xi0 row labels.
+VALUE, EXACT, LABEL = ".12g", ".17g", ".6g"
+
+
+def _values(*xs, spec=VALUE) -> list[str]:
+    return [format(x, spec) for x in xs]
+
+
+def _q_label(q) -> str:
+    return ",".join(_values(*q, spec=LABEL))
+
+
 def _number(convert, text: str, what: str):
     """``convert(text)``, with a malformed number reported as a ConfigError."""
     try:
@@ -42,13 +56,29 @@ def _number(convert, text: str, what: str):
         raise ConfigError(f"bad {what} {text!r}: {e}") from e
 
 
+def _finite(value: float, what: str) -> float:
+    if not math.isfinite(value):
+        raise ConfigError(f"{what} must be finite, got {value!r}")
+    return value
+
+
+def _float(text: str, what: str) -> float:
+    return _finite(_number(float, text, what), what)
+
+
+def _at_least_one(count: int, what: str) -> int:
+    if count < 1:
+        raise ConfigError(f"{what} must be >= 1, got {count}")
+    return count
+
+
 def _parse_q_list(text: str) -> list[tuple[float, float]]:
     out = []
     for chunk in text.split(";"):
         parts = chunk.split(",")
         if len(parts) != 2:
             raise ConfigError(f"bad q pair {chunk!r} (expected 'q1,q2')")
-        out.append(tuple(_number(float, p, "q value") for p in parts))
+        out.append(tuple(_float(p, "q value") for p in parts))
     return out
 
 
@@ -69,11 +99,15 @@ def _parse_window(text: str) -> tuple[int, int]:
     return _number(int, parts[0], "scale"), _number(int, parts[1], "scale")
 
 
+def _window(args) -> tuple[int, int]:
+    return _parse_window(args.scales) if args.scales else (2, args.depth - 4)
+
+
 def _xi0_grid(spec: str) -> list[float]:
     """Either an integer point count for a uniform grid on [0,1], or a
     comma-separated list of values."""
     if "," in spec:
-        return [_number(float, v, "xi0 value") for v in spec.split(",")]
+        return [_float(v, "xi0 value") for v in spec.split(",")]
     n = _number(int, spec, "xi0 grid size")
     if n < 2:
         raise ConfigError("xi0 grid needs at least 2 points")
@@ -81,9 +115,12 @@ def _xi0_grid(spec: str) -> list[float]:
 
 
 def _seeds(args) -> list[int]:
-    if args.seeds is not None:
-        return [args.seed + i for i in range(args.seeds)]
-    return [args.seed]
+    """``--seeds`` consecutive seeds from ``--seed`` (one if not given); none
+    for a command without a realization."""
+    if "seed" not in args:
+        return []
+    count = 1 if getattr(args, "seeds", None) is None else _at_least_one(args.seeds, "--seeds")
+    return list(range(args.seed, args.seed + count))
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -99,7 +136,7 @@ def _write_manifest(out: Path, command: str, args, model, seeds, t0) -> None:
         "command": command,
         "version": __version__,
         "config": config,
-        "model_digest": model.digest() if model is not None else None,
+        "model_digest": model.digest(),
         "seeds": seeds,
         "wall_time_s": round(time.time() - t0, 3),
     }
@@ -107,18 +144,26 @@ def _write_manifest(out: Path, command: str, args, model, seeds, t0) -> None:
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
-def _prepare(args, need_assumptions=True):
+def _run(args) -> int:
+    """Run one table-writing command: load and gate the model, create
+    ``--out``, write each ``(name, header, rows)`` table the command yields
+    as ``<name>.csv``, then the manifest."""
+    t0 = time.time()
+    if args.out is None:
+        raise ConfigError("--out is required for commands that write tables")
     model = modelio.load_model(args.model)
-    if need_assumptions:
-        report = check_assumptions(model)
-        if not report.all_ok and not getattr(args, "force", False):
-            raise AssumptionError(
-                f"model fails assumptions (a0={report.a0_ok}, a1={report.a1_ok}, "
-                f"a2={report.a2_ok}); use --force to override. {report.notes}"
-            )
+    report = check_assumptions(model)
+    if not report.all_ok and not args.force:
+        raise AssumptionError(
+            f"model fails assumptions (a0={report.a0_ok}, a1={report.a1_ok}, "
+            f"a2={report.a2_ok}); use --force to override. {report.notes}"
+        )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return model, out
+    for name, header, rows in args.func(args, model):
+        _write_csv(out / f"{name}.csv", header, rows)
+    _write_manifest(out, args.command, args, model, _seeds(args), t0)
+    return 0
 
 
 def cmd_check_model(args) -> int:
@@ -140,213 +185,113 @@ def cmd_check_model(args) -> int:
     return 0
 
 
-def cmd_predict(args) -> int:
-    t0 = time.time()
-    model, out = _prepare(args)
-    grid = _xi0_grid(args.xi0_grid)
-    rows = predict.kpz_curve(model, grid)
-    _write_csv(
-        out / "predict.csv",
-        ["xi0", "xi", "zeta", "xistar", "predicted_dim", "branch"],
-        [
-            (f"{r.xi0:.12g}", f"{r.xi:.12g}", f"{r.zeta:.12g}", f"{r.xi_star:.12g}", f"{r.predicted_dim:.12g}", r.branch)
-            for r in rows
-        ],
-    )
-    _write_manifest(out, "predict", args, model, [], t0)
-    return 0
+# Table commands: ``(args, model)`` in, ``(name, header, rows)`` tables out.
 
 
-def cmd_spectrum_predict(args) -> int:
-    t0 = time.time()
-    model, out = _prepare(args)
-    qs = _parse_q_list(args.q)
+def cmd_predict(args, model):
+    rows = predict.kpz_curve(model, _xi0_grid(args.xi0_grid))
+    yield "predict", ["xi0", "xi", "zeta", "xistar", "predicted_dim", "branch"], [
+        (*_values(r.xi0, r.xi, r.zeta, r.xi_star, r.predicted_dim), r.branch) for r in rows
+    ]
+
+
+def cmd_spectrum_predict(args, model):
     rows = []
-    for q in qs:
+    for q in _parse_q_list(args.q):
         p = predict.legendre_point(model, q, args.xi0)
-        rows.append(
-            (
-                f"{q[0]:.12g}",
-                f"{q[1]:.12g}",
-                f"{p.alpha[0]:.12g}",
-                f"{p.alpha[1]:.12g}",
-                f"{p.dim_level_set:.12g}",
-                int(p.in_j),
-            )
-        )
-    _write_csv(
-        out / "spectrum-predict.csv",
-        ["q1", "q2", "alpha1", "alpha2", "dim_level_set", "in_J"],
-        rows,
-    )
-    _write_manifest(out, "spectrum-predict", args, model, [], t0)
-    return 0
+        rows.append((*_values(*q, *p.alpha, p.dim_level_set), int(p.in_j)))
+    yield "spectrum-predict", ["q1", "q2", "alpha1", "alpha2", "dim_level_set", "in_J"], rows
 
 
-def cmd_simulate(args) -> int:
-    t0 = time.time()
-    model, out = _prepare(args)
+def cmd_simulate(args, model):
     real = cascade.build(model, args.seed, args.depth)
     level = args.level if args.level is not None else args.depth
-    rows = [
-        (w, f"{q1:.17g}", f"{q2:.17g}", f"{f1:.17g}", f"{f2:.17g}")
+    yield "simulate", ["word", "q1", "q2", "f1", "f2"], [
+        (w, f"{q1:{EXACT}}", f"{q2:{EXACT}}", f"{f1:{EXACT}}", f"{f2:{EXACT}}")
         for w, q1, q2, f1, f2 in cascade.export_level(real, level)
     ]
-    _write_csv(out / "simulate.csv", ["word", "q1", "q2", "f1", "f2"], rows)
-    if args.cache is not None:
-        cache_dir = Path(args.cache)
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        name = f"{model.digest()}_{args.seed}_{args.depth}.npz"
-        cascade.save(real, cache_dir / name)
-    _write_manifest(out, "simulate", args, model, [args.seed], t0)
-    return 0
 
 
-def _estimate_row(seed, label, est, prediction=None):
-    row = [
-        seed,
-        label,
-        f"{est.value:.12g}",
-        f"{est.stderr:.12g}",
-        f"{est.r_squared:.12g}",
-        est.scale_range[0],
-        est.scale_range[1],
-    ]
-    if prediction is not None:
-        row.append(f"{prediction:.12g}")
-    return tuple(row)
+def _estimate_row(seed, label, est, *prediction):
+    lo, hi = est.scale_range
+    return (seed, label, *_values(est.value, est.stderr, est.r_squared), lo, hi, *_values(*prediction))
 
 
-def cmd_image_dim(args) -> int:
-    t0 = time.time()
-    model, out = _prepare(args)
+def _per_seed(args, model, rows_of) -> list:
+    """The rows ``rows_of(seed, real)`` of a fresh realization per seed."""
+    rows = []
+    for seed in _seeds(args):
+        real = cascade.build(model, seed, args.depth)
+        rows.extend(rows_of(seed, real))
+    return rows
+
+
+def cmd_image_dim(args, model):
     ts = (
         _parse_testset(args.testset, model.base)
         if args.testset is not None
         else estimate.cantor_set(model.base, range(model.base), args.depth - 4)
     )
-    seeds = _seeds(args)
-    rows = []
-    for seed in seeds:
-        real = cascade.build(model, seed, args.depth)
-        est = estimate.image_box_dim(real, ts)
-        rows.append(_estimate_row(seed, f"{ts.dimension:.6g}", est))
-    _write_csv(
-        out / "image-dim.csv",
-        ["seed", "xi0", "estimate", "stderr", "r2", "j_min", "j_max"],
-        rows,
+    label = format(ts.dimension, LABEL)
+    rows = _per_seed(
+        args, model, lambda seed, real: [_estimate_row(seed, label, estimate.image_box_dim(real, ts))]
     )
-    _write_manifest(out, "image-dim", args, model, seeds, t0)
-    return 0
+    yield "image-dim", ["seed", "xi0", "estimate", "stderr", "r2", "j_min", "j_max"], rows
 
 
-def cmd_partition(args) -> int:
-    t0 = time.time()
-    model, out = _prepare(args)
+def cmd_partition(args, model):
     qs = _parse_q_list(args.q)
-    lo, hi = _parse_window(args.scales) if args.scales else (2, args.depth - 4)
-    seeds = _seeds(args)
-    rows = []
-    for seed in seeds:
-        real = cascade.build(model, seed, args.depth)
-        for q in qs:
-            est = estimate.partition_function(real, q, lo, hi)
-            expected = 1.0 - model.phi(*q)
-            rows.append(_estimate_row(seed, f"{q[0]:.6g},{q[1]:.6g}", est, expected))
-    _write_csv(
-        out / "partition.csv",
-        ["seed", "q", "slope", "stderr", "r2", "m_min", "m_max", "expected"],
-        rows,
-    )
-    _write_manifest(out, "partition", args, model, seeds, t0)
-    return 0
+    lo, hi = _window(args)
+    rows = _per_seed(args, model, lambda seed, real: [
+        _estimate_row(seed, _q_label(q), estimate.partition_function(real, q, lo, hi), 1.0 - model.phi(*q))
+        for q in qs
+    ])
+    yield "partition", ["seed", "q", "slope", "stderr", "r2", "m_min", "m_max", "expected"], rows
 
 
-def cmd_holder(args) -> int:
-    t0 = time.time()
-    model, out = _prepare(args)
+def cmd_uniform_sweep(args, model):
+    test_sets = [_parse_testset(t, model.base) for t in args.testset]
+    rows = _per_seed(args, model, lambda seed, real: [
+        _estimate_row(seed, format(r.xi0, LABEL), r.estimate, r.prediction)
+        for r in estimate.uniform_sweep(real, test_sets)
+    ])
+    yield "uniform-sweep", ["seed", "xi0", "estimate", "stderr", "r2", "j_min", "j_max", "prediction"], rows
+
+
+def cmd_holder(args, model):
     qs = _parse_q_list(args.q)
     if len(qs) != 1:
         raise ConfigError(f"holder takes one q pair, got {len(qs)}")
     q = qs[0]
-    lo, hi = _parse_window(args.scales) if args.scales else (2, args.depth - 4)
+    lo, hi = _window(args)
+    paths = _at_least_one(args.paths, "--paths")
     real = cascade.build(model, args.seed, args.depth)
     rng = np.random.default_rng(args.seed + 1)
-    idx = []
-    for _ in range(args.paths):
-        w = cascade.sample_tilted_path(real, q, hi, rng)
-        idx.append(w.index)
+    idx = [cascade.sample_tilted_path(real, q, hi, rng).index for _ in range(paths)]
     h1, h2 = estimate.holder_exponents(real, idx, lo, hi)
-    a1, a2 = model.grad_phi(*q)
-    rows = [
-        (i, f"{v1:.12g}", f"{v2:.12g}") for i, (v1, v2) in enumerate(zip(h1, h2))
+    grad = model.grad_phi(*q)
+    yield "holder", ["path", "h1", "h2"], [
+        (i, f"{v1:{VALUE}}", f"{v2:{VALUE}}") for i, (v1, v2) in enumerate(zip(h1, h2))
     ]
-    _write_csv(out / "holder.csv", ["path", "h1", "h2"], rows)
-    _write_csv(
-        out / "holder_summary.csv",
-        ["q", "mean_h1", "mean_h2", "grad_phi_1", "grad_phi_2", "paths"],
-        [
-            (
-                f"{q[0]:.6g},{q[1]:.6g}",
-                f"{h1.mean():.12g}",
-                f"{h2.mean():.12g}",
-                f"{a1:.12g}",
-                f"{a2:.12g}",
-                args.paths,
-            )
-        ],
-    )
-    _write_manifest(out, "holder", args, model, [args.seed], t0)
-    return 0
+    yield "holder_summary", ["q", "mean_h1", "mean_h2", "grad_phi_1", "grad_phi_2", "paths"], [
+        (_q_label(q), *_values(h1.mean(), h2.mean(), *grad), paths)
+    ]
 
 
-def cmd_levelset(args) -> int:
-    t0 = time.time()
-    model, out = _prepare(args)
+def cmd_levelset(args, model):
+    ys = None if args.y is None else [_finite(args.y, "--y")]
+    _at_least_one(args.y_count, "--y-count")
     real = cascade.build(model, args.seed, args.depth)
     level = args.level if args.level is not None else args.depth - 4
-    if args.y is not None:
-        ys = [args.y]
-    else:
+    if ys is None:
         edges, masses = estimate.occupation_histogram(real, args.k, 64)
         rng = np.random.default_rng(args.seed + 1)
         ys = estimate.sample_occupation_levels(edges, masses, rng, args.y_count).tolist()
     rows = []
     for y in ys:
         _, est = estimate.level_set(real, args.k, y, level)
-        rows.append(
-            (
-                f"{y:.12g}",
-                f"{est.value:.12g}",
-                f"{est.stderr:.12g}",
-                f"{est.r_squared:.12g}",
-                int(est.empty),
-            )
-        )
-    _write_csv(
-        out / "levelset.csv", ["y", "estimate", "stderr", "r2", "empty"], rows
-    )
-    _write_manifest(out, "levelset", args, model, [args.seed], t0)
-    return 0
-
-
-def cmd_uniform_sweep(args) -> int:
-    t0 = time.time()
-    model, out = _prepare(args)
-    test_sets = [_parse_testset(t, model.base) for t in args.testset]
-    seeds = _seeds(args)
-    rows = []
-    for seed in seeds:
-        real = cascade.build(model, seed, args.depth)
-        for row in estimate.uniform_sweep(real, test_sets):
-            rows.append(_estimate_row(seed, f"{row.xi0:.6g}", row.estimate, row.prediction))
-    _write_csv(
-        out / "uniform-sweep.csv",
-        ["seed", "xi0", "estimate", "stderr", "r2", "j_min", "j_max", "prediction"],
-        rows,
-    )
-    _write_manifest(out, "uniform-sweep", args, model, seeds, t0)
-    return 0
+        rows.append((*_values(y, est.value, est.stderr, est.r_squared), int(est.empty)))
+    yield "levelset", ["y", "estimate", "stderr", "r2", "empty"], rows
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -382,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_sim("simulate", cmd_simulate, help="build and export a realization")
     p.add_argument("--level", type=int, help="export level (default: depth)")
-    p.add_argument("--cache", help="directory for the binary realization cache")
 
     p = add_sim("image-dim", cmd_image_dim, help="box dimension of F(K)")
     p.add_argument("--seeds", type=int, help="number of consecutive seeds")
@@ -415,9 +359,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "out", None) is None and args.command != "check-model":
-            raise ConfigError("--out is required for commands that write tables")
-        return args.func(args)
+        return cmd_check_model(args) if args.command == "check-model" else _run(args)
     except ConfigError as e:
         print(json.dumps({"error": "config", "message": str(e)}), file=sys.stderr)
         return EXIT_CONFIG

@@ -48,6 +48,8 @@ class TestSet:
     def __post_init__(self):
         if self.block < 1 or self.generations < 0:
             raise ConfigError("block and generations must be positive")
+        if self.block >= 63 / math.log2(self.base):
+            raise ConfigError(f"block {self.block} too large: base**block must stay below 2**63")
         big = self.base**self.block
         if not self.keep_digits:
             raise ConfigError("keep_digits must be nonempty")

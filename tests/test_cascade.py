@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -285,17 +286,6 @@ def test_export_level():
     assert rows[3][3] == pytest.approx(1.0)
 
 
-def test_save_load_round_trip(tmp_path):
-    real = cascade.build(TABLE, seed=42, depth=8)
-    path = tmp_path / "real.npz"
-    cascade.save(real, path)
-    loaded = cascade.load(path, TABLE)
-    assert np.array_equal(loaded.grid[0], real.grid[0])
-    assert np.array_equal(loaded.products[5][1], real.products[5][1])
-    with pytest.raises(ConfigError):
-        cascade.load(path, FRAC)
-
-
 # ---------------------------------------------------------------------------
 # memoized grid min/max against the uncached block reduction
 
@@ -449,6 +439,15 @@ def test_tilted_path_equals_loop_oracle(model, q):
         for _ in range(200):
             got = cascade.sample_tilted_path(real, q, depth, rng)
             assert got == tilted_path_oracle(real, q, depth, rng_oracle)
+
+
+def test_tilted_path_nan_child_weight_does_not_warn():
+    real = cascade.build(ZERO_ATOM, seed=11, depth=6)
+    rng, rng_oracle = np.random.default_rng(5), np.random.default_rng(5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        paths = [cascade.sample_tilted_path(real, (-1.0, 1.0), 6, rng) for _ in range(50)]
+    assert paths == [tilted_path_oracle(real, (-1.0, 1.0), 6, rng_oracle) for _ in range(50)]
 
 
 @pytest.mark.parametrize("q", [(1.0, 1.0), (-1.0, 0.0)])

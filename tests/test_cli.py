@@ -1,13 +1,13 @@
 import csv
 import json
+import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cascadelab import cascade, modelio
-from cascadelab.cli import main
+from cascadelab import estimate, modelio
+from cascadelab.cli import _parse_q_list, _parse_testset, _parse_window, _xi0_grid, main
 from cascadelab.errors import ConfigError
 from cascadelab.weights import DiscreteTable, Fractional, LognormalSigned, Mixed
 
@@ -139,25 +139,6 @@ def test_simulate_is_byte_deterministic(model_file, tmp_path):
     assert (out_a / "simulate.csv").read_bytes() == (out_b / "simulate.csv").read_bytes()
     rows = read_csv(out_a / "simulate.csv")
     assert len(rows) == 33 and rows[0] == ["word", "q1", "q2", "f1", "f2"]
-
-
-def test_simulate_cache_round_trip(model_file, tmp_path):
-    model_path = model_file(TABLE)
-    out = tmp_path / "out"
-    cache = tmp_path / "cache"
-    rc = main(
-        [
-            "simulate", "--model", model_path, "--out", str(out),
-            "--seed", "3", "--depth", "7", "--cache", str(cache),
-        ]
-    )
-    assert rc == 0
-    files = list(cache.glob("*.npz"))
-    assert len(files) == 1
-    model = modelio.load_model(model_path)
-    loaded = cascade.load(files[0], model)
-    rebuilt = cascade.build(model, 3, 7)
-    assert np.array_equal(loaded.grid[0], rebuilt.grid[0])
 
 
 def test_image_dim_runs(model_file, tmp_path):
@@ -296,6 +277,17 @@ def test_resource_error_exit_code(model_file, tmp_path):
         ["predict", "--xi0-grid", "many"],
         ["predict", "--xi0-grid", "0.1,zero"],
         ["holder", "--depth", "8", "--q", "1,1;0,1"],
+        ["partition", "--depth", "8", "--q", "nan,0"],
+        ["holder", "--depth", "8", "--q", "nan,1"],
+        ["spectrum-predict", "--q", "1,inf"],
+        ["predict", "--xi0-grid", "0.1,nan"],
+        ["holder", "--depth", "8", "--q", "1,1", "--paths", "0"],
+        ["holder", "--depth", "8", "--q", "1,1", "--paths", "-3"],
+        ["image-dim", "--depth", "8", "--seeds", "0"],
+        ["image-dim", "--depth", "8", "--seeds", "-2"],
+        ["levelset", "--depth", "8", "--y-count", "-1"],
+        ["levelset", "--depth", "8", "--y", "nan"],
+        ["image-dim", "--depth", "8", "--testset", "1000000000000:0:1"],
     ],
 )
 def test_bad_cli_text_is_config_error(model_file, tmp_path, capsys, argv):
@@ -410,3 +402,37 @@ def test_parse_model_on_arbitrary_text_lets_only_config_errors_escape(text):
         modelio.parse_model(text)
     except ConfigError:
         pass
+
+
+_CLI_TOKEN = st.one_of(
+    st.sampled_from(["0", "1", "2", "-1", "0.5", "1e3", "nan", "inf", "-inf", "1e999", "_", " ", ""]),
+    st.integers(min_value=-(10**6), max_value=10**400).map(str),
+    st.floats().map(repr),
+    st.text(max_size=4),
+)
+_CLI_TEXT = st.one_of(
+    st.text(max_size=20),
+    st.lists(st.one_of(_CLI_TOKEN, st.sampled_from([":", ",", ";"])), max_size=8).map("".join),
+    st.builds(str.join, st.sampled_from([":", ",", ";"]), st.lists(_CLI_TOKEN, min_size=2, max_size=4)),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=_CLI_TEXT, base=st.integers(min_value=2, max_value=7))
+def test_cli_parsers_let_only_config_errors_escape(text, base):
+    parsers = [
+        _parse_q_list,
+        _parse_window,
+        lambda t: _parse_testset(t, base),
+    ]
+    if "," in text or len(text) <= 6:  # a grid size stays below 10**6
+        parsers.append(_xi0_grid)
+    for parse in parsers:
+        try:
+            result = parse(text)
+        except ConfigError:
+            continue
+        if isinstance(result, estimate.TestSet):
+            result = [result.dimension]
+        values = [v for item in result for v in (item if isinstance(item, tuple) else (item,))]
+        assert all(math.isfinite(v) for v in values if isinstance(v, float))
