@@ -1,16 +1,19 @@
 """Seed-deterministic cascade realizations.
 
-A realization of depth n stores, per level m = 1..n, the node weights
-(W1, W2) for all b**m words and the running products (Q1, Q2), plus the
-cumulative grid values of the depth-n approximant F_{k,n} at the points
-j * b**-n.  Words are held as flat arrays indexed by their integer value
-within the level.
+A realization of depth n holds the cumulative grid values of the
+depth-n approximant F_{k,n} at the points j * b**-n: two float arrays
+of length b**n + 1, 16 * (b**n + 1) bytes.  Node weights (W1, W2) and
+running products (Q1, Q2) are not kept by ``build``; the readers that
+need them regenerate them level by level and memoize them on the
+realization.  Words are held as flat arrays indexed by their integer
+value within the level.
 
 Node randomness comes from counter-based Philox streams, one per
 (seed, level); the draw position inside the stream is the word index.
 A level's weights therefore do not depend on the build depth or on
 traversal order: build(model, seed, n) and build(model, seed, n+1)
-agree bit-exactly on all levels up to n.
+agree bit-exactly on all levels up to n, and a level regenerated from
+its stream is bit-identical to the one the grid was built from.
 """
 
 from __future__ import annotations
@@ -46,21 +49,26 @@ def level_weights(model: WeightModel, seed: int, level: int):
 
 @dataclass
 class CascadeRealization:
-    """Depth-n realization: weights, partial products, and grid values.
+    """Depth-n realization: the grid, plus whatever has been memoized.
 
-    ``weights[m - 1]`` and ``products[m]`` hold the level-m arrays
-    (products[0] is the root pair (1, 1)); ``grid`` holds the two
-    cumulative-sum arrays of length base**depth + 1 with
-    grid[k][j] = F_{k,n}(j * b**-n).  Immutable once built; the per-level
-    grid min/max tables are memoized on first use (see grid_min_max).
+    ``grid`` holds the two cumulative-sum arrays of length base**depth + 1
+    with grid[k][j] = F_{k,n}(j * b**-n); it is all ``build`` leaves.
+    ``weights`` and ``products`` are prefix memos filled on first read:
+    ``weights[m - 1]`` and ``products[m]`` hold the level-m (W1, W2) and
+    (Q1, Q2) arrays for every level up to the deepest one read so far,
+    and products[0] is the root pair (1, 1).  The per-level grid min/max
+    tables are memoized on first use too (see grid_min_max).  None of
+    the memos changes a value a reader sees.
     """
 
     model: WeightModel
     seed: int
     depth: int
-    weights: list = field(repr=False)
-    products: list = field(repr=False)
     grid: tuple = field(repr=False)
+    weights: list = field(default_factory=list, init=False, repr=False, compare=False)
+    products: list = field(
+        default_factory=lambda: [(np.ones(1), np.ones(1))], init=False, repr=False, compare=False
+    )
     _min_max: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -79,13 +87,32 @@ class CascadeRealization:
         return w.index
 
 
+def _next_products(q: np.ndarray, w: np.ndarray, b: int) -> np.ndarray:
+    """Level-m products from level m-1's: each parent's times its children's weights."""
+    q = np.repeat(q, b)
+    q *= w
+    return q
+
+
+def _cumulative(q: np.ndarray) -> np.ndarray:
+    """Grid values 0, q[0], q[0] + q[1], ... of one component."""
+    f = np.empty(len(q) + 1)
+    f[0] = 0.0
+    np.cumsum(q, out=f[1:])
+    return f
+
+
 def build(
     model: WeightModel,
     seed: int,
     depth: int,
     cell_budget: int = DEFAULT_CELL_BUDGET,
 ) -> CascadeRealization:
-    """Materialize the depth-n approximant of the cascade at a fixed seed."""
+    """Materialize the depth-n approximant of the cascade at a fixed seed.
+
+    The levels are streamed: one level of products is alive at a time,
+    and the realization keeps only the grid (see CascadeRealization).
+    """
     if depth < 1:
         raise ConfigError(f"depth must be >= 1, got {depth}")
     b = model.base
@@ -94,24 +121,38 @@ def build(
             f"b**(depth+1) = {b**(depth + 1)} exceeds cell budget {cell_budget}"
         )
 
-    weights = []
-    products = [(np.ones(1), np.ones(1))]
+    q1 = q2 = np.ones(1)
     for m in range(1, depth + 1):
         w1, w2 = level_weights(model, seed, m)
-        q1p, q2p = products[m - 1]
-        products.append((np.repeat(q1p, b) * w1, np.repeat(q2p, b) * w2))
-        weights.append((w1, w2))
+        q1 = _next_products(q1, w1, b)
+        q2 = _next_products(q2, w2, b)
+    # free each full-size array before the next is allocated: the peak stays below three grids
+    del w1, w2
+    f1 = _cumulative(q1)
+    del q1
+    return CascadeRealization(model, seed, depth, (f1, _cumulative(q2)))
 
-    q1n, q2n = products[depth]
-    f1 = np.concatenate(([0.0], np.cumsum(q1n)))
-    f2 = np.concatenate(([0.0], np.cumsum(q2n)))
-    return CascadeRealization(model, seed, depth, weights, products, (f1, f2))
+
+def _levels(real: CascadeRealization, level: int) -> tuple[list, list]:
+    """``real.weights`` and ``real.products``, filled through ``level``.
+
+    Missing levels are regenerated from their (seed, level) streams, so
+    they are bit-identical to the ones the grid was built from.
+    """
+    weights, products = real.weights, real.products
+    for m in range(len(weights) + 1, level + 1):
+        w1, w2 = level_weights(real.model, real.seed, m)
+        q1, q2 = products[m - 1]
+        weights.append((w1, w2))
+        products.append((_next_products(q1, w1, real.base), _next_products(q2, w2, real.base)))
+    return weights, products
 
 
 def partial_product(real: CascadeRealization, w: Word) -> tuple[float, float]:
-    """(Q1(w), Q2(w)) as stored; Q_k(empty) = 1."""
+    """(Q1(w), Q2(w)); Q_k(empty) = 1."""
     idx = real.word_index(w)
-    q1, q2 = real.products[len(w)]
+    _, products = _levels(real, len(w))
+    q1, q2 = products[len(w)]
     return float(q1[idx]), float(q2[idx])
 
 
@@ -120,7 +161,8 @@ def node_weight(real: CascadeRealization, w: Word) -> tuple[float, float]:
     if len(w) == 0:
         raise ConfigError("the empty word carries no weight")
     idx = real.word_index(w)
-    w1, w2 = real.weights[len(w) - 1]
+    weights, _ = _levels(real, len(w))
+    w1, w2 = weights[len(w) - 1]
     return float(w1[idx]), float(w2[idx])
 
 
@@ -208,15 +250,16 @@ def sample_tilted_path(
     Holder exponent grad phi(q) (exactly so for deterministic-modulus
     tilting weights).
     """
-    if target_depth > real.depth:
-        raise ConfigError(f"target depth {target_depth} exceeds depth {real.depth}")
+    if not 0 <= target_depth <= real.depth:
+        raise ConfigError(f"target depth {target_depth} outside [0, {real.depth}]")
     q1, q2 = q
     b = real.base
+    weights, _ = _levels(real, target_depth)
     idx = 0
     digits = []
     with np.errstate(divide="ignore", invalid="ignore"):
         for m in range(1, target_depth + 1):
-            w1, w2 = real.weights[m - 1]
+            w1, w2 = weights[m - 1]
             lo = idx * b
             tw = np.abs(w1[lo : lo + b]) ** q1 * np.abs(w2[lo : lo + b]) ** q2
             tw[np.isnan(tw)] = 1.0  # 0 * inf
@@ -240,7 +283,8 @@ def export_level(real: CascadeRealization, level: int):
     if not 0 <= level <= real.depth:
         raise ConfigError(f"level {level} outside [0, {real.depth}]")
     b = real.base
-    q1, q2 = real.products[level]
+    _, products = _levels(real, level)
+    q1, q2 = products[level]
     step = b ** (real.depth - level)
     f1, f2 = real.grid
     digits = [str(d) for d in range(b)]

@@ -229,15 +229,23 @@ def partition_function(
     if not 1 <= level_lo <= level_hi <= real.depth:
         raise ConfigError(f"bad level window [{level_lo}, {level_hi}]")
     ms = list(range(level_lo, level_hi + 1))
-    logs = []
-    for m in ms:
+    sums = {}  # None marks a zero oscillation under a negative q
+    for m in reversed(ms):  # finest first, so each coarser table derives from the memo
         table = cascade.oscillations(real, m)
         if ((q1 < 0) and (table.o1 == 0.0).any()) or (
             (q2 < 0) and (table.o2 == 0.0).any()
         ):
+            sums[m] = None
+        elif (q1, q2) == (0.0, 0.0):
+            sums[m] = float(len(table.o1))
+        else:
+            with np.errstate(divide="ignore"):
+                sums[m] = float((table.o1**q1 * table.o2**q2).sum())
+    logs = []
+    for m in ms:  # the coarsest failing level is the one reported
+        s = sums[m]
+        if s is None:
             raise ZeroOscillationError(f"zero oscillation at level {m} with negative q")
-        with np.errstate(divide="ignore"):
-            s = float((table.o1**q1 * table.o2**q2).sum()) if (q1, q2) != (0.0, 0.0) else float(len(table.o1))
         if s <= 0.0:
             raise ZeroOscillationError(f"partition sum vanished at level {m}")
         logs.append(math.log(s) / math.log(real.base))
@@ -259,18 +267,23 @@ def holder_exponents(
     if not 1 <= level_lo < level_hi <= real.depth:
         raise ConfigError(f"bad level window [{level_lo}, {level_hi}]")
     idx = np.asarray(word_indices, dtype=np.int64)
+    if ((idx < 0) | (idx >= real.base**level_hi)).any():
+        raise ConfigError(f"word index outside [0, {real.base**level_hi}) at level {level_hi}")
     ms = np.arange(level_lo, level_hi + 1)
     logs1 = np.empty((len(ms), len(idx)))
     logs2 = np.empty((len(ms), len(idx)))
+    zero = np.zeros(len(ms), dtype=bool)
     lb = math.log(real.base)
-    for row, m in enumerate(ms):
-        prefix = idx // real.base ** (level_hi - m)
-        t = cascade.oscillations(real, m)
+    for row in reversed(range(len(ms))):  # finest first, so each coarser table derives from the memo
+        prefix = idx // real.base ** (level_hi - ms[row])
+        t = cascade.oscillations(real, ms[row])
         o1, o2 = t.o1[prefix], t.o2[prefix]
-        if (o1 == 0.0).any() or (o2 == 0.0).any():
-            raise ZeroOscillationError(f"zero oscillation at level {m}")
-        logs1[row] = np.log(o1) / lb
-        logs2[row] = np.log(o2) / lb
+        zero[row] = (o1 == 0.0).any() or (o2 == 0.0).any()
+        if not zero[row]:
+            logs1[row] = np.log(o1) / lb
+            logs2[row] = np.log(o2) / lb
+    if zero.any():  # the coarsest failing level is the one reported
+        raise ZeroOscillationError(f"zero oscillation at level {ms[zero.argmax()]}")
     mc = ms - ms.mean()
     sxx = (mc**2).sum()
     h1 = -(mc[:, None] * (logs1 - logs1.mean(axis=0))).sum(axis=0) / sxx
@@ -299,11 +312,13 @@ def level_crossing_counts(
     """Number of level-m intervals whose refined grid brackets y, per m."""
     if k not in (1, 2):
         raise ConfigError(f"component k must be 1 or 2, got {k}")
+    if not 0 <= level_lo <= level_hi <= real.depth:
+        raise ConfigError(f"bad level window [{level_lo}, {level_hi}]")
     counts = []
-    for m in range(level_lo, level_hi + 1):
+    for m in range(level_hi, level_lo - 1, -1):  # finest first, so each coarser table derives from the memo
         mm = cascade.grid_min_max(real, m)[k - 1]
         counts.append(int(((mm[0] <= y) & (y <= mm[1])).sum()))
-    return np.array(counts, dtype=np.int64)
+    return np.array(counts[::-1], dtype=np.int64)
 
 
 def level_set(
@@ -321,6 +336,8 @@ def level_set(
     against the level over [fit_lo, level].  An empty level set is a
     valid outcome, reported as dimension 0 with the ``empty`` flag.
     """
+    if k not in (1, 2):
+        raise ConfigError(f"component k must be 1 or 2, got {k}")
     if not 1 <= fit_lo <= level <= real.depth:
         raise ConfigError(f"bad level window [{fit_lo}, {level}]")
     mm = cascade.grid_min_max(real, level)[k - 1]

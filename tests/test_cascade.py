@@ -1,12 +1,14 @@
+import functools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from cascadelab import cascade
+from cascadelab import cascade, estimate
 from cascadelab.errors import ConfigError, DivergenceError, ResourceError
-from cascadelab.weights import DiscreteTable, Fractional, LognormalSigned, SignJoint
+from cascadelab.weights import DiscreteTable, Fractional, LognormalSigned, Mixed, SignJoint
 from cascadelab.words import Word, parse_word
 
 IDENTITY = Fractional(2, 1.0, 1.0, SignJoint(1.0, 0.0, 0.0, 0.0))
@@ -39,9 +41,9 @@ def test_build_is_deterministic():
 def test_prefix_stability_across_depths():
     a = cascade.build(FRAC, seed=9, depth=8)
     b = cascade.build(FRAC, seed=9, depth=11)
-    for m in range(8):
-        assert np.array_equal(a.weights[m][0], b.weights[m][0])
-        assert np.array_equal(a.weights[m][1], b.weights[m][1])
+    for m in range(9):
+        q_a = [row[:3] for row in cascade.export_level(a, m)]
+        assert q_a == [row[:3] for row in cascade.export_level(b, m)]
 
 
 def test_root_partial_product():
@@ -247,7 +249,7 @@ def test_tilted_path_matches_per_node_enumeration():
     model = DiscreteTable(2, (((0.2, 0.5), 0.3), ((0.6, 0.4), 0.5), ((0.65, 0.65), 0.2)))
     real = cascade.build(model, seed=13, depth=6)
     q1, q2 = 1.0, 2.0
-    w1, w2 = real.weights[0]
+    w1, w2 = eager_build(model, 13, 6)[0][0]
     tw = np.abs(w1) ** q1 * np.abs(w2) ** q2
     p1 = tw[1] / tw.sum()  # brute-force root child law
     rng = np.random.default_rng(3)
@@ -356,15 +358,107 @@ def test_uint64_key_keeps_weights_of_seeds_below_two_to_the_63(seed):
 
 
 # ---------------------------------------------------------------------------
+# the streaming build against the former eager one
+
+
+@functools.lru_cache(maxsize=None)
+def eager_build(model, seed, depth):
+    """The former build: (weights, products, grid), every level held.
+
+    weights[m - 1] and products[m] are the level-m pairs; products[0] is
+    the root pair.
+    """
+    b = model.base
+    weights = []
+    products = [(np.ones(1), np.ones(1))]
+    for m in range(1, depth + 1):
+        w1, w2 = cascade.level_weights(model, seed, m)
+        q1p, q2p = products[m - 1]
+        products.append((np.repeat(q1p, b) * w1, np.repeat(q2p, b) * w2))
+        weights.append((w1, w2))
+    q1n, q2n = products[depth]
+    grid = (np.concatenate(([0.0], np.cumsum(q1n))), np.concatenate(([0.0], np.cumsum(q2n))))
+    return weights, products, grid
+
+
+def kinds(b):
+    return [
+        Fractional(b, 0.75, 0.6),
+        LognormalSigned.from_beta(b, 0.8, 0.1),
+        Mixed.from_beta(b, 0.8, 0.1),
+        DiscreteTable(b, (((0.3, 0.7), 0.5), ((0.7, 0.3), 0.5))),
+    ]
+
+
+@pytest.mark.parametrize("b,depth", [(2, 10), (3, 6), (4, 5)])
+def test_grid_is_bit_identical_to_eager_build(b, depth):
+    for model in kinds(b):
+        real = cascade.build(model, seed=21, depth=depth)
+        _, _, grid = eager_build(model, 21, depth)
+        for got, want in zip(real.grid, grid):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_build_holds_only_the_grid_and_the_root_pair():
+    real = cascade.build(FRAC, seed=3, depth=10)
+    assert real.weights == []
+    assert [(list(q1), list(q2)) for q1, q2 in real.products] == [([1.0], [1.0])]
+    held = [a for pair in real.weights + real.products for a in pair] + list(real.grid)
+    assert sum(a.nbytes for a in held) == 16 * (2**10 + 1) + 16
+
+
+def test_build_peak_memory_is_at_most_three_grids():
+    model = Fractional(2, 0.75, 0.75)
+    cascade.build(model, seed=1, depth=2)  # one-off allocations of a first call
+    tracemalloc.start()
+    try:
+        real = cascade.build(model, seed=1, depth=18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * sum(a.nbytes for a in real.grid)
+
+
+def test_readers_regenerate_levels_equal_to_the_eager_build():
+    model = LognormalSigned.from_beta(3, 0.8, 0.1)
+    real = cascade.build(model, seed=8, depth=6)
+    weights, products, _ = eager_build(model, 8, 6)
+    w, v = parse_word("0212", 3), parse_word("02", 3)
+    assert cascade.partial_product(real, v) == tuple(float(q[v.index]) for q in products[2])
+    assert len(real.weights) == 2 and len(real.products) == 3  # a prefix memo, no deeper
+    assert cascade.node_weight(real, w) == tuple(float(a[w.index]) for a in weights[3])
+    assert cascade.partial_product(real, w) == tuple(float(q[w.index]) for q in products[4])
+    assert len(real.weights) == 4 and len(real.products) == 5
+    for m in range(5):
+        assert all(np.array_equal(a, b) for a, b in zip(real.products[m], products[m]))
+
+
+def test_grid_readers_regenerate_no_weights():
+    real = cascade.build(FRAC, seed=4, depth=16)
+    estimate.image_box_dim(real, estimate.cantor_set(2, (0, 1), 4))
+    estimate.partition_function(real, (1.0, 1.0), 2, 8)
+    estimate.level_set(real, 1, float(real.grid[0][2**15]), 8)
+    assert real.weights == []
+    assert len(real.products) == 1
+
+
+def test_negative_target_depth_is_a_config_error():
+    real = cascade.build(FRAC, seed=0, depth=6)
+    with pytest.raises(ConfigError):
+        cascade.sample_tilted_path(real, (1.0, 1.0), -1, np.random.default_rng(0))
+    assert cascade.sample_tilted_path(real, (1.0, 1.0), 0, np.random.default_rng(0)) == Word(2)
+
+
+# ---------------------------------------------------------------------------
 # array-built export and sliced tilted steps against the former loops
 
 
 def export_level_oracle(real, level):
-    """The former export_level: one divmod walk per word."""
+    """The former export_level: one divmod walk per word, over the eager build."""
     b = real.base
-    q1, q2 = real.products[level]
+    _, products, (f1, f2) = eager_build(real.model, real.seed, real.depth)
+    q1, q2 = products[level]
     step = b ** (real.depth - level)
-    f1, f2 = real.grid
     rows = []
     for j in range(b**level):
         digits = []
@@ -396,13 +490,14 @@ def test_export_level_equals_loop_oracle(model, depth):
 
 
 def tilted_path_oracle(real, q, target_depth, rng):
-    """The former sample_tilted_path: fancy-indexed children, np.where for NaN."""
+    """The former sample_tilted_path over the eager build: fancy-indexed children, np.where for NaN."""
     q1, q2 = q
     b = real.base
+    weights = eager_build(real.model, real.seed, real.depth)[0]
     idx = 0
     digits = []
     for m in range(1, target_depth + 1):
-        w1, w2 = real.weights[m - 1]
+        w1, w2 = weights[m - 1]
         children = idx * b + np.arange(b)
         with np.errstate(divide="ignore", invalid="ignore"):
             tw = np.abs(w1[children]) ** q1 * np.abs(w2[children]) ** q2

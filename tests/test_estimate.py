@@ -162,6 +162,22 @@ def test_partition_function_negative_q_with_zero_oscillation():
         estimate.partition_function(real, (-0.5, 0.0), 3, 8)
 
 
+def coarsest_zero_level(real, lo, hi):
+    levels = [m for m in range(lo, hi + 1) if (cascade.oscillations(real, m).o1 == 0.0).any()]
+    assert levels and levels[0] < hi  # a finest-first report would name another level
+    return levels[0]
+
+
+def test_zero_oscillation_reports_the_coarsest_level():
+    zero_atom = DiscreteTable(2, (((0.0, 0.5), 0.5), ((1.0, 0.5), 0.5)))
+    real = cascade.build(zero_atom, seed=2, depth=10)
+    m0 = coarsest_zero_level(real, 3, 8)
+    with pytest.raises(ZeroOscillationError, match=rf"level {m0} with negative q"):
+        estimate.partition_function(real, (-0.5, 0.0), 3, 8)
+    with pytest.raises(ZeroOscillationError, match=rf"level {m0}$"):
+        estimate.holder_exponents(real, np.arange(2**8), 3, 8)
+
+
 # ---------------------------------------------------------------------------
 # Holder exponents
 
@@ -198,6 +214,13 @@ def test_holder_window_guards():
         estimate.holder_exponent(real, parse_word("01", 2), 2, 6)
 
 
+@pytest.mark.parametrize("index", [2**6, 2**8, -1])
+def test_holder_word_index_outside_the_top_level_is_a_config_error(index):
+    real = cascade.build(FRAC, seed=0, depth=8)
+    with pytest.raises(ConfigError):
+        estimate.holder_exponents(real, [0, index], 2, 6)
+
+
 # ---------------------------------------------------------------------------
 # level sets and occupation measure
 
@@ -225,6 +248,20 @@ def test_level_crossing_counts_are_nondecreasing():
     counts = estimate.level_crossing_counts(real, 1, y, 2, 8)
     assert np.all(np.diff(counts) >= 0)
     assert counts[0] >= 1
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_level_set_component_outside_one_two_is_a_config_error(k):
+    real = cascade.build(FRAC, seed=9, depth=10)
+    with pytest.raises(ConfigError):
+        estimate.level_set(real, k, 0.1, 6)
+
+
+@pytest.mark.parametrize("lo,hi", [(6, 5), (-1, 4), (2, 11)])
+def test_level_crossing_window_outside_the_depth_is_a_config_error(lo, hi):
+    real = cascade.build(FRAC, seed=9, depth=10)
+    with pytest.raises(ConfigError):
+        estimate.level_crossing_counts(real, 1, 0.1, lo, hi)
 
 
 def test_occupation_histogram_identity_is_uniform():
