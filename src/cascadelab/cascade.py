@@ -6,7 +6,9 @@ of length b**n + 1, 16 * (b**n + 1) bytes.  Node weights (W1, W2) and
 running products (Q1, Q2) are not kept by ``build``; the readers that
 need them regenerate them level by level and memoize them on the
 realization.  Words are held as flat arrays indexed by their integer
-value within the level.
+value within the level.  The tilted sampler memoizes one table per q
+on top of the weights: per level, the within-sibling cumulative tilted
+weights and each parent's total (see sample_tilted_path).
 
 Node randomness comes from counter-based Philox streams, one per
 (seed, level); the draw position inside the stream is the word index.
@@ -18,7 +20,9 @@ its stream is bit-identical to the one the grid was built from.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,8 +61,9 @@ class CascadeRealization:
     ``weights[m - 1]`` and ``products[m]`` hold the level-m (W1, W2) and
     (Q1, Q2) arrays for every level up to the deepest one read so far,
     and products[0] is the root pair (1, 1).  The per-level grid min/max
-    tables are memoized on first use too (see grid_min_max).  None of
-    the memos changes a value a reader sees.
+    tables are memoized on first use too (see grid_min_max), and so are
+    the tilted-path tables, per q (see sample_tilted_path).  None of the
+    memos changes a value a reader sees.
     """
 
     model: WeightModel
@@ -70,6 +75,7 @@ class CascadeRealization:
         default_factory=lambda: [(np.ones(1), np.ones(1))], init=False, repr=False, compare=False
     )
     _min_max: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _tilted: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def base(self) -> int:
@@ -237,6 +243,30 @@ def oscillations(real: CascadeRealization, level: int) -> OscillationTable:
     return OscillationTable(level, max1 - min1, max2 - min2)
 
 
+def _tilted_tables(real: CascadeRealization, q: tuple[float, float], level: int):
+    """``(cums, totals)`` of the q-tilted child weights, filled through ``level``.
+
+    ``cums[m - 1]`` lists, for every level-m word, the cumulative sum of
+    |W1|^q1 |W2|^q2 over its siblings up to itself (0 * inf counts as 1);
+    ``totals[m - 1]`` lists each level-(m-1) parent's sum.  Both are the
+    values a per-parent cumsum and sum of the same slice give, bit for bit.
+    """
+    cums, totals = real._tilted.setdefault(q, ([], []))
+    b = real.base
+    weights, _ = _levels(real, level)
+    q1, q2 = q
+    # whole levels, visited or not: an infinite total raises only when a path reaches it
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for m in range(len(cums) + 1, level + 1):
+            w1, w2 = weights[m - 1]
+            tw = np.abs(w1) ** q1 * np.abs(w2) ** q2
+            tw[np.isnan(tw)] = 1.0  # 0 * inf
+            tw = tw.reshape(-1, b)
+            cums.append(tw.cumsum(axis=1).ravel().tolist())
+            totals.append(tw.sum(axis=1).tolist())
+    return cums, totals
+
+
 def sample_tilted_path(
     real: CascadeRealization,
     q: tuple[float, float],
@@ -249,36 +279,42 @@ def sample_tilted_path(
     b**phi(q) cancels in the normalization.  Paths concentrate near
     Holder exponent grad phi(q) (exactly so for deterministic-modulus
     tilting weights).
+
+    Each level draws one double u and takes the first child whose
+    cumulative tilted weight exceeds u times its parent's total.  The
+    cumulative weights and totals are memoized on the realization per
+    q, as a prefix of levels that grows with ``target_depth``: level m
+    holds b**m cumulative weights and b**(m-1) totals as Python floats,
+    about 32 * (b**m + b**(m-1)) bytes.  A parent whose total is zero
+    or not finite raises DivergenceError only when a path visits it.
     """
     if not 0 <= target_depth <= real.depth:
         raise ConfigError(f"target depth {target_depth} outside [0, {real.depth}]")
     q1, q2 = q
+    if not (math.isfinite(q1) and math.isfinite(q2)):
+        raise ConfigError(f"q must be finite, got {q}")
     b = real.base
-    weights, _ = _levels(real, target_depth)
+    cums, totals = _tilted_tables(real, (float(q1), float(q2)), target_depth)
+    random, bisect_right = rng.random, bisect.bisect_right
     idx = 0
     digits = []
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for m in range(1, target_depth + 1):
-            w1, w2 = weights[m - 1]
-            lo = idx * b
-            tw = np.abs(w1[lo : lo + b]) ** q1 * np.abs(w2[lo : lo + b]) ** q2
-            tw[np.isnan(tw)] = 1.0  # 0 * inf
-            total = tw.sum()
-            if not np.isfinite(total) or total <= 0.0:
-                raise DivergenceError(f"tilted child weights degenerate at level {m}")
-            u = rng.random() * total
-            digit = min(int(tw.cumsum().searchsorted(u, side="right")), b - 1)
-            digits.append(digit)
-            idx = lo + digit
+    for m in range(target_depth):
+        total = totals[m][idx]
+        if not 0.0 < total < math.inf:
+            raise DivergenceError(f"tilted child weights degenerate at level {m + 1}")
+        lo = idx * b
+        idx = min(bisect_right(cums[m], random() * total, lo, lo + b), lo + b - 1)
+        digits.append(idx - lo)
     return Word(b, tuple(digits))
 
 
 def export_level(real: CascadeRealization, level: int):
     """Rows (word, Q1, Q2, F1 endpoint, F2 endpoint) at one level.
 
-    Rows come in word-index order; a word is its digits written out
-    without separators, and its endpoint is the grid value at its
-    interval's right end.
+    Rows come in word-index order; a word is written as ``str(Word)``
+    writes it (digits without separators, or dot-separated for b > 10,
+    so ``parse_word`` reads it back), and its endpoint is the grid value
+    at its interval's right end.
     """
     if not 0 <= level <= real.depth:
         raise ConfigError(f"level {level} outside [0, {real.depth}]")
@@ -288,7 +324,8 @@ def export_level(real: CascadeRealization, level: int):
     step = b ** (real.depth - level)
     f1, f2 = real.grid
     digits = [str(d) for d in range(b)]
-    words = ("".join(p) for p in itertools.product(digits, repeat=level))
+    sep = "." if b > 10 else ""
+    words = (sep.join(p) for p in itertools.product(digits, repeat=level))
     ends1, ends2 = f1[step::step].tolist(), f2[step::step].tolist()
     return list(zip(words, q1.tolist(), q2.tolist(), ends1, ends2))
 

@@ -124,10 +124,17 @@ def _seeds(args) -> list[int]:
 
 
 def _write_csv(path: Path, header, rows) -> None:
+    """Write ``header`` and ``rows`` as CSV.  A row that is a ``str`` is
+    written verbatim as a finished line, terminator included: the caller
+    guarantees its fields need no quoting."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows)
+        for row in rows:
+            if isinstance(row, str):
+                fh.write(row)
+            else:
+                writer.writerow(row)
 
 
 def _write_manifest(out: Path, command: str, args, model, seeds, t0) -> None:
@@ -147,7 +154,8 @@ def _write_manifest(out: Path, command: str, args, model, seeds, t0) -> None:
 def _run(args) -> int:
     """Run one table-writing command: load and gate the model, create
     ``--out``, write each ``(name, header, rows)`` table the command yields
-    as ``<name>.csv``, then the manifest."""
+    as ``<name>.csv``, then the manifest.  A row may be a sequence of
+    fields, or a ``str`` holding a finished CSV line (see _write_csv)."""
     t0 = time.time()
     if args.out is None:
         raise ConfigError("--out is required for commands that write tables")
@@ -203,12 +211,15 @@ def cmd_spectrum_predict(args, model):
     yield "spectrum-predict", ["q1", "q2", "alpha1", "alpha2", "dim_level_set", "in_J"], rows
 
 
+# One finished simulate line: words and numbers never need CSV quoting.
+_SIMULATE_ROW = "%s" + f",%{EXACT}" * 4 + csv.excel.lineterminator
+
+
 def cmd_simulate(args, model):
     real = cascade.build(model, args.seed, args.depth)
     level = args.level if args.level is not None else args.depth
     yield "simulate", ["word", "q1", "q2", "f1", "f2"], [
-        (w, f"{q1:{EXACT}}", f"{q2:{EXACT}}", f"{f1:{EXACT}}", f"{f2:{EXACT}}")
-        for w, q1, q2, f1, f2 in cascade.export_level(real, level)
+        _SIMULATE_ROW % row for row in cascade.export_level(real, level)
     ]
 
 

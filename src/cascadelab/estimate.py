@@ -266,9 +266,12 @@ def holder_exponents(
     """
     if not 1 <= level_lo < level_hi <= real.depth:
         raise ConfigError(f"bad level window [{level_lo}, {level_hi}]")
-    idx = np.asarray(word_indices, dtype=np.int64)
+    idx = np.asarray(word_indices)
+    if idx.size and idx.dtype.kind not in "iu":  # floats, NaN, or ints beyond 64 bits
+        raise ConfigError(f"word indices must be integers that fit in int64, got dtype {idx.dtype}")
     if ((idx < 0) | (idx >= real.base**level_hi)).any():
         raise ConfigError(f"word index outside [0, {real.base**level_hi}) at level {level_hi}")
+    idx = idx.astype(np.int64)
     ms = np.arange(level_lo, level_hi + 1)
     logs1 = np.empty((len(ms), len(idx)))
     logs2 = np.empty((len(ms), len(idx)))

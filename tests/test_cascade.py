@@ -466,7 +466,7 @@ def export_level_oracle(real, level):
         for _ in range(level):
             v, d = divmod(v, b)
             digits.append(d)
-        word = "".join(str(d) for d in reversed(digits))
+        word = str(Word(b, tuple(reversed(digits))))
         rows.append((word, q1[j], q2[j], f1[(j + 1) * step], f2[(j + 1) * step]))
     return rows
 
@@ -486,7 +486,7 @@ def test_export_level_equals_loop_oracle(model, depth):
         assert as_text(rows) == as_text(export_level_oracle(real, level))
     assert cascade.export_level(real, 0)[0][0] == ""
     if model.base > 10:
-        assert cascade.export_level(real, 2)[model.base * 10 + 3][0] == "103"
+        assert cascade.export_level(real, 2)[model.base * 10 + 3][0] == "10.3"
 
 
 def tilted_path_oracle(real, q, target_depth, rng):
@@ -553,3 +553,94 @@ def test_degenerate_tilted_weights_raise(q):
         cascade.sample_tilted_path(real, q, 4, np.random.default_rng(0))
     with pytest.raises(DivergenceError):
         tilted_path_oracle(real, q, 4, np.random.default_rng(0))
+
+
+def tilted_outcome(sample, real, q, depth, rng):
+    """The path one draw gives, or the DivergenceError message it raises."""
+    try:
+        return sample(real, q, depth, rng)
+    except DivergenceError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("b", [9, 11])
+def test_tilted_path_table_equals_loop_oracle_on_pairwise_sums(b):
+    # from b = 9 on a parent's total is a pairwise sum, not the last cumulative weight
+    real = cascade.build(LognormalSigned.from_beta(b, 0.8, 0.1), seed=3, depth=3)
+    weights = eager_build(real.model, real.seed, real.depth)[0]
+    for q in [(1.0, 1.0), (-0.7, 1.9)]:
+        rng, rng_oracle = np.random.default_rng(8), np.random.default_rng(8)
+        for _ in range(200):
+            assert cascade.sample_tilted_path(real, q, 3, rng) == tilted_path_oracle(real, q, 3, rng_oracle)
+        cums, totals = real._tilted[q]
+        last_differs = False
+        for (w1, w2), cum, total in zip(weights, cums, totals):
+            for j in range(len(total)):
+                tw = np.abs(w1[j * b : (j + 1) * b]) ** q[0] * np.abs(w2[j * b : (j + 1) * b]) ** q[1]
+                assert cum[j * b : (j + 1) * b] == tw.cumsum().tolist()
+                assert total[j] == tw.sum()
+                last_differs |= total[j] != cum[(j + 1) * b - 1]
+        assert last_differs
+
+
+@pytest.mark.parametrize("q", [(-1.0, -1.0), (-1.0, 0.5)])
+def test_tilted_path_diverges_only_at_visited_degenerate_nodes(q):
+    depth = 4
+    real = cascade.build(ZERO_ATOM, seed=2, depth=depth)
+    rng, rng_oracle = np.random.default_rng(5), np.random.default_rng(5)
+    got = [tilted_outcome(cascade.sample_tilted_path, real, q, depth, rng) for _ in range(200)]
+    assert got == [tilted_outcome(tilted_path_oracle, real, q, depth, rng_oracle) for _ in range(200)]
+    if q == (-1.0, -1.0):
+        # a zero child makes its parent's total infinite; every level from 2 on holds such a
+        # parent, yet some paths pass every level and others stop at different ones
+        _, totals = real._tilted[q]
+        assert all(any(t == math.inf for t in level) for level in totals[1:])
+        assert any(isinstance(o, Word) for o in got)
+        assert len({o for o in got if isinstance(o, str)}) >= 2
+
+
+def test_tilted_tables_grow_with_target_depth():
+    real = cascade.build(TABLE, seed=4, depth=9)
+    rng, rng_oracle = np.random.default_rng(1), np.random.default_rng(1)
+    for depth in (3, 8):
+        for _ in range(100):
+            assert cascade.sample_tilted_path(real, (1.3, -0.4), depth, rng) == tilted_path_oracle(
+                real, (1.3, -0.4), depth, rng_oracle
+            )
+        cums, totals = real._tilted[(1.3, -0.4)]
+        assert [len(c) for c in cums] == [2**m for m in range(1, depth + 1)]
+        assert [len(t) for t in totals] == [2 ** (m - 1) for m in range(1, depth + 1)]
+
+
+def test_tilted_tables_are_kept_per_q():
+    real = cascade.build(Fractional(3, 0.7, 0.9), seed=6, depth=5)
+    qs = [(2.0, 0.5), (-0.5, 1.0)]
+    rng, rng_oracle = np.random.default_rng(2), np.random.default_rng(2)
+    for _ in range(100):
+        for q in qs:
+            assert cascade.sample_tilted_path(real, q, 5, rng) == tilted_path_oracle(real, q, 5, rng_oracle)
+    assert set(real._tilted) == set(qs)
+    assert real._tilted[qs[0]][0][0] != real._tilted[qs[1]][0][0]
+
+
+def test_overflowing_tilt_raises_divergence_without_a_warning():
+    # |W| = 2**-0.75 everywhere, so |W|**-2000 overflows to inf at every node
+    real = cascade.build(FRAC, seed=0, depth=4)
+    with pytest.raises(DivergenceError, match="level 1"):
+        cascade.sample_tilted_path(real, (-2000.0, 0.0), 4, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("q", [(math.nan, 1.0), (1.0, math.inf), (-math.inf, 0.0)])
+def test_non_finite_tilt_is_a_config_error(q):
+    real = cascade.build(TABLE, seed=0, depth=4)
+    with pytest.raises(ConfigError):
+        cascade.sample_tilted_path(real, q, 4, np.random.default_rng(0))
+    assert real._tilted == {} and real.weights == []
+
+
+def test_export_words_above_base_ten_are_distinct_and_parse_back():
+    real = cascade.build(Fractional(11, 0.75, 0.75), seed=1, depth=3)
+    words = [row[0] for row in cascade.export_level(real, 3)]
+    assert len(set(words)) == len(words) == 11**3
+    assert [parse_word(w, 11).index for w in words] == list(range(11**3))
+    assert words[1 * 121 + 0 * 11 + 10] == "1.0.10" and words[10 * 121 + 1 * 11 + 0] == "10.1.0"

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cascadelab import estimate, modelio
+from cascadelab import cascade, estimate, modelio
 from cascadelab.cli import _parse_q_list, _parse_testset, _parse_window, _xi0_grid, main
 from cascadelab.errors import ConfigError
 from cascadelab.weights import DiscreteTable, Fractional, LognormalSigned, Mixed
@@ -139,6 +140,23 @@ def test_simulate_is_byte_deterministic(model_file, tmp_path):
     assert (out_a / "simulate.csv").read_bytes() == (out_b / "simulate.csv").read_bytes()
     rows = read_csv(out_a / "simulate.csv")
     assert len(rows) == 33 and rows[0] == ["word", "q1", "q2", "f1", "f2"]
+
+
+@pytest.mark.parametrize(
+    "text", [FRACTIONAL, "kind lognormal\nb 3\nalpha 0.8\nbeta 0.1\n"], ids=["b2", "b3"]
+)
+@pytest.mark.parametrize("level", [0, 3, 6])
+def test_simulate_csv_is_the_csv_writer_rendering_of_export_level(model_file, tmp_path, text, level):
+    model = modelio.parse_model(text)
+    out = tmp_path / "out"
+    assert main(["simulate", "--model", model_file(text), "--out", str(out),
+                 "--seed", "3", "--depth", "6", "--level", str(level)]) == 0
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["word", "q1", "q2", "f1", "f2"])
+    for word, *values in cascade.export_level(cascade.build(model, 3, 6), level):
+        writer.writerow([word, *(format(v, ".17g") for v in values)])
+    assert (out / "simulate.csv").read_bytes() == expected.getvalue().encode("utf-8")
 
 
 def test_image_dim_runs(model_file, tmp_path):

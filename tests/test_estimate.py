@@ -221,6 +221,14 @@ def test_holder_word_index_outside_the_top_level_is_a_config_error(index):
         estimate.holder_exponents(real, [0, index], 2, 6)
 
 
+@pytest.mark.parametrize("index", [2**64, 1.5, float("nan")])
+def test_holder_word_index_that_is_not_an_int64_is_a_config_error(index):
+    # 2**64 raised OverflowError, 1.5 was truncated to 1 and NaN raised ValueError
+    real = cascade.build(FRAC, seed=0, depth=8)
+    with pytest.raises(ConfigError):
+        estimate.holder_exponents(real, [0, index], 2, 6)
+
+
 # ---------------------------------------------------------------------------
 # level sets and occupation measure
 
