@@ -16,11 +16,19 @@ A level's weights therefore do not depend on the build depth or on
 traversal order: build(model, seed, n) and build(model, seed, n+1)
 agree bit-exactly on all levels up to n, and a level regenerated from
 its stream is bit-identical to the one the grid was built from.
+
+``build`` is cache-blocked.  It builds the top levels whole, then walks
+the subtrees of at most _CHUNK_CELLS = 2**16 leaves in index order: it
+draws each subtree's contiguous slice of every deeper level from the
+level's stream, multiplies it out, and sums it into the grid.  Its
+peak is the grid plus a few chunk-size arrays (about 1.2-1.3 times the
+grid's bytes at b = 2, depth 20), whatever the model kind.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -32,6 +40,7 @@ from .weights import WeightModel
 from .words import Word
 
 DEFAULT_CELL_BUDGET = 2**26
+_CHUNK_CELLS = 2**16  # leaves of the subtree build samples and sums at once
 
 
 def level_rng(seed: int, level: int) -> np.random.Generator:
@@ -100,12 +109,27 @@ def _next_products(q: np.ndarray, w: np.ndarray, b: int) -> np.ndarray:
     return q
 
 
-def _cumulative(q: np.ndarray) -> np.ndarray:
-    """Grid values 0, q[0], q[0] + q[1], ... of one component."""
-    f = np.empty(len(q) + 1)
-    f[0] = 0.0
-    np.cumsum(q, out=f[1:])
-    return f
+class _LevelStream:
+    """Level m's stream, read in slices exactly as one whole-level draw reads it.
+
+    ``random(size)`` reads the uniforms from stream position 0 on and
+    ``standard_normal(size)`` the normals from position n = b**m on, the
+    layout of ``WeightModel.sample_pairs(rng, n)``; ``Philox.advance(k)``
+    skips 4k doubles.  Slices drawn in order therefore consume the doubles
+    of one whole-level call, ziggurat normals included.
+    """
+
+    def __init__(self, seed: int, level: int, n: int):
+        self._seed, self._level, self._n = seed, level, n
+        self.random = level_rng(seed, level).random
+
+    @functools.cached_property
+    def standard_normal(self):
+        """Opened on first use: the fractional and table kinds draw no normals."""
+        normals = level_rng(self._seed, self._level)
+        normals.bit_generator.advance(self._n // 4)
+        normals.random(self._n % 4)
+        return normals.standard_normal
 
 
 def build(
@@ -116,8 +140,15 @@ def build(
 ) -> CascadeRealization:
     """Materialize the depth-n approximant of the cascade at a fixed seed.
 
-    The levels are streamed: one level of products is alive at a time,
-    and the realization keeps only the grid (see CascadeRealization).
+    The top n - s levels are built whole, where b**s is the largest power
+    of b within _CHUNK_CELLS (s >= 1, and s <= n).  Then each
+    level-(n - s) node's subtree, in index order, is one chunk: its
+    slices of the deeper levels are drawn from their streams (see
+    _LevelStream), multiplied out, and summed straight into the
+    preallocated grid, starting from the grid value the previous chunk
+    ended on.  The grid is bit-identical to a whole-level build's; the
+    peak is the grid plus a few arrays of one chunk's size.  The
+    realization keeps only the grid (see CascadeRealization).
     """
     if depth < 1:
         raise ConfigError(f"depth must be >= 1, got {depth}")
@@ -127,16 +158,31 @@ def build(
             f"b**(depth+1) = {b**(depth + 1)} exceeds cell budget {cell_budget}"
         )
 
+    s = 1
+    while s < depth and b ** (s + 1) <= _CHUNK_CELLS:
+        s += 1
+    top = depth - s
     q1 = q2 = np.ones(1)
-    for m in range(1, depth + 1):
+    for m in range(1, top + 1):
         w1, w2 = level_weights(model, seed, m)
         q1 = _next_products(q1, w1, b)
         q2 = _next_products(q2, w2, b)
-    # free each full-size array before the next is allocated: the peak stays below three grids
-    del w1, w2
-    f1 = _cumulative(q1)
-    del q1
-    return CascadeRealization(model, seed, depth, (f1, _cumulative(q2)))
+    streams = [_LevelStream(seed, m, b**m) for m in range(top + 1, depth + 1)]
+    width = b**s
+    grid = (np.empty(b**depth + 1), np.empty(b**depth + 1))
+    grid[0][0] = grid[1][0] = 0.0
+    for i in range(b**top):
+        c1, c2 = q1[i : i + 1], q2[i : i + 1]
+        for k, stream in enumerate(streams, 1):
+            w1, w2 = model.sample_pairs(stream, b**k)
+            c1 = _next_products(c1, w1, b)
+            c2 = _next_products(c2, w2, b)
+        start = i * width
+        for f, c in zip(grid, (c1, c2)):
+            if i:  # never on the first chunk: 0.0 + -0.0 would drop a sign bit
+                c[0] += f[start]
+            np.cumsum(c, out=f[start + 1 : start + 1 + width])
+    return CascadeRealization(model, seed, depth, grid)
 
 
 def _levels(real: CascadeRealization, level: int) -> tuple[list, list]:

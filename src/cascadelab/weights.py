@@ -89,16 +89,17 @@ class SignJoint:
 
         Each u falls in the cell ++, +-, -+ or -- given by the number of
         the first three cumulative bounds at or below it: the cell that
-        ``searchsorted(cumulative(), u, side="right")`` finds, with u
-        past the last bound kept in --.
+        ``searchsorted(cumulative(), u, side="right")`` finds when the
+        bounds are monotone, with u past the last bound kept in --.
+        Probabilities down to -1e-12 are accepted, so the bounds need not
+        be monotone; the signs are read off the count, never off a single
+        bound: W1 is negative iff the count is at least 2, W2 iff it is odd.
         """
         c0, c1, c2, _ = self.cumulative()
         cell = (u >= c0).astype(np.uint8)
         cell += u >= c1
         cell += u >= c2
-        w1 = np.array([mag1, mag1, -mag1, -mag1])
-        w2 = np.array([mag2, -mag2, mag2, -mag2])
-        return w1[cell], w2[cell]
+        return np.where(cell >= 2, -mag1, mag1), np.where(cell & 1, -mag2, mag2)
 
 
 def default_sign_plus(base: int, alpha: float) -> float:
@@ -130,9 +131,14 @@ class WeightModel:
     def sample_pairs(self, rng: np.random.Generator, size: int):
         """Draw ``size`` i.i.d. copies of (W1, W2); returns two arrays.
 
-        The draw layout per model kind is fixed (uniforms first, then
-        normals), so a stream consumed through this method is
-        reproducible independently of the caller.
+        ``rng`` is read through ``rng.random(size)`` and, for the kinds
+        that need normals, ``rng.standard_normal(size)`` after it, and
+        through nothing else: on a fresh stream the uniforms take
+        positions [0, size) and the normals follow.  Pair i depends on
+        the i-th uniform and the i-th normal alone, so n pairs drawn in
+        consecutive slices, from a reader that continues each of the two
+        sequences where the previous slice stopped, equal n pairs drawn
+        at once.  ``cascade.build`` relies on both.
         """
         raise NotImplementedError
 

@@ -71,10 +71,19 @@ def word_from_index(index: int, length: int, base: int) -> Word:
 
 
 def parse_word(text: str, base: int) -> Word:
-    """Parse a serialized digit string (e.g. "0121")."""
-    if base > 10:
-        return Word(base, tuple(int(d) for d in text.split(".") if d != ""))
-    return Word(base, tuple(int(c) for c in text))
+    """Parse a word as ``str(Word)`` writes it: "0121", or "10.0.3" for base > 10.
+
+    Digits are ASCII decimal numerals, one character each up to base 10
+    and dot-separated above; the empty text is the empty word.  Any
+    other text raises ConfigError.
+    """
+    digits = text.split(".") if base > 10 and text else list(text)
+    if not all(d.isascii() and d.isdigit() for d in digits):
+        raise ConfigError(f"not a base-{base} word: {text!r}")
+    try:
+        return Word(base, tuple(int(d) for d in digits))
+    except ValueError:  # a digit too long for int()
+        raise ConfigError(f"not a base-{base} word: {text!r}") from None
 
 
 def pi(w: Word) -> Fraction:

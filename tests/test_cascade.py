@@ -390,13 +390,26 @@ def kinds(b):
     ]
 
 
-@pytest.mark.parametrize("b,depth", [(2, 10), (3, 6), (4, 5)])
+def assert_same_bytes(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# (2, 19), (3, 12) and (4, 9) span 8, 9 and 4 chunks of 2**16 leaves; 3**m is not a
+# multiple of 4, so at b = 3 the normals of a level start inside a Philox block
+@pytest.mark.parametrize("b,depth", [(2, 10), (3, 6), (4, 5), (2, 19), (3, 12), (4, 9)])
 def test_grid_is_bit_identical_to_eager_build(b, depth):
     for model in kinds(b):
         real = cascade.build(model, seed=21, depth=depth)
-        _, _, grid = eager_build(model, 21, depth)
-        for got, want in zip(real.grid, grid):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert_same_bytes(real.grid, eager_build.__wrapped__(model, 21, depth)[2])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_grid_keeps_the_sign_of_negative_zero_products(seed):
+    # grid[k][1] is -0.0 at seeds 0 and 4; the byte comparison sees its sign bit
+    model = DiscreteTable(2, (((-0.0, -0.0), 0.5), ((0.5, 0.5), 0.5)))
+    real = cascade.build(model, seed=seed, depth=3)
+    assert_same_bytes(real.grid, eager_build.__wrapped__(model, seed, 3)[2])
 
 
 def test_build_holds_only_the_grid_and_the_root_pair():
@@ -417,6 +430,18 @@ def test_build_peak_memory_is_at_most_three_grids():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * sum(a.nbytes for a in real.grid)
+
+
+@pytest.mark.parametrize("model", kinds(2), ids=lambda m: type(m).__name__)
+def test_build_peak_memory_is_the_grid_plus_one_chunk(model):
+    cascade.build(model, seed=1, depth=2)  # one-off allocations of a first call
+    tracemalloc.start()
+    try:
+        real = cascade.build(model, seed=1, depth=20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * sum(a.nbytes for a in real.grid)
 
 
 def test_readers_regenerate_levels_equal_to_the_eager_build():

@@ -300,18 +300,36 @@ SIGN_TABLES = [
 ]
 
 
+def bound_uniforms(sj, seed=11):
+    """Random u plus every cumulative bound exactly, its float neighbours, and the ends of [0, 1)."""
+    cum = sj.cumulative()
+    edges = np.concatenate([cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0)])
+    u = np.concatenate([np.random.default_rng(seed).random(20000), edges, [0.0, np.nextafter(1.0, 0.0)]])
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
 @pytest.mark.parametrize("sj", SIGN_TABLES)
 def test_threshold_signs_equal_searchsorted_cells(sj):
-    rng = np.random.default_rng(11)
-    cum = sj.cumulative()
-    # every cumulative bound exactly, its float neighbours, and the ends of [0, 1)
-    edges = np.concatenate([cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0)])
-    u = np.concatenate([rng.random(20000), edges, [0.0, np.nextafter(1.0, 0.0)]])
-    u = u[(u >= 0.0) & (u < 1.0)]
+    u = bound_uniforms(sj)
     s1, s2 = searchsorted_signs(sj, u)
     w1, w2 = sj.sample(u, 0.5, 0.25)
     assert np.array_equal(w1, s1 * 0.5)
     assert np.array_equal(w2, s2 * 0.25)
+
+
+@pytest.mark.parametrize(
+    "sj", [SignJoint(0.5, -1e-13, 0.25, 0.25 + 1e-13), SignJoint(0.5, 0.25, -1e-13, 0.25 + 1e-13)]
+)
+def test_signs_follow_the_bound_count_when_bounds_are_not_monotone(sj):
+    # a probability of -1e-13 is accepted, and puts one bound just below the one before it;
+    # searchsorted is undefined there, so the oracle counts the bounds at or below u
+    cum = sj.cumulative()
+    assert np.any(np.diff(cum) < 0.0)
+    u = bound_uniforms(sj)
+    cell = (u[:, None] >= cum[:3]).sum(axis=1)
+    w1, w2 = sj.sample(u, 0.5, 0.25)
+    assert np.array_equal(w1, np.where(cell >= 2, -0.5, 0.5))
+    assert np.array_equal(w2, np.where(cell % 2 == 1, -0.25, 0.25))
 
 
 def test_fractional_sampling_matches_searchsorted_oracle():

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cascadelab import words
@@ -115,3 +115,23 @@ def test_interval_membership():
     assert iv.left <= Fraction(5, 8) < iv.right
     # boundary point belongs to the interval on its right
     assert word_of(Fraction(6, 8), 3, 2) != w
+
+
+@pytest.mark.parametrize(
+    "text,base",
+    [("1a", 2), ("+1", 2), (" 1", 2), ("1 ", 2), ("1.0", 2), ("²", 10), ("٣", 10),
+     ("1..0", 11), (".1.", 11), (".", 11), ("1.", 11), ("+1", 11), ("1_0", 11), ("9" * 5000, 11)],
+)
+def test_parse_word_rejects_anything_but_plain_decimal_digits(text, base):
+    with pytest.raises(ConfigError):
+        parse_word(text, base)
+
+
+@example((2, ()))
+@example((11, ()))
+@given(st.integers(2, 40).flatmap(
+    lambda b: st.tuples(st.just(b), st.lists(st.integers(0, b - 1), max_size=8).map(tuple))
+))
+def test_parse_word_reads_back_every_written_word(bd):
+    b, digits = bd
+    assert parse_word(str(Word(b, digits)), b) == Word(b, digits)
