@@ -103,10 +103,13 @@ class CascadeRealization:
 
 
 def _next_products(q: np.ndarray, w: np.ndarray, b: int) -> np.ndarray:
-    """Level-m products from level m-1's: each parent's times its children's weights."""
-    q = np.repeat(q, b)
-    q *= w
-    return q
+    """Level-m products from level m-1's, written over ``w`` and returned.
+
+    Each parent's product times each of its b children's weights.
+    """
+    children = w.reshape(-1, b)
+    np.multiply(q[:, None], children, out=children)
+    return w
 
 
 class _LevelStream:
@@ -191,12 +194,12 @@ def _levels(real: CascadeRealization, level: int) -> tuple[list, list]:
     Missing levels are regenerated from their (seed, level) streams, so
     they are bit-identical to the ones the grid was built from.
     """
-    weights, products = real.weights, real.products
+    weights, products, b = real.weights, real.products, real.base
     for m in range(len(weights) + 1, level + 1):
         w1, w2 = level_weights(real.model, real.seed, m)
         q1, q2 = products[m - 1]
         weights.append((w1, w2))
-        products.append((_next_products(q1, w1, real.base), _next_products(q2, w2, real.base)))
+        products.append((_next_products(q1, w1.copy(), b), _next_products(q2, w2.copy(), b)))
     return weights, products
 
 

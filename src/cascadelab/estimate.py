@@ -139,27 +139,60 @@ def _bounding_boxes(real: CascadeRealization, ts: TestSet, extra_levels: int):
     return min1[idx], max1[idx], min2[idx], max2[idx]
 
 
-def _count_squares(x0, x1, y0, y1, j: int) -> int:
-    """Distinct dyadic squares of side 2**-j intersecting any closed box."""
-    scale = float(2**j)
-    ix0 = np.floor(x0 * scale).astype(np.int64)
-    ix1 = np.floor(x1 * scale).astype(np.int64)
-    iy0 = np.floor(y0 * scale).astype(np.int64)
-    iy1 = np.floor(y1 * scale).astype(np.int64)
-    shift = min(ix0.min(), iy0.min())
-    ix0 -= shift
-    ix1 -= shift
-    iy0 -= shift
-    iy1 -= shift
-    width = int(max(ix1.max(), iy1.max())) + 2
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of ``keys``, sorted in place.
+
+    np.unique gives the same values, but from numpy 2.3 on it goes
+    through a hash table first, which is many times slower on these keys.
+    """
+    keys.sort()
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    return keys[new]
+
+
+def _square_counts(x0, x1, y0, y1, j_lo: int, j_hi: int) -> list[int]:
+    """Distinct dyadic squares of side 2**-j meeting any closed box, for j = j_lo .. j_hi.
+
+    The boxes are expanded into their squares once, at j_hi.  Each
+    coarser scale halves the distinct integer indices of the next finer
+    one with ``>> 1`` (exact: floor(floor(2x) / 2) = floor(x), and the
+    arithmetic shift floors negative indices too), so a box's coarse
+    squares are the parents of its fine squares.  The keys are re-encoded
+    at every scale with that scale's own offsets and width: an offset
+    subtracted before halving would change the parents when it is odd.
+    """
+    if j_hi < j_lo:
+        return []
+    scale = float(2**j_hi)
+    ix0, ix1, iy0, iy1 = (np.floor(v * scale).astype(np.int64) for v in (x0, x1, y0, y1))
+    ox, oy, top = int(ix0.min()), int(iy0.min()), int(iy1.max())
+    width = top - oy + 1
     # expand every box into its nx * ny squares, row-major within the box
     ny = iy1 - iy0 + 1
     per_box = (ix1 - ix0 + 1) * ny
     box = np.repeat(np.arange(len(per_box)), per_box)
     first = np.cumsum(per_box) - per_box
     dx, dy = np.divmod(np.arange(len(box)) - first[box], ny[box])
-    keys = (ix0[box] + dx) * width + (iy0[box] + dy)
-    return len(np.unique(keys))
+    corner = (ix0 - ox) * width + (iy0 - oy)
+    keys = _distinct(corner[box] + dx * width + dy)
+    counts = [len(keys)]
+    for _ in range(j_hi - j_lo):
+        ix, iy = np.divmod(keys, width)
+        ix += ox
+        iy += oy
+        ix >>= 1
+        iy >>= 1
+        ox, oy, top = ox >> 1, oy >> 1, top >> 1
+        width = top - oy + 1
+        ix -= ox
+        iy -= oy
+        ix *= width
+        ix += iy
+        keys = _distinct(ix)
+        counts.append(len(keys))
+    return counts[::-1]
 
 
 def image_box_dim(
@@ -175,6 +208,11 @@ def image_box_dim(
     the finest scale the covering boxes can still resolve, and regresses
     after dropping the two coarsest scales (and up to two of the finest,
     when available, where box-vs-square straddling biases the count).
+
+    The whole window is counted from one expansion: each box is split
+    into its squares once, at j_max, and each coarser scale's squares are
+    the distinct parents (indices halved by ``>> 1``) of the next finer
+    scale's (see _square_counts).
     """
     x0, x1, y0, y1 = _bounding_boxes(real, ts, extra_levels)
     # resolvability guard: never count below the size of the covering
@@ -188,7 +226,7 @@ def image_box_dim(
     j_max = int(math.floor(-math.log2(finest))) if finest < 1.0 else 2
     j_max = min(j_max, 26)
     js = list(range(2, j_max + 1))
-    counts = [_count_squares(x0, x1, y0, y1, j) for j in js]
+    counts = _square_counts(x0, x1, y0, y1, 2, j_max)
     fit_js = js[COARSE_SCALES_DROPPED:]
     fit_counts = counts[COARSE_SCALES_DROPPED:]
     # near j_max each box still straddles up to 2 squares per axis, which

@@ -24,6 +24,7 @@ values: joint_moment may return +inf, in which case phi returns -inf.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import sys
@@ -84,8 +85,14 @@ class SignJoint:
     def cumulative(self) -> np.ndarray:
         return np.cumsum([self.pp, self.pm, self.mp, self.mm])
 
+    @functools.cached_property
+    def _bounds(self) -> tuple[float, float, float]:
+        """The first three cumulative bounds, as floats."""
+        c0, c1, c2, _ = self.cumulative().tolist()
+        return c0, c1, c2
+
     def sample(self, u: np.ndarray, mag1: float, mag2: float):
-        """Signed moduli (+-mag1, +-mag2) for uniforms ``u`` in [0, 1).
+        """Signed moduli (+-mag1, +-mag2) for uniforms ``u`` in [0, 1) and moduli >= 0.
 
         Each u falls in the cell ++, +-, -+ or -- given by the number of
         the first three cumulative bounds at or below it: the cell that
@@ -93,13 +100,30 @@ class SignJoint:
         bounds are monotone, with u past the last bound kept in --.
         Probabilities down to -1e-12 are accepted, so the bounds need not
         be monotone; the signs are read off the count, never off a single
-        bound: W1 is negative iff the count is at least 2, W2 iff it is odd.
+        bound: W1 is negative iff the count is at least 2 (a majority of
+        the three comparisons), W2 iff it is odd (their parity).
         """
-        c0, c1, c2, _ = self.cumulative()
-        cell = (u >= c0).astype(np.uint8)
-        cell += u >= c1
-        cell += u >= c2
-        return np.where(cell >= 2, -mag1, mag1), np.where(cell & 1, -mag2, mag2)
+        c0, c1, c2 = self._bounds
+        a, b, c = u >= c0, u >= c1, u >= c2
+        odd = a ^ b
+        odd ^= c
+        a_or_b = a | b
+        a &= b
+        a_or_b &= c
+        a |= a_or_b
+        return _with_sign(a, mag1), _with_sign(odd, mag2)
+
+
+def _with_sign(negative: np.ndarray, mag: float) -> np.ndarray:
+    """-mag where ``negative`` holds and mag elsewhere, for mag >= 0 (-0.0 for mag = 0.0).
+
+    The flag is shifted into the sign bit and OR-ed onto the bits of mag,
+    several times cheaper than np.where with two scalars.
+    """
+    bits = negative.astype(np.uint64)
+    bits <<= 63
+    bits |= np.float64(mag).view(np.uint64)
+    return bits.view(np.float64)
 
 
 def default_sign_plus(base: int, alpha: float) -> float:
@@ -258,6 +282,13 @@ class Fractional(WeightModel):
         )
 
 
+def _lognormal_factor(g: np.ndarray, sigma: float) -> np.ndarray:
+    """exp(sigma * g - sigma**2 / 2), computed in place over the normals ``g``."""
+    g *= sigma
+    g -= sigma**2 / 2.0
+    return np.exp(g, out=g)
+
+
 def sigma_from_beta(beta: float, base: int) -> float:
     """Invert beta = sigma**2 / (2 ln b)."""
     _validate_base(base)
@@ -306,9 +337,11 @@ class LognormalSigned(WeightModel):
         u = rng.random(size)
         g = rng.standard_normal(size)
         mag = self.base**-self.alpha
-        x1, x2 = self.sign_joint.sample(u, mag, mag)
-        factor = np.exp(self.sigma * g - self.sigma**2 / 2.0)
-        return x1 * factor, x2 * factor
+        w1, w2 = self.sign_joint.sample(u, mag, mag)
+        factor = _lognormal_factor(g, self.sigma)
+        w1 *= factor
+        w2 *= factor
+        return w1, w2
 
     def joint_moment(self, q1, q2):
         s = q1 + q2
@@ -372,9 +405,11 @@ class Mixed(WeightModel):
     def sample_pairs(self, rng, size):
         u = rng.random(size)
         g = rng.standard_normal(size)
-        s1 = np.where(u < self.sign_plus, 1.0, -1.0)
-        factor = np.exp(self.sigma * g - self.sigma**2 / 2.0)
-        return s1 * self.base**-self.alpha * factor, factor / self.base
+        w1 = _with_sign(u >= self.sign_plus, self.base**-self.alpha)
+        factor = _lognormal_factor(g, self.sigma)
+        w1 *= factor
+        factor /= self.base
+        return w1, factor
 
     def joint_moment(self, q1, q2):
         s = q1 + q2
@@ -425,12 +460,23 @@ class DiscreteTable(WeightModel):
         if any(p < -_PROB_TOL for _, p in atoms):
             raise ConfigError("negative atom probability")
 
-    def sample_pairs(self, rng, size):
-        u = rng.random(size)
-        cum = np.cumsum([p for _, p in self.atoms])
-        idx = np.minimum(np.searchsorted(cum, u, side="right"), len(self.atoms) - 1)
+    @functools.cached_property
+    def _draw_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Monotone cumulative bounds and the two value columns of the atoms.
+
+        An accepted probability in [-1e-12, 0) puts its cumulative sum
+        below the one before it; the running maximum keeps the bounds
+        sorted, so such an atom is never the first bound above u.
+        """
+        bounds = np.maximum.accumulate(np.cumsum([p for _, p in self.atoms]))
         vals = np.array([v for v, _ in self.atoms])
-        return vals[idx, 0], vals[idx, 1]
+        return bounds, vals[:, 0].copy(), vals[:, 1].copy()
+
+    def sample_pairs(self, rng, size):
+        """Each u draws the first atom whose cumulative bound exceeds it (the last if none does)."""
+        bounds, v1, v2 = self._draw_table
+        idx = np.minimum(np.searchsorted(bounds, rng.random(size), side="right"), len(bounds) - 1)
+        return v1[idx], v2[idx]
 
     def joint_moment(self, q1, q2):
         total = 0.0

@@ -334,11 +334,11 @@ def test_uniform_sweep_scope_guards():
 
 
 # ---------------------------------------------------------------------------
-# vectorized square counting against the set-based count
+# multi-scale square counting against the set-based count
 
 
 def count_squares_oracle(x0, x1, y0, y1, j):
-    """The Python set loop the vectorized count replaced."""
+    """The Python set loop the vectorized count replaced, at one scale."""
     scale = float(2**j)
     ix0, ix1, iy0, iy1 = (np.floor(v * scale).astype(np.int64) for v in (x0, x1, y0, y1))
     keys = set()
@@ -355,15 +355,38 @@ box = st.tuples(
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(box, min_size=1, max_size=40), st.integers(0, 5))
-def test_count_squares_matches_set_oracle(boxes, j):
+@given(st.lists(box, min_size=1, max_size=40), st.integers(0, 5), st.integers(0, 4))
+def test_count_squares_matches_set_oracle(boxes, j_lo, span):
     x0, wx, y0, wy = (np.array(v) for v in zip(*boxes))
     args = (x0, x0 + wx, y0, y0 + wy)
-    assert estimate._count_squares(*args, j) == count_squares_oracle(*args, j)
+    want = [count_squares_oracle(*args, j) for j in range(j_lo, j_lo + span + 1)]
+    assert estimate._square_counts(*args, j_lo, j_lo + span) == want
 
 
 def test_count_squares_box_straddling_many_squares():
     # one box covering a 5 x 3 block of squares plus a point inside it
     x0, x1 = np.array([0.1, 0.3]), np.array([1.2, 0.3])
     y0, y1 = np.array([0.0, 0.4]), np.array([0.7, 0.4])
-    assert estimate._count_squares(x0, x1, y0, y1, 2) == 5 * 3
+    assert estimate._square_counts(x0, x1, y0, y1, 2, 2) == [5 * 3]
+
+
+def test_square_counts_with_odd_minimum_indices():
+    # at j = 3 the smallest indices are x = 3 and y = -3, both odd; subtracting
+    # them before halving would merge the squares (3, -3) and (4, -2) at j = 2
+    x = np.array([3 / 8, 4 / 8, 7 / 8])
+    y = np.array([-3 / 8, -2 / 8, 1 / 8])
+    want = [count_squares_oracle(x, x, y, y, j) for j in range(4)]
+    assert want == [2, 3, 3, 3]
+    assert estimate._square_counts(x, x, y, y, 0, 3) == want
+
+
+def test_square_counts_of_an_empty_window_are_empty():
+    x = np.array([0.25])
+    assert estimate._square_counts(x, x, x, x, 2, 1) == []
+
+
+def test_image_box_dim_without_scales_is_a_degenerate_range():
+    # one box [0, 1/2]^2 resolves no scale finer than j = 1, so the window 2..j_max is empty
+    real = cascade.build(IDENTITY2, seed=0, depth=5)
+    with pytest.raises(DegenerateRangeError):
+        estimate.image_box_dim(real, cantor_set(2, (0,), 1))

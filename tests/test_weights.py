@@ -355,6 +355,86 @@ def test_lognormal_sampling_matches_searchsorted_oracle():
         assert np.array_equal(w2, s2 * mag * factor)
 
 
+def where_signs(sj, u, mag1, mag2):
+    """The former sampler: both signs read off the bound count with np.where."""
+    c0, c1, c2, _ = sj.cumulative()
+    cell = (u >= c0).astype(np.uint8)
+    cell += u >= c1
+    cell += u >= c2
+    return np.where(cell >= 2, -mag1, mag1), np.where(cell & 1, -mag2, mag2)
+
+
+SUBNORMAL = 5e-324
+
+
+@pytest.mark.parametrize(
+    "sj", [SignJoint.independent(0.7, 0.8), SignJoint(0.5, -1e-13, 0.25, 0.25 + 1e-13)]
+)
+@pytest.mark.parametrize("mags", [(0.0, 0.0), (SUBNORMAL, 0.0), (0.0, SUBNORMAL), (0.5, 0.25)])
+def test_sign_bits_equal_the_former_where_signs(sj, mags):
+    u = bound_uniforms(sj)
+    got = sj.sample(u, *mags)
+    want = where_signs(sj, u, *mags)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype == np.float64
+        assert a.tobytes() == b.tobytes()
+    if mags[0] == 0.0:  # a negative sign on a zero modulus is -0.0
+        assert np.signbit(got[0]).any() and not np.signbit(got[0]).all()
+
+
+def test_mixed_sampling_matches_the_former_where_formula():
+    model = Mixed.from_beta(2, 0.8, 0.1)
+    w1, w2 = model.sample_pairs(np.random.default_rng(5), 5000)
+    rng = np.random.default_rng(5)
+    u, g = rng.random(5000), rng.standard_normal(5000)
+    factor = np.exp(model.sigma * g - model.sigma**2 / 2.0)
+    s1 = np.where(u < model.sign_plus, 1.0, -1.0)
+    assert w1.tobytes() == (s1 * 2**-model.alpha * factor).tobytes()
+    assert w2.tobytes() == (factor / 2).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# table draws
+
+
+class FixedUniforms:
+    """A stand-in generator whose random(size) returns given uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, size):
+        assert size == len(self.u)
+        return self.u.copy()
+
+
+def test_table_never_draws_a_negative_probability_atom():
+    # the middle atom's -1e-13 puts its cumulative sum just below the first one's
+    table = DiscreteTable(2, (((0.1, 0.1), 0.5), ((0.2, 0.2), -1e-13), ((0.3, 0.3), 0.5 + 1e-13)))
+    w1, w2 = table.sample_pairs(FixedUniforms([0.49999999999995]), 1)
+    assert (w1[0], w2[0]) == (0.1, 0.1)
+    cum = np.cumsum([p for _, p in table.atoms])
+    edges = np.concatenate([cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0)])
+    u = np.concatenate([np.random.default_rng(2).random(5000), edges, [0.0, np.nextafter(1.0, 0.0)]])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    w1, _ = table.sample_pairs(FixedUniforms(u), len(u))
+    assert np.array_equal(w1, np.where(u < 0.5, 0.1, 0.3))
+
+
+@pytest.mark.parametrize("table", [
+    SYMMETRIC_TABLE,
+    DiscreteTable(3, (((0.5, -0.2), 0.25), ((0.3, 0.9), 0.35), ((0.6, 0.4), 0.4))),
+    DiscreteTable(2, (((0.0, 0.0), 0.0), ((0.5, 0.5), 0.5), ((0.7, 0.1), 0.0), ((-0.2, 0.3), 0.5))),
+])
+def test_table_draw_equals_the_former_searchsorted_draw(table):
+    u = np.random.default_rng(9).random(5000)
+    cum = np.cumsum([p for _, p in table.atoms])
+    idx = np.minimum(np.searchsorted(cum, u, side="right"), len(table.atoms) - 1)
+    vals = np.array([v for v, _ in table.atoms])
+    w1, w2 = table.sample_pairs(FixedUniforms(u), len(u))
+    assert w1.tobytes() == vals[idx, 0].tobytes() and w2.tobytes() == vals[idx, 1].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # non-finite parameters
 
