@@ -1,28 +1,35 @@
 """Seed-deterministic cascade realizations.
 
-A realization of depth n holds the cumulative grid values of the
-depth-n approximant F_{k,n} at the points j * b**-n: two float arrays
-of length b**n + 1, 16 * (b**n + 1) bytes.  Node weights (W1, W2) and
-running products (Q1, Q2) are not kept by ``build``; the readers that
-need them regenerate them level by level and memoize them on the
-realization.  Words are held as flat arrays indexed by their integer
-value within the level.  The tilted sampler memoizes one table per q
-on top of the weights: per level, the within-sibling cumulative tilted
-weights and each parent's total (see sample_tilted_path).
+A realization of depth n is fixed by (model, seed, n): ``build``
+validates them and holds nothing but the root pair.  Every value a
+reader asks for is regenerated from the level streams on first read
+and memoized on the realization:
+
+- the per-level min/max tables of the cumulative grid
+  F_{k,n}(j * b**-n) (see grid_min_max);
+- the grid itself, two float arrays of length b**n + 1, 16 * (b**n + 1)
+  bytes, for the readers that need every grid value (see grid_values);
+- node weights (W1, W2) and running products (Q1, Q2), level by level
+  (see _levels);
+- the tilted sampler's per-q tables (see sample_tilted_path).
+
+Words are held as flat arrays indexed by their integer value within the
+level.
 
 Node randomness comes from counter-based Philox streams, one per
 (seed, level); the draw position inside the stream is the word index.
-A level's weights therefore do not depend on the build depth or on
-traversal order: build(model, seed, n) and build(model, seed, n+1)
-agree bit-exactly on all levels up to n, and a level regenerated from
-its stream is bit-identical to the one the grid was built from.
+A level's weights therefore do not depend on the depth or on traversal
+order: build(model, seed, n) and build(model, seed, n+1) agree
+bit-exactly on all levels up to n, and a level regenerated from its
+stream is bit-identical to every other draw of it.
 
-``build`` is cache-blocked.  It builds the top levels whole, then walks
-the subtrees of at most _CHUNK_CELLS = 2**16 leaves in index order: it
-draws each subtree's contiguous slice of every deeper level from the
-level's stream, multiplies it out, and sums it into the grid.  Its
-peak is the grid plus a few chunk-size arrays (about 1.2-1.3 times the
-grid's bytes at b = 2, depth 20), whatever the model kind.
+The grid is walked in cache-sized chunks (see _walk_chunks): the top
+levels whole, then the subtrees of at most _CHUNK_CELLS = 2**16 leaves
+in index order, each one's slice of every deeper level drawn from the
+level's stream, multiplied out and summed.  grid_values sums the chunks
+into a preallocated grid; grid_min_max sums each into one reusable
+chunk buffer and reduces it to its rows of a min/max table, so its peak
+is one chunk plus the table, whatever the depth.
 """
 
 from __future__ import annotations
@@ -40,19 +47,19 @@ from .weights import WeightModel
 from .words import Word
 
 DEFAULT_CELL_BUDGET = 2**26
-_CHUNK_CELLS = 2**16  # leaves of the subtree build samples and sums at once
+_CHUNK_CELLS = 2**16  # leaves of the subtree a grid walk samples and sums at once
+
+
+def _philox_key(seed: int, level: int) -> np.ndarray:
+    """The uint64 pair (seed, level); every seed in [0, 2**64) keys its own streams."""
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
+    return np.array([seed, level], dtype=np.uint64)
 
 
 def level_rng(seed: int, level: int) -> np.random.Generator:
-    """The counter-based stream holding the weights of one tree level.
-
-    The Philox key is the uint64 pair (seed, level), so every seed in
-    [0, 2**64) keys its own streams.
-    """
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
-    key = np.array([seed, level], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """The counter-based stream holding the weights of one tree level."""
+    return np.random.Generator(np.random.Philox(key=_philox_key(seed, level)))
 
 
 def level_weights(model: WeightModel, seed: int, level: int):
@@ -62,14 +69,17 @@ def level_weights(model: WeightModel, seed: int, level: int):
 
 @dataclass
 class CascadeRealization:
-    """Depth-n realization: the grid, plus whatever has been memoized.
+    """Depth-n realization: (model, seed, depth), plus whatever has been memoized.
 
-    ``grid`` holds the two cumulative-sum arrays of length base**depth + 1
-    with grid[k][j] = F_{k,n}(j * b**-n); it is all ``build`` leaves.
-    ``weights`` and ``products`` are prefix memos filled on first read:
-    ``weights[m - 1]`` and ``products[m]`` hold the level-m (W1, W2) and
-    (Q1, Q2) arrays for every level up to the deepest one read so far,
-    and products[0] is the root pair (1, 1).  The per-level grid min/max
+    Two realizations are equal when their (model, seed, depth) are: the
+    memos below hold values regenerated from those three and never take
+    part in a comparison.  ``grid`` is () until grid_values fills it with
+    the two cumulative-sum arrays of length base**depth + 1, with
+    grid[k][j] = F_{k,n}(j * b**-n).  ``weights`` and ``products`` are
+    prefix memos filled on first read: ``weights[m - 1]`` and
+    ``products[m]`` hold the level-m (W1, W2) and (Q1, Q2) arrays for
+    every level up to the deepest one read so far, and products[0] is the
+    root pair (1, 1), all ``build`` leaves.  The per-level grid min/max
     tables are memoized on first use too (see grid_min_max), and so are
     the tilted-path tables, per q (see sample_tilted_path).  None of the
     memos changes a value a reader sees.
@@ -78,7 +88,7 @@ class CascadeRealization:
     model: WeightModel
     seed: int
     depth: int
-    grid: tuple = field(repr=False)
+    grid: tuple = field(default=(), init=False, repr=False, compare=False)
     weights: list = field(default_factory=list, init=False, repr=False, compare=False)
     products: list = field(
         default_factory=lambda: [(np.ones(1), np.ones(1))], init=False, repr=False, compare=False
@@ -141,17 +151,12 @@ def build(
     depth: int,
     cell_budget: int = DEFAULT_CELL_BUDGET,
 ) -> CascadeRealization:
-    """Materialize the depth-n approximant of the cascade at a fixed seed.
+    """The depth-n approximant of the cascade at a fixed seed.
 
-    The top n - s levels are built whole, where b**s is the largest power
-    of b within _CHUNK_CELLS (s >= 1, and s <= n).  Then each
-    level-(n - s) node's subtree, in index order, is one chunk: its
-    slices of the deeper levels are drawn from their streams (see
-    _LevelStream), multiplied out, and summed straight into the
-    preallocated grid, starting from the grid value the previous chunk
-    ended on.  The grid is bit-identical to a whole-level build's; the
-    peak is the grid plus a few arrays of one chunk's size.  The
-    realization keeps only the grid (see CascadeRealization).
+    Checks the depth, the cell budget and the seed, and returns a
+    realization that holds only the root pair: its grid values and
+    tables are regenerated from the level streams by the first reader
+    that asks for them (see CascadeRealization).
     """
     if depth < 1:
         raise ConfigError(f"depth must be >= 1, got {depth}")
@@ -160,32 +165,73 @@ def build(
         raise ResourceError(
             f"b**(depth+1) = {b**(depth + 1)} exceeds cell budget {cell_budget}"
         )
+    _philox_key(seed, 0)
+    return CascadeRealization(model, seed, depth)
 
+
+def _chunk_shape(b: int, depth: int) -> tuple[int, int]:
+    """(top, width): the chunks are the b**top level-top subtrees of width leaves.
+
+    width = b**(depth - top) is the largest power of b within
+    _CHUNK_CELLS, and at least b (so top < depth).
+    """
     s = 1
     while s < depth and b ** (s + 1) <= _CHUNK_CELLS:
         s += 1
-    top = depth - s
+    return depth - s, b**s
+
+
+def _walk_chunks(real: CascadeRealization, frame):
+    """Sum each chunk's leaf products into ``frame(i)``, then yield i, in index order.
+
+    ``frame(i)`` returns two arrays of width + 1 values (see _chunk_shape)
+    that take (F1, F2) at the leaf points i * width .. (i + 1) * width of
+    chunk i.  The levels down to top are built whole; then each chunk's
+    slices of the deeper levels are drawn from their streams (see
+    _LevelStream) and multiplied out, slot 0 of its frame is set to the
+    value the previous chunk ended on (0.0 before the first), and the
+    rest to the cumulative sum of its products from there.  The values
+    are bit-identical to one cumsum over a whole-level build.
+    """
+    model, seed, depth, b = real.model, real.seed, real.depth, real.base
+    top, _ = _chunk_shape(b, depth)
     q1 = q2 = np.ones(1)
     for m in range(1, top + 1):
         w1, w2 = level_weights(model, seed, m)
         q1 = _next_products(q1, w1, b)
         q2 = _next_products(q2, w2, b)
     streams = [_LevelStream(seed, m, b**m) for m in range(top + 1, depth + 1)]
-    width = b**s
-    grid = (np.empty(b**depth + 1), np.empty(b**depth + 1))
-    grid[0][0] = grid[1][0] = 0.0
+    ends = (0.0, 0.0)
     for i in range(b**top):
         c1, c2 = q1[i : i + 1], q2[i : i + 1]
         for k, stream in enumerate(streams, 1):
             w1, w2 = model.sample_pairs(stream, b**k)
             c1 = _next_products(c1, w1, b)
             c2 = _next_products(c2, w2, b)
-        start = i * width
-        for f, c in zip(grid, (c1, c2)):
+        values = frame(i)
+        for f, c, end in zip(values, (c1, c2), ends):
+            f[0] = end
             if i:  # never on the first chunk: 0.0 + -0.0 would drop a sign bit
-                c[0] += f[start]
-            np.cumsum(c, out=f[start + 1 : start + 1 + width])
-    return CascadeRealization(model, seed, depth, grid)
+                c[0] += end
+            np.cumsum(c, out=f[1:])
+        ends = (values[0][-1], values[1][-1])
+        yield i
+
+
+def grid_values(real: CascadeRealization) -> tuple:
+    """The grid (F1, F2) at every point j * b**-n, memoized as ``real.grid``.
+
+    Two arrays of length b**n + 1, 16 * (b**n + 1) bytes; the walk sums
+    each chunk straight into its slice, so the peak is the grid plus a
+    few arrays of one chunk's size.
+    """
+    if not real.grid:
+        _, width = _chunk_shape(real.base, real.depth)
+        grid = (np.empty(real.cells + 1), np.empty(real.cells + 1))
+        for _ in _walk_chunks(real, lambda i: tuple(f[i * width : (i + 1) * width + 1] for f in grid)):
+            pass
+        real.grid = grid
+    return real.grid
 
 
 def _levels(real: CascadeRealization, level: int) -> tuple[list, list]:
@@ -225,7 +271,7 @@ def increment(real: CascadeRealization, w: Word) -> tuple[float, float]:
     """Endpoint increment of (F1, F2) over I_w; equals Q(w) at full depth."""
     idx = real.word_index(w)
     step = real.base ** (real.depth - len(w))
-    f1, f2 = real.grid
+    f1, f2 = grid_values(real)
     return (
         float(f1[(idx + 1) * step] - f1[idx * step]),
         float(f2[(idx + 1) * step] - f2[idx * step]),
@@ -241,6 +287,24 @@ def _block_min_max(values: np.ndarray, blocks: int, step: int):
     return mins, maxs
 
 
+def _streamed_min_max(real: CascadeRealization, level: int):
+    """Level ``level``'s tables from one grid walk, without the grid.
+
+    Each chunk is summed into the same reusable buffer, the closed
+    interval of its level-top word (see _walk_chunks), and reduced to its
+    b**(level - top) rows of the tables; ``level`` must be at least top.
+    """
+    b = real.base
+    top, width = _chunk_shape(b, real.depth)
+    rows, step = b ** (level - top), b ** (real.depth - level)
+    tables = tuple((np.empty(b**level), np.empty(b**level)) for _ in range(2))
+    chunk = (np.empty(width + 1), np.empty(width + 1))
+    for i in _walk_chunks(real, lambda i: chunk):
+        for f, (lo, hi) in zip(chunk, tables):
+            lo[i * rows : (i + 1) * rows], hi[i * rows : (i + 1) * rows] = _block_min_max(f, rows, step)
+    return tables
+
+
 def grid_min_max(real: CascadeRealization, level: int):
     """Per-word (min, max) of each grid component over closed intervals.
 
@@ -248,7 +312,10 @@ def grid_min_max(real: CascadeRealization, level: int):
     The tables are memoized on the realization and read-only.  A level
     is derived from the nearest finer level already held when there is
     one (a closed word interval is the union of its children's closed
-    intervals, so this is exact), else computed from the grid.
+    intervals, so this is exact).  Else it is reduced from the grid when
+    grid_values has filled it, or from one grid walk that holds no grid
+    (see _streamed_min_max): a level above the chunks' top level
+    directly, a coarser one derived from the top level's tables.
     """
     if not 0 <= level <= real.depth:
         raise ConfigError(f"level {level} outside [0, {real.depth}]")
@@ -257,19 +324,27 @@ def grid_min_max(real: CascadeRealization, level: int):
         return cache[level]
     finer = min((m for m in cache if m > level), default=None)
     if finer is None:
-        blocks = real.base**level
-        step = real.base ** (real.depth - level)
-        tables = tuple(_block_min_max(f, blocks, step) for f in real.grid)
-    else:
+        if real.grid:
+            finer, blocks, step = level, real.base**level, real.base ** (real.depth - level)
+            tables = tuple(_block_min_max(f, blocks, step) for f in real.grid)
+        else:
+            finer = max(level, _chunk_shape(real.base, real.depth)[0])
+            tables = _streamed_min_max(real, finer)
+        cache[finer] = _read_only(tables)
+    if finer != level:
         width = real.base ** (finer - level)
-        tables = tuple(
+        cache[level] = _read_only(tuple(
             (lo.reshape(-1, width).min(axis=1), hi.reshape(-1, width).max(axis=1))
             for lo, hi in cache[finer]
-        )
+        ))
+    return cache[level]
+
+
+def _read_only(tables):
+    """The ((min1, max1), (min2, max2)) tables, each array made read-only."""
     for pair in tables:
         for a in pair:
             a.flags.writeable = False
-    cache[level] = tables
     return tables
 
 
@@ -371,7 +446,7 @@ def export_level(real: CascadeRealization, level: int):
     _, products = _levels(real, level)
     q1, q2 = products[level]
     step = b ** (real.depth - level)
-    f1, f2 = real.grid
+    f1, f2 = grid_values(real)
     digits = [str(d) for d in range(b)]
     sep = "." if b > 10 else ""
     words = (sep.join(p) for p in itertools.product(digits, repeat=level))

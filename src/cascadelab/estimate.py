@@ -410,8 +410,9 @@ def occupation_histogram(
         raise ConfigError(f"bin_count must be >= 8, got {bin_count}")
     if k not in (1, 2):
         raise ConfigError(f"component k must be 1 or 2, got {k}")
-    values = real.grid[k - 1][:-1]
-    lo, hi = float(real.grid[k - 1].min()), float(real.grid[k - 1].max())
+    grid = cascade.grid_values(real)[k - 1]
+    values = grid[:-1]
+    lo, hi = float(grid.min()), float(grid.max())
     if hi == lo:
         hi = lo + 1e-12
     counts, edges = np.histogram(values, bins=bin_count, range=(lo, hi))

@@ -87,21 +87,24 @@ class SignJoint:
 
     @functools.cached_property
     def _bounds(self) -> tuple[float, float, float]:
-        """The first three cumulative bounds, as floats."""
-        c0, c1, c2, _ = self.cumulative().tolist()
+        """The running maximum of the first three cumulative bounds, as floats.
+
+        An accepted probability in [-1e-12, 0) puts its cumulative sum
+        below the one before it; the running maximum keeps the bounds
+        sorted, so such a cell's interval is empty and it is never drawn.
+        """
+        c0, c1, c2 = np.maximum.accumulate(self.cumulative()[:3]).tolist()
         return c0, c1, c2
 
     def sample(self, u: np.ndarray, mag1: float, mag2: float):
         """Signed moduli (+-mag1, +-mag2) for uniforms ``u`` in [0, 1) and moduli >= 0.
 
         Each u falls in the cell ++, +-, -+ or -- given by the number of
-        the first three cumulative bounds at or below it: the cell that
-        ``searchsorted(cumulative(), u, side="right")`` finds when the
-        bounds are monotone, with u past the last bound kept in --.
-        Probabilities down to -1e-12 are accepted, so the bounds need not
-        be monotone; the signs are read off the count, never off a single
-        bound: W1 is negative iff the count is at least 2 (a majority of
-        the three comparisons), W2 iff it is odd (their parity).
+        the sorted bounds (see _bounds) at or below it: the cell that
+        ``searchsorted`` finds, with u past the last bound kept in --.
+        The signs are read off the count, never off a single bound: W1
+        is negative iff the count is at least 2 (a majority of the three
+        comparisons), W2 iff it is odd (their parity).
         """
         c0, c1, c2 = self._bounds
         a, b, c = u >= c0, u >= c1, u >= c2

@@ -83,7 +83,7 @@ def test_acceptance_05_martingale_normalization():
     totals = np.empty((n_seeds, 2))
     for s in range(n_seeds):
         real = cascade.build(FRAC75, seed=s, depth=depth)
-        totals[s] = (real.grid[0][-1], real.grid[1][-1])
+        totals[s] = tuple(f[-1] for f in cascade.grid_values(real))
     elapsed = time.time() - t0
     msgs = []
     for k in range(2):
@@ -237,7 +237,7 @@ def test_acceptance_11_property_suite_spotchecks():
     counts = [c for _, c in est.counts_per_scale]
     assert all(y >= x for x, y in zip(counts, counts[1:]))
     # level-set bracket correctness at one level
-    y = float(real.grid[0][2**15])
+    y = float(cascade.grid_values(real)[0][2**15])
     mm = cascade.grid_min_max(real, 8)[0]
     words, _ = estimate.level_set(real, 1, y, 8)
     hit = {w.index for w in words}

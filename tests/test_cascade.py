@@ -20,23 +20,23 @@ TABLE = DiscreteTable(2, (((0.3, 0.7), 0.5), ((0.7, 0.3), 0.5)))
 def test_identity_cascade_grid_is_identity():
     real = cascade.build(IDENTITY, seed=5, depth=10)
     expected = np.arange(2**10 + 1) / 2**10
-    assert np.allclose(real.grid[0], expected, atol=1e-14)
-    assert np.allclose(real.grid[1], expected, atol=1e-14)
+    assert np.allclose(cascade.grid_values(real)[0], expected, atol=1e-14)
+    assert np.allclose(cascade.grid_values(real)[1], expected, atol=1e-14)
 
 
 def test_single_atom_table_gives_identity_grid():
     m = DiscreteTable(2, (((0.5, 0.5), 1.0),))
     real = cascade.build(m, seed=1, depth=8)
-    assert np.allclose(real.grid[0], np.arange(257) / 256, atol=1e-14)
+    assert np.allclose(cascade.grid_values(real)[0], np.arange(257) / 256, atol=1e-14)
 
 
 def test_build_is_deterministic():
     a = cascade.build(FRAC, seed=123, depth=10)
     b = cascade.build(FRAC, seed=123, depth=10)
-    assert np.array_equal(a.grid[0], b.grid[0])
-    assert np.array_equal(a.grid[1], b.grid[1])
+    assert np.array_equal(cascade.grid_values(a)[0], cascade.grid_values(b)[0])
+    assert np.array_equal(cascade.grid_values(a)[1], cascade.grid_values(b)[1])
     c = cascade.build(FRAC, seed=124, depth=10)
-    assert not np.array_equal(a.grid[0], c.grid[0])
+    assert not np.array_equal(cascade.grid_values(a)[0], cascade.grid_values(c)[0])
 
 
 def test_prefix_stability_across_depths():
@@ -98,8 +98,8 @@ def test_increment_at_full_depth_equals_product():
 def test_increment_of_empty_word_is_total_mass():
     real = cascade.build(FRAC, seed=11, depth=9)
     d1, d2 = cascade.increment(real, Word(2))
-    assert d1 == pytest.approx(float(real.grid[0][-1]), rel=1e-14)
-    assert d2 == pytest.approx(float(real.grid[1][-1]), rel=1e-14)
+    assert d1 == pytest.approx(float(cascade.grid_values(real)[0][-1]), rel=1e-14)
+    assert d2 == pytest.approx(float(cascade.grid_values(real)[1][-1]), rel=1e-14)
 
 
 def test_increments_telescope():
@@ -117,7 +117,7 @@ def test_total_mass_is_one_in_mean():
     totals = np.empty((n_seeds, 2))
     for s in range(n_seeds):
         real = cascade.build(FRAC, seed=s, depth=8)
-        totals[s] = (real.grid[0][-1], real.grid[1][-1])
+        totals[s] = (cascade.grid_values(real)[0][-1], cascade.grid_values(real)[1][-1])
     for k in range(2):
         err = abs(totals[:, k].mean() - 1.0)
         assert err <= 4.0 * totals[:, k].std() / math.sqrt(n_seeds)
@@ -131,8 +131,8 @@ def test_refinement_is_a_martingale_step():
     for s in range(n_seeds):
         a = cascade.build(FRAC, seed=s, depth=n)
         b = cascade.build(FRAC, seed=s, depth=n + 1)
-        f_n = a.grid[0][t_idx_coarse * 2 ** (n - 1)]
-        f_n1 = b.grid[0][t_idx_coarse * 2**n]
+        f_n = cascade.grid_values(a)[0][t_idx_coarse * 2 ** (n - 1)]
+        f_n1 = cascade.grid_values(b)[0][t_idx_coarse * 2**n]
         diffs[s] = f_n1 - f_n
     assert abs(diffs.mean()) <= 4.0 * diffs.std() / math.sqrt(n_seeds)
 
@@ -155,7 +155,7 @@ def test_monotone_model_oscillation_equals_increment():
     table = cascade.oscillations(real, 4)
     # monotone grid: oscillation over a closed interval = endpoint increment
     step = 2 ** (10 - 4)
-    inc1 = real.grid[0][step::step] - real.grid[0][:-1:step]
+    inc1 = cascade.grid_values(real)[0][step::step] - cascade.grid_values(real)[0][:-1:step]
     assert np.allclose(table.o1, inc1, atol=1e-14)
 
 
@@ -165,7 +165,7 @@ def test_oscillation_dominates_children_and_increment():
     child = cascade.oscillations(real, 6)
     assert np.all(parent.o1 >= np.maximum(child.o1[0::2], child.o1[1::2]) - 1e-15)
     step = 2**7
-    inc = np.abs(real.grid[0][step::step] - real.grid[0][:-1:step])
+    inc = np.abs(cascade.grid_values(real)[0][step::step] - cascade.grid_values(real)[0][:-1:step])
     assert np.all(parent.o1 >= inc - 1e-15)
 
 
@@ -294,8 +294,10 @@ def test_export_level():
 
 
 def block_min_max_oracle(real, level):
+    """The block reduction over the eager grid, leaving ``real``'s memos as they are."""
     blocks, step = real.base**level, real.base ** (real.depth - level)
-    return tuple(cascade._block_min_max(f, blocks, step) for f in real.grid)
+    grid = eager_build(real.model, real.seed, real.depth)[2]
+    return tuple(cascade._block_min_max(f, blocks, step) for f in grid)
 
 
 MIN_MAX_CASES = [(Fractional(2, 0.75, 0.75), 10), (Fractional(3, 0.7, 0.9), 6), (Fractional(4, 0.75, 0.75), 5)]
@@ -334,7 +336,7 @@ def test_grid_min_max_tables_are_read_only():
 
 def test_seeds_at_and_above_two_to_the_63_give_distinct_streams():
     seeds = (2**63, 2**63 + 1, 2**64 - 1)
-    grids = [cascade.build(FRAC, seed, depth=8).grid[0] for seed in seeds]
+    grids = [cascade.grid_values(cascade.build(FRAC, seed, depth=8))[0] for seed in seeds]
     for i in range(len(grids)):
         for j in range(i):
             assert not np.array_equal(grids[i], grids[j])
@@ -402,7 +404,7 @@ def assert_same_bytes(got, want):
 def test_grid_is_bit_identical_to_eager_build(b, depth):
     for model in kinds(b):
         real = cascade.build(model, seed=21, depth=depth)
-        assert_same_bytes(real.grid, eager_build.__wrapped__(model, 21, depth)[2])
+        assert_same_bytes(cascade.grid_values(real), eager_build.__wrapped__(model, 21, depth)[2])
 
 
 # SHA-256 of the little-endian grid bytes at seed 21.  The eager build above draws
@@ -430,7 +432,7 @@ def golden_model(b, name):
 # (2, 17) and (3, 12) span 2 and 9 chunks of 2**16 leaves
 @pytest.mark.parametrize("b,depth,name", sorted(GOLDEN_GRIDS))
 def test_grid_bytes_equal_the_pinned_digest(b, depth, name):
-    grid = cascade.build(golden_model(b, name), seed=21, depth=depth).grid
+    grid = cascade.grid_values(cascade.build(golden_model(b, name), seed=21, depth=depth))
     digest = hashlib.sha256(b"".join(f.astype("<f8").tobytes() for f in grid)).hexdigest()
     assert digest == GOLDEN_GRIDS[b, depth, name]
 
@@ -440,39 +442,63 @@ def test_grid_keeps_the_sign_of_negative_zero_products(seed):
     # grid[k][1] is -0.0 at seeds 0 and 4; the byte comparison sees its sign bit
     model = DiscreteTable(2, (((-0.0, -0.0), 0.5), ((0.5, 0.5), 0.5)))
     real = cascade.build(model, seed=seed, depth=3)
-    assert_same_bytes(real.grid, eager_build.__wrapped__(model, seed, 3)[2])
+    assert_same_bytes(cascade.grid_values(real), eager_build.__wrapped__(model, seed, 3)[2])
+
+
+def held_bytes(real):
+    return sum(a.nbytes for a in [a for pair in real.weights + real.products for a in pair] + list(real.grid))
 
 
 def test_build_holds_only_the_grid_and_the_root_pair():
+    # build holds the root pair; grid_values adds the grid and nothing else
     real = cascade.build(FRAC, seed=3, depth=10)
-    assert real.weights == []
+    assert real.weights == [] and real.grid == () and real._min_max == {}
     assert [(list(q1), list(q2)) for q1, q2 in real.products] == [([1.0], [1.0])]
-    held = [a for pair in real.weights + real.products for a in pair] + list(real.grid)
-    assert sum(a.nbytes for a in held) == 16 * (2**10 + 1) + 16
+    assert held_bytes(real) == 16
+    cascade.grid_values(real)
+    assert held_bytes(real) == 16 * (2**10 + 1) + 16
+    assert cascade.grid_values(real) is real.grid
 
 
-def test_build_peak_memory_is_at_most_three_grids():
-    model = Fractional(2, 0.75, 0.75)
-    cascade.build(model, seed=1, depth=2)  # one-off allocations of a first call
+def peak_bytes(fn, *args):
+    """``fn(*args)`` and the tracemalloc peak of its call."""
     tracemalloc.start()
     try:
-        real = cascade.build(model, seed=1, depth=18)
+        result = fn(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * sum(a.nbytes for a in real.grid)
+    return result, peak
+
+
+def test_build_peak_memory_is_at_most_three_grids():
+    # the build that materializes the grid: grid_values
+    model = Fractional(2, 0.75, 0.75)
+    cascade.grid_values(cascade.build(model, seed=1, depth=2))  # one-off allocations of a first call
+    grid, peak = peak_bytes(cascade.grid_values, cascade.build(model, seed=1, depth=18))
+    assert peak <= 3 * sum(a.nbytes for a in grid)
 
 
 @pytest.mark.parametrize("model", kinds(2), ids=lambda m: type(m).__name__)
 def test_build_peak_memory_is_the_grid_plus_one_chunk(model):
-    cascade.build(model, seed=1, depth=2)  # one-off allocations of a first call
-    tracemalloc.start()
-    try:
-        real = cascade.build(model, seed=1, depth=20)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * sum(a.nbytes for a in real.grid)
+    # the build that materializes the grid: grid_values
+    cascade.grid_values(cascade.build(model, seed=1, depth=2))  # one-off allocations of a first call
+    grid, peak = peak_bytes(cascade.grid_values, cascade.build(model, seed=1, depth=20))
+    assert peak <= 1.5 * sum(a.nbytes for a in grid)
+
+
+@pytest.mark.parametrize("model", [FRAC, LognormalSigned.from_beta(2, 0.8, 0.1)], ids=lambda m: type(m).__name__)
+def test_streamed_min_max_peak_does_not_grow_with_depth(model):
+    # without a grid the walk holds one chunk buffer plus the tables it fills
+    cascade.grid_min_max(cascade.build(model, seed=1, depth=6), 2)  # one-off allocations of a first call
+    above_tables = []
+    for depth in (18, 22):
+        real = cascade.build(model, seed=1, depth=depth)
+        tables, peak = peak_bytes(cascade.grid_min_max, real, depth - 4)
+        assert real.grid == ()
+        above_tables.append(peak - sum(a.nbytes for pair in tables for a in pair))
+    assert above_tables[1] <= 1.05 * above_tables[0]
+    assert above_tables[0] <= 6 * 16 * cascade._CHUNK_CELLS  # a few arrays of one chunk's size
 
 
 def test_readers_regenerate_levels_equal_to_the_eager_build():
@@ -491,11 +517,58 @@ def test_readers_regenerate_levels_equal_to_the_eager_build():
 
 def test_grid_readers_regenerate_no_weights():
     real = cascade.build(FRAC, seed=4, depth=16)
+    y = float(cascade.grid_values(cascade.build(FRAC, seed=4, depth=16))[0][2**15])
     estimate.image_box_dim(real, estimate.cantor_set(2, (0, 1), 4))
     estimate.partition_function(real, (1.0, 1.0), 2, 8)
-    estimate.level_set(real, 1, float(real.grid[0][2**15]), 8)
+    estimate.holder_exponents(real, [0, 5, 2**12 - 1], 3, 12)
+    estimate.level_set(real, 1, y, 8)
     assert real.weights == []
     assert len(real.products) == 1
+    assert real.grid == ()
+
+
+def test_realizations_compare_by_model_seed_and_depth():
+    a, b = cascade.build(FRAC, 1, 6), cascade.build(FRAC, 1, 6)
+    assert a == b
+    assert a != cascade.build(FRAC, 2, 6)
+    assert a != cascade.build(FRAC, 1, 7)
+    assert a != cascade.build(TABLE, 1, 6)
+    cascade.grid_values(a)
+    cascade.grid_min_max(b, 3)
+    assert a == b and b == a
+
+
+# levels 0, below the chunks' top level (none but 0 at (4, 9)), at it, above it, and the depth
+MIN_MAX_LEVELS = {(2, 19): (0, 1, 3, 10, 19), (3, 12): (0, 1, 2, 7, 12), (4, 9): (0, 1, 5, 9)}
+
+
+@pytest.mark.parametrize("b,depth", sorted(MIN_MAX_LEVELS))
+def test_streamed_min_max_equals_the_block_reduction_of_the_grid(b, depth):
+    top, _ = cascade._chunk_shape(b, depth)
+    assert top in MIN_MAX_LEVELS[b, depth] and top > 0  # several chunks
+    for model in kinds(b):
+        grid = eager_build.__wrapped__(model, 21, depth)[2]
+        for level in MIN_MAX_LEVELS[b, depth]:
+            real = cascade.build(model, seed=21, depth=depth)
+            got = cascade.grid_min_max(real, level)
+            blocks, step = b**level, b ** (depth - level)
+            for pair, f in zip(got, grid, strict=True):
+                assert_same_bytes(pair, cascade._block_min_max(f, blocks, step))
+            assert real.grid == ()
+
+
+@pytest.mark.parametrize("chunk_cells", [2, 2**16])
+@pytest.mark.parametrize("seed", [0, 4])
+def test_streamed_min_max_keeps_the_sign_of_negative_zero(seed, chunk_cells, monkeypatch):
+    # grid[k][1] is -0.0 at seeds 0 and 4; chunks of 2 leaves carry it across a chunk boundary
+    monkeypatch.setattr(cascade, "_CHUNK_CELLS", chunk_cells)
+    model = DiscreteTable(2, (((-0.0, -0.0), 0.5), ((0.5, 0.5), 0.5)))
+    grid = eager_build.__wrapped__(model, seed, 3)[2]
+    assert np.signbit(grid[0][1])
+    for level in range(4):
+        got = cascade.grid_min_max(cascade.build(model, seed=seed, depth=3), level)
+        for pair, f in zip(got, grid, strict=True):
+            assert_same_bytes(pair, cascade._block_min_max(f, 2**level, 2 ** (3 - level)))
 
 
 def test_negative_target_depth_is_a_config_error():

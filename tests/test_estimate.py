@@ -252,7 +252,7 @@ def test_empty_level_set_convention():
 
 def test_level_crossing_counts_are_nondecreasing():
     real = cascade.build(FRAC, seed=9, depth=12)
-    y = float(real.grid[0][2**11])  # an attained value
+    y = float(cascade.grid_values(real)[0][2**11])  # an attained value
     counts = estimate.level_crossing_counts(real, 1, y, 2, 8)
     assert np.all(np.diff(counts) >= 0)
     assert counts[0] >= 1

@@ -322,11 +322,11 @@ def test_threshold_signs_equal_searchsorted_cells(sj):
 )
 def test_signs_follow_the_bound_count_when_bounds_are_not_monotone(sj):
     # a probability of -1e-13 is accepted, and puts one bound just below the one before it;
-    # searchsorted is undefined there, so the oracle counts the bounds at or below u
+    # the oracle counts the bounds of the running maximum at or below u
     cum = sj.cumulative()
     assert np.any(np.diff(cum) < 0.0)
     u = bound_uniforms(sj)
-    cell = (u[:, None] >= cum[:3]).sum(axis=1)
+    cell = (u[:, None] >= np.maximum.accumulate(cum[:3])).sum(axis=1)
     w1, w2 = sj.sample(u, 0.5, 0.25)
     assert np.array_equal(w1, np.where(cell >= 2, -0.5, 0.5))
     assert np.array_equal(w2, np.where(cell % 2 == 1, -0.25, 0.25))
@@ -356,8 +356,8 @@ def test_lognormal_sampling_matches_searchsorted_oracle():
 
 
 def where_signs(sj, u, mag1, mag2):
-    """The former sampler: both signs read off the bound count with np.where."""
-    c0, c1, c2, _ = sj.cumulative()
+    """The former sampler: both signs read off the count of the sorted bounds with np.where."""
+    c0, c1, c2, _ = np.maximum.accumulate(sj.cumulative())
     cell = (u >= c0).astype(np.uint8)
     cell += u >= c1
     cell += u >= c2
@@ -380,6 +380,24 @@ def test_sign_bits_equal_the_former_where_signs(sj, mags):
         assert a.tobytes() == b.tobytes()
     if mags[0] == 0.0:  # a negative sign on a zero modulus is -0.0
         assert np.signbit(got[0]).any() and not np.signbit(got[0]).all()
+
+
+NEGATIVE_CELL_TABLES = [
+    SignJoint(-1e-13, 0.5 + 1e-13, 0.25, 0.25),
+    SignJoint(0.5, -1e-13, 0.25, 0.25 + 1e-13),
+    SignJoint(0.5, 0.25, -1e-13, 0.25 + 1e-13),
+    SignJoint(0.5, 0.25, 0.25 + 1e-13, -1e-13),
+    SignJoint(0.5, -1e-13, -1e-13, 0.5 + 2e-13),
+]
+
+
+@pytest.mark.parametrize("sj", NEGATIVE_CELL_TABLES)
+def test_cells_of_negative_probability_are_never_drawn(sj):
+    u = bound_uniforms(sj)
+    w1, w2 = sj.sample(u, 0.5, 0.25)
+    drawn = {(bool(a), bool(b)) for a, b in zip(np.signbit(w1), np.signbit(w2))}
+    probs = {(False, False): sj.pp, (False, True): sj.pm, (True, False): sj.mp, (True, True): sj.mm}
+    assert drawn == {cell for cell, p in probs.items() if p > 0.0}
 
 
 def test_mixed_sampling_matches_the_former_where_formula():
