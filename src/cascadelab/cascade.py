@@ -165,7 +165,7 @@ def build(
         raise ResourceError(
             f"b**(depth+1) = {b**(depth + 1)} exceeds cell budget {cell_budget}"
         )
-    _philox_key(seed, 0)
+    _philox_key(seed, 0)  # the seed check every level's stream makes
     return CascadeRealization(model, seed, depth)
 
 

@@ -83,7 +83,7 @@ def test_acceptance_05_martingale_normalization():
     totals = np.empty((n_seeds, 2))
     for s in range(n_seeds):
         real = cascade.build(FRAC75, seed=s, depth=depth)
-        totals[s] = tuple(f[-1] for f in cascade.grid_values(real))
+        totals[s] = [f[-1] for f in cascade.grid_values(real)]
     elapsed = time.time() - t0
     msgs = []
     for k in range(2):

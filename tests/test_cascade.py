@@ -20,8 +20,8 @@ TABLE = DiscreteTable(2, (((0.3, 0.7), 0.5), ((0.7, 0.3), 0.5)))
 def test_identity_cascade_grid_is_identity():
     real = cascade.build(IDENTITY, seed=5, depth=10)
     expected = np.arange(2**10 + 1) / 2**10
-    assert np.allclose(cascade.grid_values(real)[0], expected, atol=1e-14)
-    assert np.allclose(cascade.grid_values(real)[1], expected, atol=1e-14)
+    for f in cascade.grid_values(real):
+        assert np.allclose(f, expected, atol=1e-14)
 
 
 def test_single_atom_table_gives_identity_grid():
@@ -33,10 +33,11 @@ def test_single_atom_table_gives_identity_grid():
 def test_build_is_deterministic():
     a = cascade.build(FRAC, seed=123, depth=10)
     b = cascade.build(FRAC, seed=123, depth=10)
-    assert np.array_equal(cascade.grid_values(a)[0], cascade.grid_values(b)[0])
-    assert np.array_equal(cascade.grid_values(a)[1], cascade.grid_values(b)[1])
+    (a1, a2), (b1, b2) = cascade.grid_values(a), cascade.grid_values(b)
+    assert np.array_equal(a1, b1)
+    assert np.array_equal(a2, b2)
     c = cascade.build(FRAC, seed=124, depth=10)
-    assert not np.array_equal(cascade.grid_values(a)[0], cascade.grid_values(c)[0])
+    assert not np.array_equal(a1, cascade.grid_values(c)[0])
 
 
 def test_prefix_stability_across_depths():
@@ -98,8 +99,9 @@ def test_increment_at_full_depth_equals_product():
 def test_increment_of_empty_word_is_total_mass():
     real = cascade.build(FRAC, seed=11, depth=9)
     d1, d2 = cascade.increment(real, Word(2))
-    assert d1 == pytest.approx(float(cascade.grid_values(real)[0][-1]), rel=1e-14)
-    assert d2 == pytest.approx(float(cascade.grid_values(real)[1][-1]), rel=1e-14)
+    f1, f2 = cascade.grid_values(real)
+    assert d1 == pytest.approx(float(f1[-1]), rel=1e-14)
+    assert d2 == pytest.approx(float(f2[-1]), rel=1e-14)
 
 
 def test_increments_telescope():
@@ -117,7 +119,7 @@ def test_total_mass_is_one_in_mean():
     totals = np.empty((n_seeds, 2))
     for s in range(n_seeds):
         real = cascade.build(FRAC, seed=s, depth=8)
-        totals[s] = (cascade.grid_values(real)[0][-1], cascade.grid_values(real)[1][-1])
+        totals[s] = [f[-1] for f in cascade.grid_values(real)]
     for k in range(2):
         err = abs(totals[:, k].mean() - 1.0)
         assert err <= 4.0 * totals[:, k].std() / math.sqrt(n_seeds)
@@ -155,7 +157,8 @@ def test_monotone_model_oscillation_equals_increment():
     table = cascade.oscillations(real, 4)
     # monotone grid: oscillation over a closed interval = endpoint increment
     step = 2 ** (10 - 4)
-    inc1 = cascade.grid_values(real)[0][step::step] - cascade.grid_values(real)[0][:-1:step]
+    f1 = cascade.grid_values(real)[0]
+    inc1 = f1[step::step] - f1[:-1:step]
     assert np.allclose(table.o1, inc1, atol=1e-14)
 
 
@@ -165,7 +168,8 @@ def test_oscillation_dominates_children_and_increment():
     child = cascade.oscillations(real, 6)
     assert np.all(parent.o1 >= np.maximum(child.o1[0::2], child.o1[1::2]) - 1e-15)
     step = 2**7
-    inc = np.abs(cascade.grid_values(real)[0][step::step] - cascade.grid_values(real)[0][:-1:step])
+    f1 = cascade.grid_values(real)[0]
+    inc = np.abs(f1[step::step] - f1[:-1:step])
     assert np.all(parent.o1 >= inc - 1e-15)
 
 
@@ -320,10 +324,19 @@ def test_memoized_grid_min_max_equals_block_oracle(model, depth, order):
     assert cascade.grid_min_max(real, 3) is cascade.grid_min_max(real, 3)
 
 
+def test_grid_min_max_reduces_a_held_grid_without_walking_again(monkeypatch):
+    real = cascade.build(TABLE, seed=2, depth=12)
+    cascade.grid_values(real)
+    monkeypatch.setattr(cascade, "_walk_chunks", None)  # a second walk would raise
+    for level in (7, 12, 9, 0):  # 7 and 12 from the grid, 9 and 0 derived
+        for (lo, hi), (lo_w, hi_w) in zip(cascade.grid_min_max(real, level), block_min_max_oracle(real, level)):
+            assert np.array_equal(lo, lo_w) and np.array_equal(hi, hi_w)
+
+
 def test_grid_min_max_tables_are_read_only():
     real = cascade.build(FRAC, seed=1, depth=8)
     cascade.grid_min_max(real, 8)
-    for level in (8, 4):  # computed from the grid, then derived from level 8
+    for level in (8, 4):  # reduced from a grid walk, then derived from level 8
         for pair in cascade.grid_min_max(real, level):
             for a in pair:
                 with pytest.raises(ValueError):
@@ -446,7 +459,8 @@ def test_grid_keeps_the_sign_of_negative_zero_products(seed):
 
 
 def held_bytes(real):
-    return sum(a.nbytes for a in [a for pair in real.weights + real.products for a in pair] + list(real.grid))
+    arrays = [a for pair in real.weights + real.products for a in pair] + list(real.grid)
+    return sum(a.nbytes for a in arrays)
 
 
 def test_build_holds_only_the_grid_and_the_root_pair():
