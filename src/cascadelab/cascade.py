@@ -23,13 +23,17 @@ order: build(model, seed, n) and build(model, seed, n+1) agree
 bit-exactly on all levels up to n, and a level regenerated from its
 stream is bit-identical to every other draw of it.
 
-The grid is walked in cache-sized chunks (see _walk_chunks): the top
-levels whole, then the subtrees of at most _CHUNK_CELLS = 2**16 leaves
-in index order, each one's slice of every deeper level drawn from the
-level's stream, multiplied out and summed.  grid_values sums the chunks
-into a preallocated grid; grid_min_max sums each into one reusable
-chunk buffer and reduces it to its rows of a min/max table, so its peak
-is one chunk plus the table, whatever the depth.
+The grid is walked in cache-sized chunks (see _walk_chunks): every
+level of at most _WHOLE_LEVEL_CELLS = 2**12 nodes, and every level
+above the chunks, is built whole; then the subtrees of at most
+_CHUNK_CELLS = 2**16 leaves are visited in index order, each one's
+slice of every larger level drawn from the level's stream, multiplied
+out and summed.  grid_values sums the chunks into a preallocated grid;
+grid_min_max sums each into one reusable chunk buffer and reduces it to
+its rows of a min/max table, so its peak is one chunk plus the table,
+whatever the depth.  A held grid is reduced the same way, one chunk-wide
+slice at a time.  Every min/max table comes from one strided fold (see
+_fold), which turns each run of neighbours into one value.
 """
 
 from __future__ import annotations
@@ -48,6 +52,8 @@ from .words import Word
 
 DEFAULT_CELL_BUDGET = 2**26
 _CHUNK_CELLS = 2**16  # leaves of the subtree a grid walk samples and sums at once
+_WHOLE_LEVEL_CELLS = 2**12  # a grid walk builds every level of at most this many nodes whole
+_FOLD_RUN_MAX = 32  # _fold reduces each run in one call when it is longer
 
 
 def _philox_key(seed: int, level: int) -> np.ndarray:
@@ -186,25 +192,30 @@ def _walk_chunks(real: CascadeRealization, frame):
 
     ``frame(i)`` returns two arrays of width + 1 values (see _chunk_shape)
     that take (F1, F2) at the leaf points i * width .. (i + 1) * width of
-    chunk i.  The levels down to top are built whole; then each chunk's
-    slices of the deeper levels are drawn from their streams (see
-    _LevelStream) and multiplied out, slot 0 of its frame is set to the
-    value the previous chunk ended on (0.0 before the first), and the
-    rest to the cumulative sum of its products from there.  The values
-    are bit-identical to one cumsum over a whole-level build.
+    chunk i.  The levels down to top, and every level of at most
+    _WHOLE_LEVEL_CELLS nodes, are built whole; then each chunk's slices of
+    the larger levels are drawn from their streams (see _LevelStream) and
+    multiplied out, slot 0 of its frame is set to the value the previous
+    chunk ended on (0.0 before the first), and the rest to the cumulative
+    sum of its products from there.  The values are bit-identical to one
+    cumsum over a whole-level build.
     """
     model, seed, depth, b = real.model, real.seed, real.depth, real.base
     top, _ = _chunk_shape(b, depth)
+    whole = top
+    while whole < depth and b ** (whole + 1) <= _WHOLE_LEVEL_CELLS:
+        whole += 1
     q1 = q2 = np.ones(1)
-    for m in range(1, top + 1):
+    for m in range(1, whole + 1):
         w1, w2 = level_weights(model, seed, m)
         q1 = _next_products(q1, w1, b)
         q2 = _next_products(q2, w2, b)
-    streams = [_LevelStream(seed, m, b**m) for m in range(top + 1, depth + 1)]
+    span = b ** (whole - top)  # level-whole words under each chunk
+    streams = [_LevelStream(seed, m, b**m) for m in range(whole + 1, depth + 1)]
     ends = (0.0, 0.0)
     for i in range(b**top):
-        c1, c2 = q1[i : i + 1], q2[i : i + 1]
-        for k, stream in enumerate(streams, 1):
+        c1, c2 = q1[i * span : (i + 1) * span], q2[i * span : (i + 1) * span]
+        for k, stream in enumerate(streams, whole - top + 1):
             w1, w2 = model.sample_pairs(stream, b**k)
             c1 = _next_products(c1, w1, b)
             c2 = _next_products(c2, w2, b)
@@ -278,30 +289,52 @@ def increment(real: CascadeRealization, w: Word) -> tuple[float, float]:
     )
 
 
-def _block_min_max(values: np.ndarray, blocks: int, step: int):
-    """Min and max of values over each closed block [j*step, (j+1)*step]."""
-    starts = np.arange(blocks) * step
-    right = values[starts + step]
-    mins = np.minimum(np.minimum.reduceat(values[:-1], starts), right)
-    maxs = np.maximum(np.maximum.reduceat(values[:-1], starts), right)
-    return mins, maxs
+def _fold(a: np.ndarray, b: int, ufunc, out=None) -> np.ndarray:
+    """``ufunc`` over each run of b neighbours of ``a``: one value per run, into ``out``.
+
+    ufunc(a[0::b], a[1::b]), then ufunc of that with a[2::b], and so on:
+    b - 1 calls, and no array but ``out``.  numpy's elementwise minimum
+    and maximum return their second argument on a tie, so of two equal
+    zeros the later one's sign is kept.  A run longer than _FOLD_RUN_MAX
+    costs less as one ``reduceat`` call over the runs, which is used
+    instead.  Runs of one value are ``a`` itself.
+    """
+    if b == 1:
+        return a
+    if b > _FOLD_RUN_MAX:
+        return ufunc.reduceat(a, np.arange(0, len(a), b), out=out)
+    out = ufunc(a[0::b], a[1::b], out=out)
+    for k in range(2, b):
+        ufunc(out, a[k::b], out=out)
+    return out
 
 
-def _streamed_min_max(real: CascadeRealization, level: int):
-    """Level ``level``'s tables from one grid walk, without the grid.
+def _chunked_min_max(real: CascadeRealization, level: int):
+    """Level ``level``'s tables, reduced one chunk at a time; ``level`` must be at least top.
 
-    Each chunk is summed into the same reusable buffer, the closed
-    interval of its level-top word (see _walk_chunks), and reduced to its
-    b**(level - top) rows of the tables; ``level`` must be at least top.
+    The chunks are the closed intervals of the level-top words (see
+    _chunk_shape), each reduced to its b**(level - top) rows: row j's
+    closed block f[j * step .. (j + 1) * step] is its first step values
+    folded (see _fold), then its right end.  The chunks are slices of
+    ``real.grid`` when grid_values has filled it; else the grid walk sums
+    each into one reusable buffer (see _walk_chunks), and no grid is
+    held.  Either way the peak is the tables plus a few arrays of one
+    chunk's size.
     """
     b = real.base
     top, width = _chunk_shape(b, real.depth)
     rows, step = b ** (level - top), b ** (real.depth - level)
     tables = tuple((np.empty(b**level), np.empty(b**level)) for _ in range(2))
-    chunk = (np.empty(width + 1), np.empty(width + 1))
-    for i in _walk_chunks(real, lambda i: chunk):
-        for f, (lo, hi) in zip(chunk, tables):
-            lo[i * rows : (i + 1) * rows], hi[i * rows : (i + 1) * rows] = _block_min_max(f, rows, step)
+    if real.grid:
+        chunks = (tuple(f[i * width : (i + 1) * width + 1] for f in real.grid) for i in range(b**top))
+    else:
+        buffer = (np.empty(width + 1), np.empty(width + 1))
+        chunks = (buffer for _ in _walk_chunks(real, lambda i: buffer))
+    for i, chunk in enumerate(chunks):
+        for f, pair in zip(chunk, tables):
+            for ufunc, table in zip((np.minimum, np.maximum), pair):
+                out = table[i * rows : (i + 1) * rows]
+                ufunc(_fold(f[:-1], step, ufunc, out), f[step::step], out=out)
     return tables
 
 
@@ -311,11 +344,13 @@ def grid_min_max(real: CascadeRealization, level: int):
     Returns ((min1, max1), (min2, max2)) arrays of length base**level.
     The tables are memoized on the realization and read-only.  A level
     is derived from the nearest finer level already held when there is
-    one (a closed word interval is the union of its children's closed
-    intervals, so this is exact).  Else it is reduced from the grid when
-    grid_values has filled it, or from one grid walk that holds no grid
-    (see _streamed_min_max): a level above the chunks' top level
-    directly, a coarser one derived from the top level's tables.
+    one, by folding each word's b**(finer - level) descendants (see
+    _fold): a closed word interval is the union of its children's closed
+    intervals, so this is exact.  Else a level at or above the chunks' top level is
+    reduced chunk by chunk, from the held grid when grid_values has
+    filled it or from one grid walk that holds no grid (see
+    _chunked_min_max), and a coarser level is derived from the top
+    level's tables.
     """
     if not 0 <= level <= real.depth:
         raise ConfigError(f"level {level} outside [0, {real.depth}]")
@@ -324,18 +359,12 @@ def grid_min_max(real: CascadeRealization, level: int):
         return cache[level]
     finer = min((m for m in cache if m > level), default=None)
     if finer is None:
-        if real.grid:
-            finer, blocks, step = level, real.base**level, real.base ** (real.depth - level)
-            tables = tuple(_block_min_max(f, blocks, step) for f in real.grid)
-        else:
-            finer = max(level, _chunk_shape(real.base, real.depth)[0])
-            tables = _streamed_min_max(real, finer)
-        cache[finer] = _read_only(tables)
+        finer = max(level, _chunk_shape(real.base, real.depth)[0])
+        cache[finer] = _read_only(_chunked_min_max(real, finer))
     if finer != level:
-        width = real.base ** (finer - level)
+        run = real.base ** (finer - level)
         cache[level] = _read_only(tuple(
-            (lo.reshape(-1, width).min(axis=1), hi.reshape(-1, width).max(axis=1))
-            for lo, hi in cache[finer]
+            (_fold(lo, run, np.minimum), _fold(hi, run, np.maximum)) for lo, hi in cache[finer]
         ))
     return cache[level]
 

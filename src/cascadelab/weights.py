@@ -92,8 +92,15 @@ class SignJoint:
         An accepted probability in [-1e-12, 0) puts its cumulative sum
         below the one before it; the running maximum keeps the bounds
         sorted, so such a cell's interval is empty and it is never drawn.
+        The cells after the last one of non-negative probability get the
+        bound inf, so a u at or past the last finite bound (probabilities
+        summing to just below 1) falls in that cell, not in a negative one.
         """
-        c0, c1, c2 = np.maximum.accumulate(self.cumulative()[:3]).tolist()
+        probs = (self.pp, self.pm, self.mp, self.mm)
+        last = max(k for k, p in enumerate(probs) if p >= 0.0)
+        bounds = np.maximum.accumulate(self.cumulative()[:3])
+        bounds[last:] = np.inf
+        c0, c1, c2 = bounds.tolist()
         return c0, c1, c2
 
     def sample(self, u: np.ndarray, mag1: float, mag2: float):
@@ -101,20 +108,17 @@ class SignJoint:
 
         Each u falls in the cell ++, +-, -+ or -- given by the number of
         the sorted bounds (see _bounds) at or below it: the cell that
-        ``searchsorted`` finds, with u past the last bound kept in --.
-        The signs are read off the count, never off a single bound: W1
-        is negative iff the count is at least 2 (a majority of the three
-        comparisons), W2 iff it is odd (their parity).
+        ``searchsorted`` finds.  The signs are read off the count, never
+        off a single cumulative sum: W1 is negative iff the count is at
+        least 2, which for sorted bounds is u >= c1 alone (u >= c2 implies
+        it, and it implies u >= c0); W2 iff the count is odd (the parity
+        of the three comparisons).
         """
         c0, c1, c2 = self._bounds
         a, b, c = u >= c0, u >= c1, u >= c2
         odd = a ^ b
         odd ^= c
-        a_or_b = a | b
-        a &= b
-        a_or_b &= c
-        a |= a_or_b
-        return _with_sign(a, mag1), _with_sign(odd, mag2)
+        return _with_sign(b, mag1), _with_sign(odd, mag2)
 
 
 def _with_sign(negative: np.ndarray, mag: float) -> np.ndarray:
@@ -469,16 +473,22 @@ class DiscreteTable(WeightModel):
 
         An accepted probability in [-1e-12, 0) puts its cumulative sum
         below the one before it; the running maximum keeps the bounds
-        sorted, so such an atom is never the first bound above u.
+        sorted, so such an atom is never the first bound above u.  The
+        last atom of non-negative probability, and every atom after it,
+        get the bound inf, so a u at or past the last finite bound
+        (probabilities summing to just below 1) draws that atom.
         """
-        bounds = np.maximum.accumulate(np.cumsum([p for _, p in self.atoms]))
+        probs = [p for _, p in self.atoms]
+        last = max(k for k, p in enumerate(probs) if p >= 0.0)
+        bounds = np.maximum.accumulate(np.cumsum(probs))
+        bounds[last:] = np.inf
         vals = np.array([v for v, _ in self.atoms])
         return bounds, vals[:, 0].copy(), vals[:, 1].copy()
 
     def sample_pairs(self, rng, size):
-        """Each u draws the first atom whose cumulative bound exceeds it (the last if none does)."""
+        """Each u draws the first atom whose cumulative bound exceeds it (see _draw_table)."""
         bounds, v1, v2 = self._draw_table
-        idx = np.minimum(np.searchsorted(bounds, rng.random(size), side="right"), len(bounds) - 1)
+        idx = np.searchsorted(bounds, rng.random(size), side="right")
         return v1[idx], v2[idx]
 
     def joint_moment(self, q1, q2):

@@ -297,11 +297,20 @@ def test_export_level():
 # memoized grid min/max against the uncached block reduction
 
 
+def reduceat_min_max(values, blocks, step):
+    """The former grid reduction: min and max over each closed block [j*step, (j+1)*step]."""
+    starts = np.arange(blocks) * step
+    right = values[starts + step]
+    mins = np.minimum(np.minimum.reduceat(values[:-1], starts), right)
+    maxs = np.maximum(np.maximum.reduceat(values[:-1], starts), right)
+    return mins, maxs
+
+
 def block_min_max_oracle(real, level):
     """The block reduction over the eager grid, leaving ``real``'s memos as they are."""
     blocks, step = real.base**level, real.base ** (real.depth - level)
     grid = eager_build(real.model, real.seed, real.depth)[2]
-    return tuple(cascade._block_min_max(f, blocks, step) for f in grid)
+    return tuple(reduceat_min_max(f, blocks, step) for f in grid)
 
 
 MIN_MAX_CASES = [(Fractional(2, 0.75, 0.75), 10), (Fractional(3, 0.7, 0.9), 6), (Fractional(4, 0.75, 0.75), 5)]
@@ -567,7 +576,7 @@ def test_streamed_min_max_equals_the_block_reduction_of_the_grid(b, depth):
             got = cascade.grid_min_max(real, level)
             blocks, step = b**level, b ** (depth - level)
             for pair, f in zip(got, grid, strict=True):
-                assert_same_bytes(pair, cascade._block_min_max(f, blocks, step))
+                assert_same_bytes(pair, reduceat_min_max(f, blocks, step))
             assert real.grid == ()
 
 
@@ -582,7 +591,64 @@ def test_streamed_min_max_keeps_the_sign_of_negative_zero(seed, chunk_cells, mon
     for level in range(4):
         got = cascade.grid_min_max(cascade.build(model, seed=seed, depth=3), level)
         for pair, f in zip(got, grid, strict=True):
-            assert_same_bytes(pair, cascade._block_min_max(f, 2**level, 2 ** (3 - level)))
+            assert_same_bytes(pair, reduceat_min_max(f, 2**level, 2 ** (3 - level)))
+
+
+# bases above the fold's limit reduce each run in one call; 32 and 33 sit on either side of it
+@pytest.mark.parametrize("b,depth", [(8192, 1), (256, 2), (33, 3), (32, 3)])
+def test_large_base_min_max_equals_the_block_reduction_of_the_grid(b, depth):
+    for model in kinds(b):
+        grid = eager_build.__wrapped__(model, 3, depth)[2]
+        # coarsest first: each level walked or derived from the top level's tables;
+        # finest first: each level derived from the next finer one
+        for levels in (range(depth + 1), range(depth, -1, -1)):
+            real = cascade.build(model, seed=3, depth=depth)
+            for level in levels:
+                got = cascade.grid_min_max(real, level)
+                for pair, f in zip(got, grid, strict=True):
+                    assert_same_bytes(pair, reduceat_min_max(f, b**level, b ** (depth - level)))
+
+
+def test_fold_keeps_the_later_of_two_tied_zeros():
+    # worked by hand: a tie between +0.0 and -0.0 keeps the one further right
+    a = np.array([0.0, -0.0, 1.0, 0.0, -0.0, -1.0])
+    assert_same_bytes([cascade._fold(a, 2, np.minimum)], [np.array([-0.0, 0.0, -1.0])])
+    assert_same_bytes([cascade._fold(a, 2, np.maximum)], [np.array([-0.0, 1.0, -0.0])])
+    assert_same_bytes([cascade._fold(a, 3, np.minimum)], [np.array([-0.0, -1.0])])
+    assert_same_bytes([cascade._fold(a, 3, np.maximum)], [np.array([1.0, -0.0])])
+    # a held grid with closed level-1 blocks (0.0, -0.0, 0.0) and (0.0, -0.0, 0.5):
+    # the right end is the last value folded in
+    real = cascade.build(FRAC, seed=0, depth=2)
+    real.grid = (np.array([0.0, -0.0, 0.0, -0.0, 0.5]), np.array([-0.0, 0.0, -0.0, 0.0, -0.0]))
+    (lo1, hi1), (lo2, hi2) = cascade.grid_min_max(real, 1)
+    assert_same_bytes((lo1, hi1), (np.array([0.0, -0.0]), np.array([0.0, 0.5])))
+    assert_same_bytes((lo2, hi2), (np.array([-0.0, -0.0]), np.array([-0.0, -0.0])))
+
+
+def test_walk_descends_only_through_levels_above_the_whole_level_limit(monkeypatch):
+    calls = []
+    next_products = cascade._next_products
+    monkeypatch.setattr(cascade, "_next_products", lambda q, w, b: calls.append(len(w)) or next_products(q, w, b))
+    real = cascade.build(FRAC, seed=2, depth=19)
+    grid = cascade.grid_values(real)
+    top, width = cascade._chunk_shape(2, 19)
+    assert (top, width) == (3, 2**16) and 2**12 == cascade._WHOLE_LEVEL_CELLS
+    # levels 1..12 whole, once each; then each of the 8 chunks through levels 13..19
+    assert sorted(set(calls[: 2 * 12])) == [2**m for m in range(1, 13)]
+    assert len(calls) == 2 * (12 + 8 * 7)
+    assert_same_bytes(grid, eager_build.__wrapped__(FRAC, 2, 19)[2])
+
+
+@pytest.mark.parametrize("level", [0, 3, 16, 20])
+def test_held_grid_min_max_peak_is_the_tables_plus_a_chunk(level):
+    # a held grid is reduced one chunk-wide slice at a time, not whole
+    real = cascade.build(FRAC, seed=1, depth=20)
+    cascade.grid_values(real)
+    tables, peak = peak_bytes(cascade.grid_min_max, real, level)
+    table_bytes = sum(a.nbytes for pair in tables for a in pair) + sum(
+        a.nbytes for m, t in real._min_max.items() if m != level for pair in t for a in pair
+    )
+    assert peak - table_bytes <= 2 * 8 * cascade._CHUNK_CELLS
 
 
 def test_negative_target_depth_is_a_config_error():

@@ -400,6 +400,22 @@ def test_cells_of_negative_probability_are_never_drawn(sj):
     assert drawn == {cell for cell, p in probs.items() if p > 0.0}
 
 
+@pytest.mark.parametrize("sj, cell", [
+    (SignJoint(0.25, 0.25, 0.5 - 5e-13, -1e-13), (True, False)),
+    (SignJoint(0.5, 0.5 - 3e-13, -1e-13, -1e-13), (False, True)),
+    (SignJoint(0.5, 0.25, 0.25 - 1e-13, 0.0), (True, True)),  # a zero cell keeps the rounding gap
+])
+def test_u_past_the_last_bound_falls_in_the_last_cell_not_of_negative_probability(sj, cell):
+    top = np.nextafter(1.0, 0.0)
+    u = np.array([top, np.nextafter(sj.cumulative()[2], 1.0), 0.0])
+    w1, w2 = sj.sample(u[:1], 1.0, 1.0)
+    assert (bool(np.signbit(w1[0])), bool(np.signbit(w2[0]))) == cell
+    assert (w1[0], w2[0]) == (-1.0 if cell[0] else 1.0, -1.0 if cell[1] else 1.0)
+    w1, w2 = sj.sample(u, 0.5, 0.25)
+    probs = {(False, False): sj.pp, (False, True): sj.pm, (True, False): sj.mp, (True, True): sj.mm}
+    assert all(probs[bool(a), bool(b)] >= 0.0 for a, b in zip(np.signbit(w1), np.signbit(w2)))
+
+
 def test_mixed_sampling_matches_the_former_where_formula():
     model = Mixed.from_beta(2, 0.8, 0.1)
     w1, w2 = model.sample_pairs(np.random.default_rng(5), 5000)
@@ -437,6 +453,19 @@ def test_table_never_draws_a_negative_probability_atom():
     u = u[(u >= 0.0) & (u < 1.0)]
     w1, _ = table.sample_pairs(FixedUniforms(u), len(u))
     assert np.array_equal(w1, np.where(u < 0.5, 0.1, 0.3))
+
+
+@pytest.mark.parametrize("atoms, drawn", [
+    ((((0.1, 0.1), 0.5), ((0.2, 0.2), 0.5 - 5e-13), ((0.3, 0.3), -1e-13)), 0.2),
+    ((((0.1, 0.1), 0.5), ((0.2, 0.2), 0.5 - 3e-13), ((0.3, 0.3), -1e-13), ((0.4, 0.4), -1e-13)), 0.2),
+    ((((0.1, 0.1), 0.5), ((0.2, 0.2), 0.5 - 1e-13), ((0.3, 0.3), 0.0)), 0.3),  # a zero atom keeps the rounding gap
+])
+def test_table_u_past_the_last_bound_draws_the_last_atom_not_of_negative_probability(atoms, drawn):
+    table = DiscreteTable(2, atoms)
+    second_bound = np.cumsum([p for _, p in atoms])[1]  # the last bound below 1
+    u = [np.nextafter(1.0, 0.0), second_bound, 0.75, 0.25]
+    w1, w2 = table.sample_pairs(FixedUniforms(u), len(u))
+    assert w1.tolist() == w2.tolist() == [drawn, drawn, 0.2, 0.1]
 
 
 @pytest.mark.parametrize("table", [
