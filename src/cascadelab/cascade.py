@@ -28,7 +28,12 @@ level of at most _WHOLE_LEVEL_CELLS = 2**12 nodes, and every level
 above the chunks, is built whole; then the subtrees of at most
 _CHUNK_CELLS = 2**16 leaves are visited in index order, each one's
 slice of every larger level drawn from the level's stream, multiplied
-out and summed.  grid_values sums the chunks into a preallocated grid;
+out and summed.  The walk multiplies in the signed form of
+WeightModel.sample_pairs: a sign byte per node, XOR-ed down the levels,
+and moduli multiplied alone (floats for the fractional kind, one shared
+array for the lognormal kind; see _next_signed).  Float products are
+assembled only at the leaves, bit-identical to signed float products.
+grid_values sums the chunks into a preallocated grid;
 grid_min_max sums each into one reusable chunk buffer and reduces it to
 its rows of a min/max table, so its peak is one chunk plus the table,
 whatever the depth.  A held grid is reduced the same way, one chunk-wide
@@ -47,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, ResourceError
-from .weights import WeightModel
+from .weights import WeightModel, signed_pairs
 from .words import Word
 
 DEFAULT_CELL_BUDGET = 2**26
@@ -56,9 +61,16 @@ _WHOLE_LEVEL_CELLS = 2**12  # a grid walk builds every level of at most this man
 _FOLD_RUN_MAX = 32  # _fold reduces each run in one call when it is longer
 
 
+def integer(value, what: str) -> int:
+    """``value`` as an int: a Python or numpy integer, never a bool; else ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _philox_key(seed: int, level: int) -> np.ndarray:
     """The uint64 pair (seed, level); every seed in [0, 2**64) keys its own streams."""
-    if not 0 <= seed < 2**64:
+    if not 0 <= integer(seed, "seed") < 2**64:
         raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
     return np.array([seed, level], dtype=np.uint64)
 
@@ -128,6 +140,40 @@ def _next_products(q: np.ndarray, w: np.ndarray, b: int) -> np.ndarray:
     return w
 
 
+def _next_signed(q: tuple, w: tuple, b: int) -> tuple:
+    """Level-m signed products from level m-1's, written over ``w``'s arrays and returned.
+
+    ``q`` and ``w`` are in the signed form of ``WeightModel.sample_pairs``:
+    each parent's sign byte is XOR-ed into its b children's, and each
+    modulus is the parent's times the child's.  Float moduli stay floats;
+    a modulus array shared by both components is multiplied once.  The
+    products are bit-identical to the float ones, since IEEE multiplication
+    is sign-symmetric: |fl(x * y)| = fl(|x| * |y|).
+    """
+    (ps, p1, p2), (signs, m1, m2) = q, w
+    signs ^= np.repeat(ps, b)
+    n1 = _times(p1, m1, b)
+    n2 = n1 if m2 is m1 and p2 is p1 else _times(p2, m2, b)
+    return signs, n1, n2
+
+
+def _times(p, m, b: int):
+    """Child moduli ``m`` times their parents' ``p``: a float, or ``m`` multiplied in place."""
+    if np.ndim(m) == 0:
+        return p * m
+    children = m.reshape(-1, b)
+    np.multiply(p[:, None] if np.ndim(p) else p, children, out=children)
+    return m
+
+
+def _slice(q: tuple, lo: int, hi: int) -> tuple:
+    """Nodes lo .. hi - 1 of a level in the signed form; a shared modulus is sliced once."""
+    signs, m1, m2 = q
+    c1 = m1[lo:hi] if np.ndim(m1) else m1
+    c2 = c1 if m2 is m1 else m2[lo:hi] if np.ndim(m2) else m2
+    return signs[lo:hi], c1, c2
+
+
 class _LevelStream:
     """Level m's stream, read in slices exactly as one whole-level draw reads it.
 
@@ -159,20 +205,29 @@ def build(
 ) -> CascadeRealization:
     """The depth-n approximant of the cascade at a fixed seed.
 
-    Checks the depth, the cell budget and the seed, and returns a
-    realization that holds only the root pair: its grid values and
-    tables are regenerated from the level streams by the first reader
-    that asks for them (see CascadeRealization).
+    Checks the depth, the cell budget (see check_size) and the seed, and
+    returns a realization that holds only the root pair: its grid values
+    and tables are regenerated from the level streams by the first
+    reader that asks for them (see CascadeRealization).
     """
-    if depth < 1:
-        raise ConfigError(f"depth must be >= 1, got {depth}")
-    b = model.base
-    if b ** (depth + 1) > cell_budget:
-        raise ResourceError(
-            f"b**(depth+1) = {b**(depth + 1)} exceeds cell budget {cell_budget}"
-        )
+    depth = check_size(model.base, depth, cell_budget)
     _philox_key(seed, 0)  # the seed check every level's stream makes
-    return CascadeRealization(model, seed, depth)
+    return CascadeRealization(model, int(seed), depth)
+
+
+def check_size(base: int, depth: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> int:
+    """``depth`` as an int, once it is at least 1 and b**(depth+1) fits the cell budget.
+
+    A depth that is not an integer or below 1 raises ConfigError, one
+    over the budget ResourceError.
+    """
+    if integer(depth, "depth") < 1:
+        raise ConfigError(f"depth must be >= 1, got {depth}")
+    if base ** (depth + 1) > cell_budget:
+        raise ResourceError(
+            f"b**(depth+1) = {base**(depth + 1)} exceeds cell budget {cell_budget}"
+        )
+    return int(depth)
 
 
 def _chunk_shape(b: int, depth: int) -> tuple[int, int]:
@@ -205,22 +260,19 @@ def _walk_chunks(real: CascadeRealization, frame):
     whole = top
     while whole < depth and b ** (whole + 1) <= _WHOLE_LEVEL_CELLS:
         whole += 1
-    q1 = q2 = np.ones(1)
+    one = 1.0
+    q = (np.zeros(1, dtype=np.uint8), one, one)  # the root, in the signed form
     for m in range(1, whole + 1):
-        w1, w2 = level_weights(model, seed, m)
-        q1 = _next_products(q1, w1, b)
-        q2 = _next_products(q2, w2, b)
+        q = _next_signed(q, model.sample_pairs(level_rng(seed, m), b**m, signed=True), b)
     span = b ** (whole - top)  # level-whole words under each chunk
     streams = [_LevelStream(seed, m, b**m) for m in range(whole + 1, depth + 1)]
     ends = (0.0, 0.0)
     for i in range(b**top):
-        c1, c2 = q1[i * span : (i + 1) * span], q2[i * span : (i + 1) * span]
+        c = _slice(q, i * span, (i + 1) * span)
         for k, stream in enumerate(streams, whole - top + 1):
-            w1, w2 = model.sample_pairs(stream, b**k)
-            c1 = _next_products(c1, w1, b)
-            c2 = _next_products(c2, w2, b)
+            c = _next_signed(c, model.sample_pairs(stream, b**k, signed=True), b)
         values = frame(i)
-        for f, c, end in zip(values, (c1, c2), ends):
+        for f, c, end in zip(values, signed_pairs(*c), ends):
             f[0] = end
             if i:  # never on the first chunk: 0.0 + -0.0 would drop a sign bit
                 c[0] += end
@@ -352,6 +404,7 @@ def grid_min_max(real: CascadeRealization, level: int):
     _chunked_min_max), and a coarser level is derived from the top
     level's tables.
     """
+    level = integer(level, "level")
     if not 0 <= level <= real.depth:
         raise ConfigError(f"level {level} outside [0, {real.depth}]")
     cache = real._min_max
@@ -441,6 +494,7 @@ def sample_tilted_path(
     about 32 * (b**m + b**(m-1)) bytes.  A parent whose total is zero
     or not finite raises DivergenceError only when a path visits it.
     """
+    target_depth = integer(target_depth, "target depth")
     if not 0 <= target_depth <= real.depth:
         raise ConfigError(f"target depth {target_depth} outside [0, {real.depth}]")
     q1, q2 = q
@@ -469,6 +523,7 @@ def export_level(real: CascadeRealization, level: int):
     so ``parse_word`` reads it back), and its endpoint is the grid value
     at its interval's right end.
     """
+    level = integer(level, "level")
     if not 0 <= level <= real.depth:
         raise ConfigError(f"level {level} outside [0, {real.depth}]")
     b = real.base

@@ -238,6 +238,7 @@ def _per_seed(args, model, rows_of) -> list:
 
 
 def cmd_image_dim(args, model):
+    cascade.check_size(model.base, args.depth)  # before a test set of b digits is built
     ts = (
         _parse_testset(args.testset, model.base)
         if args.testset is not None

@@ -19,6 +19,7 @@ from .cascade import CascadeRealization
 from .errors import (
     ConfigError,
     DegenerateRangeError,
+    DivergenceError,
     ZeroOscillationError,
 )
 from .weights import Fractional
@@ -255,6 +256,11 @@ def image_box_dim(
 # partition function / Holder exponents
 
 
+def _int_levels(*levels) -> tuple[int, ...]:
+    """The levels of a window as ints (see cascade.integer)."""
+    return tuple(cascade.integer(m, "level") for m in levels)
+
+
 def partition_function(
     real: CascadeRealization, q: tuple[float, float], level_lo: int, level_hi: int
 ) -> DimensionEstimate:
@@ -262,8 +268,13 @@ def partition_function(
 
     The fitted slope of log_b S_m against m is expected to equal
     1 - phi(q) (counting factor b**m times the moment decay b**-m*phi).
+    A q that is not finite raises ConfigError, and a sum that overflows
+    a double raises DivergenceError.
     """
     q1, q2 = q
+    if not (math.isfinite(q1) and math.isfinite(q2)):
+        raise ConfigError(f"q must be finite, got {q}")
+    level_lo, level_hi = _int_levels(level_lo, level_hi)
     if not 1 <= level_lo <= level_hi <= real.depth:
         raise ConfigError(f"bad level window [{level_lo}, {level_hi}]")
     ms = list(range(level_lo, level_hi + 1))
@@ -277,13 +288,15 @@ def partition_function(
         elif (q1, q2) == (0.0, 0.0):
             sums[m] = float(len(table.o1))
         else:
-            with np.errstate(divide="ignore"):
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 sums[m] = float((table.o1**q1 * table.o2**q2).sum())
     logs = []
     for m in ms:  # the coarsest failing level is the one reported
         s = sums[m]
         if s is None:
             raise ZeroOscillationError(f"zero oscillation at level {m} with negative q")
+        if not s < math.inf:  # +inf, or NaN from an overflowed power times an underflowed one
+            raise DivergenceError(f"partition sum at level {m} overflows at q={q}")
         if s <= 0.0:
             raise ZeroOscillationError(f"partition sum vanished at level {m}")
         logs.append(math.log(s) / math.log(real.base))
@@ -302,6 +315,7 @@ def holder_exponents(
     The estimate for component k is minus the least-squares slope of
     log_b O_k(I_m(x)) against m over the window.
     """
+    level_lo, level_hi = _int_levels(level_lo, level_hi)
     if not 1 <= level_lo < level_hi <= real.depth:
         raise ConfigError(f"bad level window [{level_lo}, {level_hi}]")
     idx = np.asarray(word_indices)
@@ -353,6 +367,7 @@ def level_crossing_counts(
     """Number of level-m intervals whose refined grid brackets y, per m."""
     if k not in (1, 2):
         raise ConfigError(f"component k must be 1 or 2, got {k}")
+    level_lo, level_hi = _int_levels(level_lo, level_hi)
     if not 0 <= level_lo <= level_hi <= real.depth:
         raise ConfigError(f"bad level window [{level_lo}, {level_hi}]")
     counts = []
@@ -379,6 +394,7 @@ def level_set(
     """
     if k not in (1, 2):
         raise ConfigError(f"component k must be 1 or 2, got {k}")
+    fit_lo, level = _int_levels(fit_lo, level)
     if not 1 <= fit_lo <= level <= real.depth:
         raise ConfigError(f"bad level window [{fit_lo}, {level}]")
     mm = cascade.grid_min_max(real, level)[k - 1]

@@ -215,6 +215,8 @@ def legendre_point(model: WeightModel, q: tuple[float, float], xi0: float) -> Le
     """
     _check_xi0(xi0)
     q1, q2 = q
+    if not (math.isfinite(q1) and math.isfinite(q2)):
+        raise ConfigError(f"q must be finite, got {q}")
     p = model.phi(q1, q2)
     if math.isinf(p):
         raise DivergenceError(f"phi infinite at q=({q1}, {q2})")
@@ -228,8 +230,8 @@ def restricted_image_dim(
 ) -> float:
     """Image dimension of a Holder level set of dimension d at exponent alpha."""
     a1, a2 = alpha
-    if a1 <= 0 or a2 <= 0:
-        raise ConfigError(f"alpha components must be positive, got {alpha}")
+    if not (0 < a1 < math.inf and 0 < a2 < math.inf):
+        raise ConfigError(f"alpha components must be positive and finite, got {alpha}")
     if not 0.0 <= dim_level_set <= 1.0:
         raise ConfigError(f"level-set dimension must be in [0, 1], got {dim_level_set}")
     a_min, a_max = min(a1, a2), max(a1, a2)

@@ -19,7 +19,8 @@ E(|W1|**q1 * |W2|**q2), the concave functional
 with its gradient, and a checker for the moment assumptions: means equal
 b**-1 (A0), some q in (1, 2] with E|W_k|**q < b**-1 (A1), and finiteness
 of a negative moment of order > 2 (A2).  Infinite moments are first-class
-values: joint_moment may return +inf, in which case phi returns -inf.
+values: joint_moment returns +inf where the moment is infinite or
+overflows a double, and phi then returns -inf.
 """
 
 from __future__ import annotations
@@ -38,13 +39,39 @@ _PROB_TOL = 1e-12
 
 
 def _pow_abs(v: float, q: float) -> float:
-    """|v|**q with the conventions 0**0 = 1 and 0**negative = +inf."""
+    """|v|**q with the conventions 0**0 = 1 and 0**negative = +inf; +inf where it overflows."""
     a = abs(v)
     if a == 0.0:
         if q == 0.0:
             return 1.0
         return math.inf if q < 0 else 0.0
-    return a**q
+    try:
+        return a**q
+    except OverflowError:
+        return math.inf
+
+
+def _atom_power(w1: float, w2: float, q1: float, q2: float) -> float:
+    """|w1|**q1 * |w2|**q2 with the conventions of _pow_abs, never NaN.
+
+    Where one power is +inf and the other 0 the product is taken in logs
+    for nonzero moduli; with a zero modulus, 0**negative makes it +inf
+    and else the exact zero wins.
+    """
+    term = _pow_abs(w1, q1) * _pow_abs(w2, q2)
+    if not math.isnan(term):
+        return term
+    if w1 == 0.0 or w2 == 0.0:
+        return math.inf if (w1 == 0.0 and q1 < 0) or (w2 == 0.0 and q2 < 0) else 0.0
+    return _exp(q1 * math.log(abs(w1)) + q2 * math.log(abs(w2)))
+
+
+def _exp(x: float) -> float:
+    """e**x, +inf where it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -103,8 +130,8 @@ class SignJoint:
         c0, c1, c2 = bounds.tolist()
         return c0, c1, c2
 
-    def sample(self, u: np.ndarray, mag1: float, mag2: float):
-        """Signed moduli (+-mag1, +-mag2) for uniforms ``u`` in [0, 1) and moduli >= 0.
+    def signs(self, u: np.ndarray) -> np.ndarray:
+        """Sign bytes for uniforms ``u`` in [0, 1): bit 0 set where W1 < 0, bit 1 where W2 < 0.
 
         Each u falls in the cell ++, +-, -+ or -- given by the number of
         the sorted bounds (see _bounds) at or below it: the cell that
@@ -118,19 +145,37 @@ class SignJoint:
         a, b, c = u >= c0, u >= c1, u >= c2
         odd = a ^ b
         odd ^= c
-        return _with_sign(b, mag1), _with_sign(odd, mag2)
+        signs = odd.view(np.uint8)
+        signs <<= 1
+        signs |= b
+        return signs
+
+    def sample(self, u: np.ndarray, mag1: float, mag2: float):
+        """Signed moduli (+-mag1, +-mag2) for uniforms ``u`` in [0, 1) and moduli >= 0 (see signs)."""
+        return signed_pairs(self.signs(u), mag1, mag2)
 
 
-def _with_sign(negative: np.ndarray, mag: float) -> np.ndarray:
-    """-mag where ``negative`` holds and mag elsewhere, for mag >= 0 (-0.0 for mag = 0.0).
+def _with_sign(signs: np.ndarray, bit: int, mag) -> np.ndarray:
+    """-mag where sign bit ``bit`` (0 or 1) of ``signs`` is set, mag elsewhere (-0.0 for mag = 0.0).
 
-    The flag is shifted into the sign bit and OR-ed onto the bits of mag,
-    several times cheaper than np.where with two scalars.
+    ``mag`` >= 0 is a float or an array as long as ``signs``.  The bit is
+    shifted into the float sign bit and OR-ed onto the bits of mag,
+    several times cheaper than np.where.
     """
-    bits = negative.astype(np.uint64)
-    bits <<= 63
-    bits |= np.float64(mag).view(np.uint64)
+    bits = (signs >> bit).astype(np.uint64)
+    bits <<= 63  # drops every higher bit
+    bits |= np.asarray(mag, dtype=np.float64).view(np.uint64)
     return bits.view(np.float64)
+
+
+def signed_pairs(signs: np.ndarray, m1, m2) -> tuple[np.ndarray, np.ndarray]:
+    """(W1, W2) from the signed form: sign bytes (bit 0 for W1, bit 1 for W2) and moduli."""
+    return _with_sign(signs, 0, m1), _with_sign(signs, 1, m2)
+
+
+def _pairs(signed: bool, signs: np.ndarray, m1, m2):
+    """What sample_pairs returns: the signed form itself, or (W1, W2) built from it."""
+    return (signs, m1, m2) if signed else signed_pairs(signs, m1, m2)
 
 
 def default_sign_plus(base: int, alpha: float) -> float:
@@ -159,7 +204,7 @@ class WeightModel:
 
     # -- sampling ----------------------------------------------------------
 
-    def sample_pairs(self, rng: np.random.Generator, size: int):
+    def sample_pairs(self, rng: np.random.Generator, size: int, signed: bool = False):
         """Draw ``size`` i.i.d. copies of (W1, W2); returns two arrays.
 
         ``rng`` is read through ``rng.random(size)`` and, for the kinds
@@ -169,7 +214,16 @@ class WeightModel:
         the i-th uniform and the i-th normal alone, so n pairs drawn in
         consecutive slices, from a reader that continues each of the two
         sequences where the previous slice stopped, equal n pairs drawn
-        at once.  ``cascade.build`` relies on both.
+        at once.  The grid walk (``cascade._walk_chunks``) reads the
+        level streams in such slices.
+
+        With ``signed`` the same draw comes in its signed form
+        ``(signs, m1, m2)``: a uint8 array with bit 0 set where W1 < 0 and
+        bit 1 where W2 < 0 (sign bits, so -0.0 counts as negative), and
+        the moduli |W1| and |W2|.  A modulus is a float when it is the
+        same for every pair, else an array of length ``size``; the two
+        are one array when |W1| = |W2| for every pair.  The default form
+        is this one assembled by ``signed_pairs``, bit for bit.
         """
         raise NotImplementedError
 
@@ -180,7 +234,7 @@ class WeightModel:
     # -- analytic moments --------------------------------------------------
 
     def joint_moment(self, q1: float, q2: float) -> float:
-        """E(|W1|**q1 * |W2|**q2); may be +inf."""
+        """E(|W1|**q1 * |W2|**q2); +inf where it is infinite or overflows a double."""
         raise NotImplementedError
 
     def mean(self, k: int) -> float:
@@ -261,13 +315,15 @@ class Fractional(WeightModel):
                     f"(need {want})"
                 )
 
-    def sample_pairs(self, rng, size):
-        return self.sign_joint.sample(
-            rng.random(size), self.base**-self.alpha1, self.base**-self.alpha2
-        )
+    def sample_pairs(self, rng, size, signed=False):
+        signs = self.sign_joint.signs(rng.random(size))
+        return _pairs(signed, signs, self.base**-self.alpha1, self.base**-self.alpha2)
 
     def joint_moment(self, q1, q2):
-        return float(self.base ** -(q1 * self.alpha1 + q2 * self.alpha2))
+        try:
+            return float(self.base ** -(q1 * self.alpha1 + q2 * self.alpha2))
+        except OverflowError:
+            return math.inf
 
     def mean(self, k):
         plus = self.sign_joint.plus1 if k == 1 else self.sign_joint.plus2
@@ -340,21 +396,19 @@ class LognormalSigned(WeightModel):
     def from_beta(cls, base, alpha, beta, sign_joint=None):
         return cls(base, alpha, sigma_from_beta(beta, base), sign_joint)
 
-    def sample_pairs(self, rng, size):
-        u = rng.random(size)
-        g = rng.standard_normal(size)
-        mag = self.base**-self.alpha
-        w1, w2 = self.sign_joint.sample(u, mag, mag)
-        factor = _lognormal_factor(g, self.sigma)
-        w1 *= factor
-        w2 *= factor
-        return w1, w2
+    def sample_pairs(self, rng, size, signed=False):
+        signs = self.sign_joint.signs(rng.random(size))
+        mag = _lognormal_factor(rng.standard_normal(size), self.sigma)
+        mag *= self.base**-self.alpha
+        return _pairs(signed, signs, mag, mag)
 
     def joint_moment(self, q1, q2):
         s = q1 + q2
-        return float(
-            self.base ** (-self.alpha * s) * math.exp(self.sigma**2 * (s * s - s) / 2.0)
-        )
+        spread = self.sigma**2 * (s * s - s) / 2.0
+        try:
+            return float(self.base ** (-self.alpha * s) * math.exp(spread))
+        except OverflowError:  # one factor overflows: the product, in logs
+            return _exp(spread - self.alpha * s * math.log(self.base))
 
     def mean(self, k):
         plus = self.sign_joint.plus1 if k == 1 else self.sign_joint.plus2
@@ -409,21 +463,20 @@ class Mixed(WeightModel):
     def from_beta(cls, base, alpha, beta, sign_plus=None):
         return cls(base, alpha, sigma_from_beta(beta, base), sign_plus)
 
-    def sample_pairs(self, rng, size):
-        u = rng.random(size)
-        g = rng.standard_normal(size)
-        w1 = _with_sign(u >= self.sign_plus, self.base**-self.alpha)
-        factor = _lognormal_factor(g, self.sigma)
-        w1 *= factor
+    def sample_pairs(self, rng, size, signed=False):
+        signs = (rng.random(size) >= self.sign_plus).view(np.uint8)
+        factor = _lognormal_factor(rng.standard_normal(size), self.sigma)
+        mag1 = factor * self.base**-self.alpha
         factor /= self.base
-        return w1, factor
+        return _pairs(signed, signs, mag1, factor)
 
     def joint_moment(self, q1, q2):
         s = q1 + q2
-        return float(
-            self.base ** -(self.alpha * q1 + q2)
-            * math.exp(self.sigma**2 * (s * s - s) / 2.0)
-        )
+        spread = self.sigma**2 * (s * s - s) / 2.0
+        try:
+            return float(self.base ** -(self.alpha * q1 + q2) * math.exp(spread))
+        except OverflowError:  # one factor overflows: the product, in logs
+            return _exp(spread - (self.alpha * q1 + q2) * math.log(self.base))
 
     def mean(self, k):
         if k == 1:
@@ -468,8 +521,8 @@ class DiscreteTable(WeightModel):
             raise ConfigError("negative atom probability")
 
     @functools.cached_property
-    def _draw_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Monotone cumulative bounds and the two value columns of the atoms.
+    def _draw_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Monotone cumulative bounds, then the atoms' sign bytes and two modulus columns.
 
         An accepted probability in [-1e-12, 0) puts its cumulative sum
         below the one before it; the running maximum keeps the bounds
@@ -483,20 +536,22 @@ class DiscreteTable(WeightModel):
         bounds = np.maximum.accumulate(np.cumsum(probs))
         bounds[last:] = np.inf
         vals = np.array([v for v, _ in self.atoms])
-        return bounds, vals[:, 0].copy(), vals[:, 1].copy()
+        negative = np.signbit(vals).astype(np.uint8)
+        signs = negative[:, 0] | negative[:, 1] << 1
+        return bounds, signs, np.abs(vals[:, 0]), np.abs(vals[:, 1])
 
-    def sample_pairs(self, rng, size):
+    def sample_pairs(self, rng, size, signed=False):
         """Each u draws the first atom whose cumulative bound exceeds it (see _draw_table)."""
-        bounds, v1, v2 = self._draw_table
+        bounds, signs, mag1, mag2 = self._draw_table
         idx = np.searchsorted(bounds, rng.random(size), side="right")
-        return v1[idx], v2[idx]
+        return _pairs(signed, signs[idx], mag1[idx], mag2[idx])
 
     def joint_moment(self, q1, q2):
         total = 0.0
         for (w1, w2), p in self.atoms:
             if p == 0.0:
                 continue
-            term = _pow_abs(w1, q1) * _pow_abs(w2, q2)
+            term = _atom_power(w1, w2, q1, q2)
             if math.isinf(term):
                 return math.inf
             total += p * term
@@ -516,7 +571,7 @@ class DiscreteTable(WeightModel):
         for (w1, w2), p in self.atoms:
             if p == 0.0:
                 continue
-            term = p * _pow_abs(w1, q1) * _pow_abs(w2, q2)
+            term = p * _atom_power(w1, w2, q1, q2)
             if term == 0.0:
                 continue
             if abs(w1) == 0.0 or abs(w2) == 0.0:

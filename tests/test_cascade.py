@@ -1,6 +1,8 @@
 import functools
 import hashlib
+import itertools
 import math
+import operator
 import tracemalloc
 import warnings
 
@@ -627,16 +629,56 @@ def test_fold_keeps_the_later_of_two_tied_zeros():
 
 def test_walk_descends_only_through_levels_above_the_whole_level_limit(monkeypatch):
     calls = []
-    next_products = cascade._next_products
-    monkeypatch.setattr(cascade, "_next_products", lambda q, w, b: calls.append(len(w)) or next_products(q, w, b))
+    next_signed = cascade._next_signed
+    monkeypatch.setattr(cascade, "_next_signed", lambda q, w, b: calls.append(len(w[0])) or next_signed(q, w, b))
     real = cascade.build(FRAC, seed=2, depth=19)
     grid = cascade.grid_values(real)
     top, width = cascade._chunk_shape(2, 19)
     assert (top, width) == (3, 2**16) and 2**12 == cascade._WHOLE_LEVEL_CELLS
     # levels 1..12 whole, once each; then each of the 8 chunks through levels 13..19
-    assert sorted(set(calls[: 2 * 12])) == [2**m for m in range(1, 13)]
-    assert len(calls) == 2 * (12 + 8 * 7)
+    assert calls[:12] == [2**m for m in range(1, 13)]
+    assert len(calls) == 12 + 8 * 7
     assert_same_bytes(grid, eager_build.__wrapped__(FRAC, 2, 19)[2])
+
+
+def record_level_steps(monkeypatch):
+    """Patch the walk's level step to record its products' moduli and its modulus multiplications."""
+    steps, times = [], []
+    next_signed, times_ = cascade._next_signed, cascade._times
+
+    def step(q, w, b):
+        out = next_signed(q, w, b)
+        steps.append(out[1:])
+        return out
+
+    monkeypatch.setattr(cascade, "_next_signed", step)
+    monkeypatch.setattr(cascade, "_times", lambda p, m, b: times.append(np.ndim(m)) or times_(p, m, b))
+    return steps, times
+
+
+def test_fractional_walk_carries_float_moduli(monkeypatch):
+    steps, times = record_level_steps(monkeypatch)
+    real = cascade.build(FRAC, seed=2, depth=17)
+    tables = cascade.grid_min_max(real, 13)
+    assert len(steps) == 12 + 2 * 5
+    assert all(type(m1) is float and type(m2) is float for m1, m2 in steps)
+    assert times == [0] * 2 * len(steps)  # every modulus product is a float product
+    level_moduli = list(itertools.accumulate([2**-0.75] * 17, operator.mul))
+    assert [m1 for m1, _ in steps[:12]] == level_moduli[:12]  # the whole levels
+    assert steps[-1][0] == level_moduli[16]  # the last chunk's leaves
+    grid = eager_build.__wrapped__(FRAC, 2, 17)[2]
+    for pair, f in zip(tables, grid):
+        assert_same_bytes(pair, reduceat_min_max(f, 2**13, 2**4))
+
+
+@pytest.mark.parametrize("model", kinds(2)[1:], ids=lambda m: type(m).__name__)
+def test_walk_multiplies_a_shared_modulus_once_per_level(model, monkeypatch):
+    steps, times = record_level_steps(monkeypatch)
+    grid = cascade.grid_values(cascade.build(model, seed=5, depth=17))
+    shared = isinstance(model, LognormalSigned)
+    assert all((m1 is m2) == shared for m1, m2 in steps)
+    assert times == [1] * (1 if shared else 2) * len(steps)
+    assert_same_bytes(grid, eager_build.__wrapped__(model, 5, 17)[2])
 
 
 @pytest.mark.parametrize("level", [0, 3, 16, 20])
@@ -853,3 +895,36 @@ def test_export_words_above_base_ten_are_distinct_and_parse_back():
     assert len(set(words)) == len(words) == 11**3
     assert [parse_word(w, 11).index for w in words] == list(range(11**3))
     assert words[1 * 121 + 0 * 11 + 10] == "1.0.10" and words[10 * 121 + 1 * 11 + 0] == "10.1.0"
+
+
+NOT_INTEGERS = [1.5, 2.0, True, np.float64(3.0), "2", None]
+
+
+@pytest.mark.parametrize("bad", NOT_INTEGERS, ids=repr)
+def test_seeds_depths_levels_and_target_depths_must_be_integers(bad):
+    with pytest.raises(ConfigError, match="must be an integer"):
+        cascade.build(FRAC, bad, 10)
+    with pytest.raises(ConfigError, match="must be an integer"):
+        cascade.build(FRAC, 0, bad)
+    with pytest.raises(ConfigError, match="must be an integer"):
+        cascade.level_rng(bad, 0)
+    real = cascade.build(FRAC, seed=0, depth=6)
+    for call in (
+        lambda: cascade.grid_min_max(real, bad),
+        lambda: cascade.export_level(real, bad),
+        lambda: cascade.sample_tilted_path(real, (1.0, 1.0), bad, np.random.default_rng(0)),
+    ):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            call()
+
+
+def test_a_float_seed_does_not_read_another_seeds_streams():
+    # 1.5 once keyed seed 1's streams while comparing unequal to seed 1's realization
+    with pytest.raises(ConfigError):
+        cascade.build(FRAC, 1.5, 10)
+    real = cascade.build(FRAC, np.uint64(2**63), np.int32(10))
+    assert (type(real.seed), type(real.depth)) == (int, int)
+    assert real == cascade.build(FRAC, 2**63, 10)
+    a = cascade.build(FRAC, np.int64(1), 6)
+    assert cascade.grid_min_max(a, np.int16(3)) is cascade.grid_min_max(a, 3)
+    assert len(cascade.export_level(a, np.int64(2))) == 4

@@ -283,6 +283,25 @@ def test_resource_error_exit_code(model_file, tmp_path):
     assert rc == 5
 
 
+def test_image_dim_checks_the_cell_budget_before_its_default_test_set(model_file, tmp_path):
+    # a default test set of b digits for b = 10**20 - 1 raised a raw OverflowError
+    text = FRACTIONAL.replace("b 2", "b 99999999999999999999")
+    argv = ["image-dim", "--model", model_file(text), "--out", str(tmp_path / "o"), "--depth", "8"]
+    assert main(argv) == 5
+    assert main([*argv[:-1], "20"]) == 5
+
+
+@pytest.mark.parametrize("command", [
+    ["spectrum-predict", "--q", "1,1;-200,-200"],
+    ["partition", "--depth", "10", "--q", "1,1;-200,-200"],
+])
+def test_overflowing_moments_and_sums_are_numeric_errors(model_file, tmp_path, capsys, command):
+    # both once exited 1 with an OverflowError traceback
+    argv = [*command, "--model", model_file(LOGNORMAL), "--out", str(tmp_path / "o")]
+    assert main(argv) == 4
+    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "numeric"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cascadelab import cascade, estimate
-from cascadelab.errors import ConfigError, DegenerateRangeError, ZeroOscillationError
+from cascadelab.errors import ConfigError, DegenerateRangeError, DivergenceError, ZeroOscillationError
 from cascadelab.estimate import TestSet as CantorSet
 from cascadelab.estimate import cantor_set, fit_loglog
 from cascadelab.weights import DiscreteTable, Fractional, LognormalSigned, SignJoint
@@ -390,3 +390,31 @@ def test_image_box_dim_without_scales_is_a_degenerate_range():
     real = cascade.build(IDENTITY2, seed=0, depth=5)
     with pytest.raises(DegenerateRangeError):
         estimate.image_box_dim(real, cantor_set(2, (0,), 1))
+
+
+@pytest.mark.parametrize("q", [(math.nan, 0.0), (1.0, math.inf), (-math.inf, 1.0)])
+def test_non_finite_partition_q_is_a_config_error(q):
+    with pytest.raises(ConfigError):
+        estimate.partition_function(cascade.build(FRAC, seed=1, depth=8), q, 2, 6)
+
+
+@pytest.mark.parametrize("q", [(-200.0, -200.0), (-200.0, 200.0)])
+def test_overflowing_partition_sum_is_a_divergence_error(q):
+    # the level sums read +inf, or NaN where an overflowed power meets an underflowed one
+    real = cascade.build(LognormalSigned.from_beta(2, 0.8, 0.1), seed=0, depth=10)
+    with pytest.raises(DivergenceError, match="overflows"):
+        estimate.partition_function(real, q, 2, 6)
+
+
+@pytest.mark.parametrize("lo, hi", [(2.0, 6), (2, 6.5), (True, 6), (np.float64(2), 6)])
+def test_level_windows_must_be_integers(lo, hi):
+    real = cascade.build(FRAC, seed=1, depth=8)
+    for call in (
+        lambda: estimate.partition_function(real, (1.0, 1.0), lo, hi),
+        lambda: estimate.holder_exponents(real, [0, 3], lo, hi),
+        lambda: estimate.level_crossing_counts(real, 1, 0.5, lo, hi),
+        lambda: estimate.level_set(real, 1, 0.5, hi, lo),
+    ):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            call()
+    assert estimate.partition_function(real, (1.0, 1.0), np.int64(2), np.int32(6)).scale_range == (2, 6)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cascadelab import predict
-from cascadelab.errors import ConfigError, NoRootError
+from cascadelab.errors import ConfigError, DivergenceError, NoRootError
 from cascadelab.weights import (
     DiscreteTable,
     Fractional,
@@ -338,3 +338,21 @@ def test_curve_with_no_crossing_raises_like_the_scan():
             predict._smallest_root(f, 0.5, hi)
         assert outcome(linear_scan_root, f, 0.5, hi) is NoRootError
     assert predict._smallest_root(f, 0.7, 4.0) == linear_scan_root(f, 0.7, 4.0)
+
+
+@pytest.mark.parametrize("q", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)])
+def test_non_finite_legendre_q_is_a_config_error(q):
+    for model in (FRAC_NE, LN, MIXED):
+        with pytest.raises(ConfigError):
+            predict.legendre_point(model, q, 0.5)
+
+
+@pytest.mark.parametrize("alpha, dim", [((math.nan, 0.5), 0.5), ((0.5, math.inf), 0.5), ((0.5, 0.5), math.nan)])
+def test_non_finite_restricted_image_dim_inputs_are_config_errors(alpha, dim):
+    with pytest.raises(ConfigError):
+        predict.restricted_image_dim(alpha, dim, False)
+
+
+def test_legendre_point_of_an_overflowing_moment_is_a_divergence_error():
+    with pytest.raises(DivergenceError):
+        predict.legendre_point(LN, (-200.0, -200.0), 0.5)

@@ -13,7 +13,9 @@ from cascadelab.weights import (
     Mixed,
     SignJoint,
     check_assumptions,
+    default_sign_plus,
     finite_difference_grad,
+    signed_pairs,
 )
 
 
@@ -514,3 +516,146 @@ def test_table_rejects_non_finite_atoms(bad):
         DiscreteTable(2, (((bad, 0.7), 0.5), ((0.7, 0.3), 0.5)))
     with pytest.raises(ConfigError):
         DiscreteTable(2, (((0.3, 0.7), 0.5), ((0.7, bad), 0.5)))
+
+
+# ---------------------------------------------------------------------------
+# the signed form against the former float samplers
+
+
+def former_with_sign(negative, mag):
+    bits = negative.astype(np.uint64)
+    bits <<= 63
+    bits |= np.float64(mag).view(np.uint64)
+    return bits.view(np.float64)
+
+
+def former_sign_sample(sj, u, mag1, mag2):
+    """The former SignJoint.sample: float signs straight from the bound count."""
+    c0, c1, c2 = sj._bounds
+    a, b, c = u >= c0, u >= c1, u >= c2
+    odd = a ^ b
+    odd ^= c
+    return former_with_sign(b, mag1), former_with_sign(odd, mag2)
+
+
+def former_sample_pairs(model, rng, size):
+    """The four sample_pairs bodies from before the signed form, one per kind."""
+    if isinstance(model, Fractional):
+        return former_sign_sample(
+            model.sign_joint, rng.random(size), model.base**-model.alpha1, model.base**-model.alpha2
+        )
+    if isinstance(model, LognormalSigned):
+        u = rng.random(size)
+        g = rng.standard_normal(size)
+        mag = model.base**-model.alpha
+        w1, w2 = former_sign_sample(model.sign_joint, u, mag, mag)
+        factor = np.exp(g * model.sigma - model.sigma**2 / 2.0)
+        w1 *= factor
+        w2 *= factor
+        return w1, w2
+    if isinstance(model, Mixed):
+        u = rng.random(size)
+        g = rng.standard_normal(size)
+        w1 = former_with_sign(u >= model.sign_plus, model.base**-model.alpha)
+        factor = np.exp(g * model.sigma - model.sigma**2 / 2.0)
+        w1 *= factor
+        factor /= model.base
+        return w1, factor
+    bounds = model._draw_table[0]
+    vals = np.array([v for v, _ in model.atoms])
+    idx = np.searchsorted(bounds, rng.random(size), side="right")
+    return vals[:, 0].copy()[idx], vals[:, 1].copy()[idx]
+
+
+P3 = default_sign_plus(3, 0.7)
+
+SIGNED_MODELS = [
+    Fractional(2, 0.75, 0.6),
+    Fractional(3, 0.7, 0.7, SignJoint(2 * P3 - 1, 1 - P3, 1 - P3, 0.0)),  # never two minus signs
+    identity_model(),
+    lognormal_beta(2, 0.8, 0.1),
+    lognormal_beta(3, 0.7, 0.25, SignJoint(P3, 0.0, 0.0, 1 - P3)),  # equal signs
+    Mixed.from_beta(2, 0.8, 0.1),
+    SYMMETRIC_TABLE,
+    DiscreteTable(3, (((0.5, -0.2), 0.25), ((0.3, 0.9), 0.35), ((0.6, 0.4), 0.4))),
+    DiscreteTable(2, (((-0.0, 0.0), 0.25), ((0.0, -0.0), 0.25), ((-0.5, -0.5), 0.25), ((0.5, 0.5), 0.25))),
+]
+
+
+@pytest.mark.parametrize("model", SIGNED_MODELS, ids=lambda m: m.describe().splitlines()[0][5:])
+@pytest.mark.parametrize("size", [1, 5000, 5001])  # 5001 starts the normals inside a Philox block
+def test_assembled_pairs_equal_the_former_samplers_bit_for_bit(model, size):
+    got = model.sample_pairs(np.random.default_rng(7), size)
+    want = former_sample_pairs(model, np.random.default_rng(7), size)
+    signs, m1, m2 = model.sample_pairs(np.random.default_rng(7), size, signed=True)
+    for w, v, bit in zip(got, want, (1, 2)):
+        assert w.dtype == v.dtype == np.float64 and w.tobytes() == v.tobytes()
+        assert np.array_equal(signs & bit != 0, np.signbit(v))
+    assert signs.dtype == np.uint8 and len(signs) == size and signs.max() <= 3
+    assert [a.tobytes() for a in signed_pairs(signs, m1, m2)] == [v.tobytes() for v in want]
+
+
+def test_signed_moduli_are_floats_shared_or_arrays_by_kind():
+    rng = np.random.default_rng(1)
+    _, m1, m2 = Fractional(2, 0.75, 0.6).sample_pairs(rng, 8, signed=True)
+    assert (type(m1), type(m2)) == (float, float) and (m1, m2) == (2**-0.75, 2**-0.6)
+    _, m1, m2 = lognormal_beta(2, 0.8, 0.1).sample_pairs(rng, 8, signed=True)
+    assert m1 is m2 and m1.shape == (8,)
+    for model in (Mixed.from_beta(2, 0.8, 0.1), SYMMETRIC_TABLE):
+        _, m1, m2 = model.sample_pairs(rng, 8, signed=True)
+        assert m1 is not m2 and m1.shape == m2.shape == (8,)
+
+
+def test_table_zero_atoms_keep_their_sign_bits():
+    table = SIGNED_MODELS[-1]
+    u = [0.1, 0.3, 0.6, 0.9]
+    signs, m1, m2 = table.sample_pairs(FixedUniforms(u), 4, signed=True)
+    assert signs.tolist() == [1, 2, 3, 0]
+    w1, w2 = table.sample_pairs(FixedUniforms(u), 4)
+    assert np.signbit(w1).tolist() == [True, False, True, False]
+    assert np.signbit(w2).tolist() == [False, True, True, False]
+    assert np.abs(w1).tolist() == m1.tolist() == [0.0, 0.0, 0.5, 0.5]
+
+
+@pytest.mark.parametrize("sj", SIGN_TABLES + NEGATIVE_CELL_TABLES)
+def test_sign_joint_sample_equals_the_former_float_signs(sj):
+    u = bound_uniforms(sj)
+    for mags in ((0.5, 0.25), (0.0, SUBNORMAL)):
+        got, want = sj.sample(u, *mags), former_sign_sample(sj, u, *mags)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+# ---------------------------------------------------------------------------
+# moments that overflow a double
+
+
+@pytest.mark.parametrize("model, q", [
+    (Fractional(2, 0.75, 0.75), (-2000.0, 0.0)),
+    (SYMMETRIC_TABLE, (-2000.0, 0.0)),
+    (lognormal_beta(2, 0.8, 0.1), (-200.0, -200.0)),
+    (Mixed.from_beta(2, 0.8, 0.1), (-200.0, -200.0)),
+])
+def test_overflowing_moments_are_infinite(model, q):
+    assert model.joint_moment(*q) == math.inf
+    assert model.phi(*q) == -math.inf
+
+
+@pytest.mark.parametrize("kind", [LognormalSigned, Mixed])
+def test_moment_past_an_overflowing_factor_is_taken_in_logs(kind):
+    # beta = 1/2 makes the moment b**((s*s - 3*s) / 2): at s = 3 it is 1, although
+    # exp(sigma**2 * (s*s - s) / 2) = b**3 overflows a double for b = 10**300
+    model = kind.from_beta(10**300, 1.0, 0.5)
+    assert model.joint_moment(3.0, 0.0) == pytest.approx(1.0, rel=1e-9)
+    assert model.joint_moment(4.0, 0.0) == math.inf  # b**2
+    assert model.joint_moment(1.0, 0.0) == pytest.approx(10.0**-300, rel=1e-9)
+
+
+@pytest.mark.parametrize("atoms, q, want", [
+    ((((0.3, 0.7), 0.5), ((0.7, 0.3), 0.5)), (-700.0, 700.0), math.inf),  # (7/3)**700
+    ((((0.3, 0.1), 0.5), ((0.7, 0.3), 0.5)), (-700.0, 700.0), 0.0),  # (1/3)**700 and (3/7)**700
+    ((((0.0, 0.5), 0.5), ((1.0, 0.5), 0.5)), (-1.0, -2000.0), math.inf),  # 0**-1 times 0.5**-2000
+    ((((0.0, 0.1), 0.5), ((1.0, 0.5), 0.5)), (1.0, -2000.0), math.inf),  # the second atom overflows
+    ((((0.0, 0.1), 0.5), ((1.0, 1.0), 0.5)), (1.0, -2000.0), 0.5),  # 0 * 0.1**-2000 is 0
+])
+def test_table_moment_never_multiplies_inf_by_zero(atoms, q, want):
+    assert DiscreteTable(2, atoms).joint_moment(*q) == want
