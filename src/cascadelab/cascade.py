@@ -153,7 +153,8 @@ def _next_signed(q: tuple, w: tuple, b: int) -> tuple:
     (ps, p1, p2), (signs, m1, m2) = q, w
     signs ^= np.repeat(ps, b)
     n1 = _times(p1, m1, b)
-    n2 = n1 if m2 is m1 and p2 is p1 else _times(p2, m2, b)
+    # a kind that shares its moduli shares them on every level, so the parents' are equal too
+    n2 = n1 if m2 is m1 else _times(p2, m2, b)
     return signs, n1, n2
 
 
@@ -221,13 +222,14 @@ def check_size(base: int, depth: int, cell_budget: int = DEFAULT_CELL_BUDGET) ->
     A depth that is not an integer or below 1 raises ConfigError, one
     over the budget ResourceError.
     """
-    if integer(depth, "depth") < 1:
+    depth = integer(depth, "depth")
+    if depth < 1:
         raise ConfigError(f"depth must be >= 1, got {depth}")
     if base ** (depth + 1) > cell_budget:
         raise ResourceError(
             f"b**(depth+1) = {base**(depth + 1)} exceeds cell budget {cell_budget}"
         )
-    return int(depth)
+    return depth
 
 
 def _chunk_shape(b: int, depth: int) -> tuple[int, int]:
@@ -260,8 +262,7 @@ def _walk_chunks(real: CascadeRealization, frame):
     whole = top
     while whole < depth and b ** (whole + 1) <= _WHOLE_LEVEL_CELLS:
         whole += 1
-    one = 1.0
-    q = (np.zeros(1, dtype=np.uint8), one, one)  # the root, in the signed form
+    q = (np.zeros(1, dtype=np.uint8), 1.0, 1.0)  # the root, in the signed form
     for m in range(1, whole + 1):
         q = _next_signed(q, model.sample_pairs(level_rng(seed, m), b**m, signed=True), b)
     span = b ** (whole - top)  # level-whole words under each chunk
