@@ -61,7 +61,7 @@ _WHOLE_LEVEL_CELLS = 2**12  # a grid walk builds every level of at most this man
 _FOLD_RUN_MAX = 32  # _fold reduces each run in one call when it is longer
 
 
-def integer(value, what: str) -> int:
+def as_integer(value, what: str) -> int:
     """``value`` as an int: a Python or numpy integer, never a bool; else ConfigError."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ConfigError(f"{what} must be an integer, got {value!r}")
@@ -70,7 +70,7 @@ def integer(value, what: str) -> int:
 
 def _philox_key(seed: int, level: int) -> np.ndarray:
     """The uint64 pair (seed, level); every seed in [0, 2**64) keys its own streams."""
-    if not 0 <= integer(seed, "seed") < 2**64:
+    if not 0 <= as_integer(seed, "seed") < 2**64:
         raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
     return np.array([seed, level], dtype=np.uint64)
 
@@ -222,7 +222,7 @@ def check_size(base: int, depth: int, cell_budget: int = DEFAULT_CELL_BUDGET) ->
     A depth that is not an integer or below 1 raises ConfigError, one
     over the budget ResourceError.
     """
-    depth = integer(depth, "depth")
+    depth = as_integer(depth, "depth")
     if depth < 1:
         raise ConfigError(f"depth must be >= 1, got {depth}")
     if base ** (depth + 1) > cell_budget:
@@ -405,7 +405,7 @@ def grid_min_max(real: CascadeRealization, level: int):
     _chunked_min_max), and a coarser level is derived from the top
     level's tables.
     """
-    level = integer(level, "level")
+    level = as_integer(level, "level")
     if not 0 <= level <= real.depth:
         raise ConfigError(f"level {level} outside [0, {real.depth}]")
     cache = real._min_max
@@ -495,7 +495,7 @@ def sample_tilted_path(
     about 32 * (b**m + b**(m-1)) bytes.  A parent whose total is zero
     or not finite raises DivergenceError only when a path visits it.
     """
-    target_depth = integer(target_depth, "target depth")
+    target_depth = as_integer(target_depth, "target depth")
     if not 0 <= target_depth <= real.depth:
         raise ConfigError(f"target depth {target_depth} outside [0, {real.depth}]")
     q1, q2 = q
@@ -524,7 +524,7 @@ def export_level(real: CascadeRealization, level: int):
     so ``parse_word`` reads it back), and its endpoint is the grid value
     at its interval's right end.
     """
-    level = integer(level, "level")
+    level = as_integer(level, "level")
     if not 0 <= level <= real.depth:
         raise ConfigError(f"level {level} outside [0, {real.depth}]")
     b = real.base

@@ -257,8 +257,8 @@ def image_box_dim(
 
 
 def _int_levels(*levels) -> tuple[int, ...]:
-    """The levels of a window as ints (see cascade.integer)."""
-    return tuple(cascade.integer(m, "level") for m in levels)
+    """The levels of a window as ints (see cascade.as_integer)."""
+    return tuple(cascade.as_integer(m, "level") for m in levels)
 
 
 def partition_function(
