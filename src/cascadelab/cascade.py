@@ -1,14 +1,12 @@
 """Seed-deterministic cascade realizations.
 
 A realization of depth n is fixed by (model, seed, n): ``build``
-validates them and holds nothing but the root pair.  Every value a
-reader asks for is regenerated from the level streams on first read
-and memoized on the realization:
+validates them and holds nothing but the root pair.  No realization
+holds its grid F_{k,n}(j * b**-n): every grid value a reader asks for
+is regenerated from the level streams.  What is memoized on the
+realization, on first read, is small beside the grid:
 
-- the per-level min/max tables of the cumulative grid
-  F_{k,n}(j * b**-n) (see grid_min_max);
-- the grid itself, two float arrays of length b**n + 1, 16 * (b**n + 1)
-  bytes, for the readers that need every grid value (see grid_values);
+- the per-level min/max tables of the grid (see grid_min_max);
 - node weights (W1, W2) and running products (Q1, Q2), level by level
   (see _levels);
 - the tilted sampler's per-q tables (see sample_tilted_path).
@@ -33,12 +31,12 @@ WeightModel.sample_pairs: a sign byte per node, XOR-ed down the levels,
 and moduli multiplied alone (floats for the fractional kind, one shared
 array for the lognormal kind; see _next_signed).  Float products are
 assembled only at the leaves, bit-identical to signed float products.
-grid_values sums the chunks into a preallocated grid;
-grid_min_max sums each into one reusable chunk buffer and reduces it to
-its rows of a min/max table, so its peak is one chunk plus the table,
-whatever the depth.  A held grid is reduced the same way, one chunk-wide
-slice at a time.  Every min/max table comes from one strided fold (see
-_fold), which turns each run of neighbours into one value.
+grid_chunks sums each chunk into one reused buffer, so a reader of it
+(grid_min_max, and estimate.occupation_histogram) peaks at one chunk
+plus what it keeps, whatever the depth.  grid_values sums the chunks
+into a fresh grid of 16 * (b**n + 1) bytes, for the readers that need
+every value at once.  Every min/max table comes from one strided fold
+(see _fold), which turns each run of neighbours into one value.
 """
 
 from __future__ import annotations
@@ -91,13 +89,14 @@ class CascadeRealization:
 
     Two realizations are equal when their (model, seed, depth) are: the
     memos below hold values regenerated from those three and never take
-    part in a comparison.  ``grid`` is () until grid_values fills it with
-    the two cumulative-sum arrays of length base**depth + 1, with
-    grid[k][j] = F_{k,n}(j * b**-n).  ``weights`` and ``products`` are
-    prefix memos filled on first read: ``weights[m - 1]`` and
-    ``products[m]`` hold the level-m (W1, W2) and (Q1, Q2) arrays for
-    every level up to the deepest one read so far, and products[0] is the
-    root pair (1, 1), all ``build`` leaves.  The per-level grid min/max
+    part in a comparison.  ``grid`` is always (): no reader holds the
+    grid (see grid_values), and the field is kept only because the
+    benchmark's tracer sums its arrays with the weights and products on
+    every build.  ``weights`` and ``products`` are prefix memos filled on
+    first read: ``weights[m - 1]`` and ``products[m]`` hold the level-m
+    (W1, W2) and (Q1, Q2) arrays for every level up to the deepest one
+    read so far, and products[0] is the root pair (1, 1), all ``build``
+    leaves.  The per-level grid min/max
     tables are memoized on first use too (see grid_min_max), and so are
     the tilted-path tables, per q (see sample_tilted_path).  None of the
     memos changes a value a reader sees.
@@ -282,20 +281,33 @@ def _walk_chunks(real: CascadeRealization, frame):
         yield i
 
 
-def grid_values(real: CascadeRealization) -> tuple:
-    """The grid (F1, F2) at every point j * b**-n, memoized as ``real.grid``.
+def grid_chunks(real: CascadeRealization):
+    """Yield (F1, F2) over each chunk's closed interval, in index order, in one reused buffer.
 
-    Two arrays of length b**n + 1, 16 * (b**n + 1) bytes; the walk sums
-    each chunk straight into its slice, so the peak is the grid plus a
-    few arrays of one chunk's size.
+    Chunk i holds the grid values at the points i * width .. (i + 1) *
+    width (see _chunk_shape): the chunks' values without their last one
+    cover the grid but its right end exactly once.  The next chunk
+    overwrites the buffer, so a reader keeps what it needs of each one
+    before it asks for the next.
     """
-    if not real.grid:
-        _, width = _chunk_shape(real.base, real.depth)
-        grid = (np.empty(real.cells + 1), np.empty(real.cells + 1))
-        for _ in _walk_chunks(real, lambda i: tuple(f[i * width : (i + 1) * width + 1] for f in grid)):
-            pass
-        real.grid = grid
-    return real.grid
+    _, width = _chunk_shape(real.base, real.depth)
+    buffer = (np.empty(width + 1), np.empty(width + 1))
+    for _ in _walk_chunks(real, lambda i: buffer):
+        yield buffer
+
+
+def grid_values(real: CascadeRealization) -> tuple:
+    """The grid (F1, F2) at every point j * b**-n, walked afresh on every call.
+
+    Two new arrays of length b**n + 1, 16 * (b**n + 1) bytes, that the
+    realization does not keep; the walk sums each chunk straight into its
+    slice, so the peak is the grid plus a few arrays of one chunk's size.
+    """
+    _, width = _chunk_shape(real.base, real.depth)
+    grid = (np.empty(real.cells + 1), np.empty(real.cells + 1))
+    for _ in _walk_chunks(real, lambda i: tuple(f[i * width : (i + 1) * width + 1] for f in grid)):
+        pass
+    return grid
 
 
 def _levels(real: CascadeRealization, level: int) -> tuple[list, list]:
@@ -331,17 +343,6 @@ def node_weight(real: CascadeRealization, w: Word) -> tuple[float, float]:
     return float(w1[idx]), float(w2[idx])
 
 
-def increment(real: CascadeRealization, w: Word) -> tuple[float, float]:
-    """Endpoint increment of (F1, F2) over I_w; equals Q(w) at full depth."""
-    idx = real.word_index(w)
-    step = real.base ** (real.depth - len(w))
-    f1, f2 = grid_values(real)
-    return (
-        float(f1[(idx + 1) * step] - f1[idx * step]),
-        float(f2[(idx + 1) * step] - f2[idx * step]),
-    )
-
-
 def _fold(a: np.ndarray, b: int, ufunc, out=None) -> np.ndarray:
     """``ufunc`` over each run of b neighbours of ``a``: one value per run, into ``out``.
 
@@ -368,22 +369,15 @@ def _chunked_min_max(real: CascadeRealization, level: int):
     The chunks are the closed intervals of the level-top words (see
     _chunk_shape), each reduced to its b**(level - top) rows: row j's
     closed block f[j * step .. (j + 1) * step] is its first step values
-    folded (see _fold), then its right end.  The chunks are slices of
-    ``real.grid`` when grid_values has filled it; else the grid walk sums
-    each into one reusable buffer (see _walk_chunks), and no grid is
-    held.  Either way the peak is the tables plus a few arrays of one
-    chunk's size.
+    folded (see _fold), then its right end.  The chunks come from one
+    grid walk into a reused buffer (see grid_chunks), so the peak is the
+    tables plus a few arrays of one chunk's size.
     """
     b = real.base
-    top, width = _chunk_shape(b, real.depth)
+    top, _ = _chunk_shape(b, real.depth)
     rows, step = b ** (level - top), b ** (real.depth - level)
     tables = tuple((np.empty(b**level), np.empty(b**level)) for _ in range(2))
-    if real.grid:
-        chunks = (tuple(f[i * width : (i + 1) * width + 1] for f in real.grid) for i in range(b**top))
-    else:
-        buffer = (np.empty(width + 1), np.empty(width + 1))
-        chunks = (buffer for _ in _walk_chunks(real, lambda i: buffer))
-    for i, chunk in enumerate(chunks):
+    for i, chunk in enumerate(grid_chunks(real)):
         for f, pair in zip(chunk, tables):
             for ufunc, table in zip((np.minimum, np.maximum), pair):
                 out = table[i * rows : (i + 1) * rows]
@@ -400,8 +394,7 @@ def grid_min_max(real: CascadeRealization, level: int):
     one, by folding each word's b**(finer - level) descendants (see
     _fold): a closed word interval is the union of its children's closed
     intervals, so this is exact.  Else a level at or above the chunks' top level is
-    reduced chunk by chunk, from the held grid when grid_values has
-    filled it or from one grid walk that holds no grid (see
+    reduced chunk by chunk from one grid walk that holds no grid (see
     _chunked_min_max), and a coarser level is derived from the top
     level's tables.
     """

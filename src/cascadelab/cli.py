@@ -296,6 +296,8 @@ def cmd_levelset(args, model):
     real = cascade.build(model, args.seed, args.depth)
     level = args.level if args.level is not None else args.depth - 4
     if ys is None:
+        # level_set's table first: the histogram's range derives from it, so there are two walks, not three
+        cascade.grid_min_max(real, level)
         edges, masses = estimate.occupation_histogram(real, args.k, 64)
         rng = np.random.default_rng(args.seed + 1)
         ys = estimate.sample_occupation_levels(edges, masses, rng, args.y_count).tolist()

@@ -47,18 +47,23 @@ class TestSet:
     generations: int
 
     def __post_init__(self):
+        for name in ("base", "block", "generations"):
+            object.__setattr__(self, name, cascade.as_integer(getattr(self, name), f"test-set {name}"))
+        digits = sorted(cascade.as_integer(d, "keep digit") for d in self.keep_digits)
+        if self.base < 2:
+            raise ConfigError(f"base must be >= 2, got {self.base}")
         if self.block < 1 or self.generations < 0:
             raise ConfigError("block and generations must be positive")
         if self.block >= 63 / math.log2(self.base):
             raise ConfigError(f"block {self.block} too large: base**block must stay below 2**63")
         big = self.base**self.block
-        if not self.keep_digits:
+        if not digits:
             raise ConfigError("keep_digits must be nonempty")
-        if len(set(self.keep_digits)) != len(self.keep_digits):
+        if len(set(digits)) != len(digits):
             raise ConfigError("keep_digits must be distinct")
-        if any(not 0 <= d < big for d in self.keep_digits):
+        if any(not 0 <= d < big for d in digits):
             raise ConfigError(f"keep digit out of range [0, {big})")
-        object.__setattr__(self, "keep_digits", tuple(sorted(self.keep_digits)))
+        object.__setattr__(self, "keep_digits", tuple(digits))
 
     @property
     def word_level(self) -> int:
@@ -261,6 +266,14 @@ def _int_levels(*levels) -> tuple[int, ...]:
     return tuple(cascade.as_integer(m, "level") for m in levels)
 
 
+def _component(k) -> int:
+    """The component k as an int, once it is 1 or 2 (see cascade.as_integer)."""
+    k = cascade.as_integer(k, "component k")
+    if k not in (1, 2):
+        raise ConfigError(f"component k must be 1 or 2, got {k}")
+    return k
+
+
 def partition_function(
     real: CascadeRealization, q: tuple[float, float], level_lo: int, level_hi: int
 ) -> DimensionEstimate:
@@ -269,7 +282,9 @@ def partition_function(
     The fitted slope of log_b S_m against m is expected to equal
     1 - phi(q) (counting factor b**m times the moment decay b**-m*phi).
     A q that is not finite raises ConfigError, and a sum that overflows
-    a double raises DivergenceError.
+    a double raises DivergenceError.  The min/max tables are memoized on
+    the realization (see cascade.grid_min_max); beyond them, one level's
+    two oscillation arrays are alive at a time (see _partition_sum).
     """
     q1, q2 = q
     if not (math.isfinite(q1) and math.isfinite(q2)):
@@ -278,18 +293,8 @@ def partition_function(
     if not 1 <= level_lo <= level_hi <= real.depth:
         raise ConfigError(f"bad level window [{level_lo}, {level_hi}]")
     ms = list(range(level_lo, level_hi + 1))
-    sums = {}  # None marks a zero oscillation under a negative q
-    for m in reversed(ms):  # finest first, so each coarser table derives from the memo
-        table = cascade.oscillations(real, m)
-        if ((q1 < 0) and (table.o1 == 0.0).any()) or (
-            (q2 < 0) and (table.o2 == 0.0).any()
-        ):
-            sums[m] = None
-        elif (q1, q2) == (0.0, 0.0):
-            sums[m] = float(len(table.o1))
-        else:
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                sums[m] = float((table.o1**q1 * table.o2**q2).sum())
+    # finest first, so each coarser table derives from the memo
+    sums = {m: _partition_sum(real, q1, q2, m) for m in reversed(ms)}
     logs = []
     for m in ms:  # the coarsest failing level is the one reported
         s = sums[m]
@@ -302,6 +307,26 @@ def partition_function(
         logs.append(math.log(s) / math.log(real.base))
     slope, stderr, r2 = fit_loglog(ms, logs)
     return DimensionEstimate(slope, stderr, (level_lo, level_hi), r2, tuple(zip(ms, logs)))
+
+
+def _partition_sum(real: CascadeRealization, q1: float, q2: float, level: int) -> float | None:
+    """S_m(q) at one level, or None for a zero oscillation under a negative q.
+
+    The level's oscillations are fresh arrays (see cascade.oscillations),
+    so the powers and their product are formed in place, with the bits of
+    O1**q1 * O2**q2, and freed on return.
+    """
+    table = cascade.oscillations(real, level)
+    o1, o2 = table.o1, table.o2
+    if ((q1 < 0) and (o1 == 0.0).any()) or ((q2 < 0) and (o2 == 0.0).any()):
+        return None
+    if (q1, q2) == (0.0, 0.0):
+        return float(len(o1))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        o1 **= q1
+        o2 **= q2
+        o1 *= o2
+    return float(o1.sum())
 
 
 def holder_exponents(
@@ -365,8 +390,7 @@ def level_crossing_counts(
     real: CascadeRealization, k: int, y: float, level_lo: int, level_hi: int
 ) -> np.ndarray:
     """Number of level-m intervals whose refined grid brackets y, per m."""
-    if k not in (1, 2):
-        raise ConfigError(f"component k must be 1 or 2, got {k}")
+    k = _component(k)
     level_lo, level_hi = _int_levels(level_lo, level_hi)
     if not 0 <= level_lo <= level_hi <= real.depth:
         raise ConfigError(f"bad level window [{level_lo}, {level_hi}]")
@@ -392,8 +416,7 @@ def level_set(
     against the level over [fit_lo, level].  An empty level set is a
     valid outcome, reported as dimension 0 with the ``empty`` flag.
     """
-    if k not in (1, 2):
-        raise ConfigError(f"component k must be 1 or 2, got {k}")
+    k = _component(k)
     fit_lo, level = _int_levels(fit_lo, level)
     if not 1 <= fit_lo <= level <= real.depth:
         raise ConfigError(f"bad level window [{fit_lo}, {level}]")
@@ -421,18 +444,28 @@ def occupation_histogram(
 
     Returns (bin_edges, masses) with masses summing to 1.  Used to pick
     'Lebesgue almost every' levels y for level-set experiments.
+
+    The bins span the level-0 min/max table of F_k: the closed interval
+    [0, 1] holds every grid point, so this is the grid's range, and it
+    derives from any finer table already memoized.  Then one grid walk
+    bins each chunk's cells (see cascade.grid_chunks) and adds up the
+    counts, so no grid is held.  np.histogram bins each value from the
+    value and the fixed (range, bins) alone, so the edges and masses are
+    those of one histogram over the whole grid, bit for bit.
     """
+    bin_count = cascade.as_integer(bin_count, "bin_count")
     if bin_count < 8:
         raise ConfigError(f"bin_count must be >= 8, got {bin_count}")
-    if k not in (1, 2):
-        raise ConfigError(f"component k must be 1 or 2, got {k}")
-    grid = cascade.grid_values(real)[k - 1]
-    values = grid[:-1]
-    lo, hi = float(grid.min()), float(grid.max())
+    k = _component(k)
+    (lo,), (hi,) = cascade.grid_min_max(real, 0)[k - 1]
+    lo, hi = float(lo), float(hi)
     if hi == lo:
         hi = lo + 1e-12
-    counts, edges = np.histogram(values, bins=bin_count, range=(lo, hi))
-    return edges, counts / len(values)
+    counts = np.zeros(bin_count, dtype=np.int64)
+    for chunk in cascade.grid_chunks(real):
+        part, edges = np.histogram(chunk[k - 1][:-1], bins=bin_count, range=(lo, hi))
+        counts += part
+    return edges, counts / real.cells
 
 
 def sample_occupation_levels(

@@ -90,17 +90,24 @@ def test_multiplicativity():
         assert qc[1] == pytest.approx(qp[1] * nw[1], rel=1e-14)
 
 
+def increment(real, w):
+    """The former cascade.increment: the increment of (F1, F2) over I_w, read off the grid."""
+    idx = real.word_index(w)
+    step = real.base ** (real.depth - len(w))
+    return tuple(float(f[(idx + 1) * step] - f[idx * step]) for f in cascade.grid_values(real))
+
+
 def test_increment_at_full_depth_equals_product():
     real = cascade.build(FRAC, seed=11, depth=9)
     w = parse_word("010011011", 2)
-    assert cascade.increment(real, w) == pytest.approx(
+    assert increment(real, w) == pytest.approx(
         cascade.partial_product(real, w), rel=1e-10
     )
 
 
 def test_increment_of_empty_word_is_total_mass():
     real = cascade.build(FRAC, seed=11, depth=9)
-    d1, d2 = cascade.increment(real, Word(2))
+    d1, d2 = increment(real, Word(2))
     f1, f2 = cascade.grid_values(real)
     assert d1 == pytest.approx(float(f1[-1]), rel=1e-14)
     assert d2 == pytest.approx(float(f2[-1]), rel=1e-14)
@@ -109,8 +116,8 @@ def test_increment_of_empty_word_is_total_mass():
 def test_increments_telescope():
     real = cascade.build(TABLE, seed=21, depth=10)
     for w in (parse_word("01", 2), parse_word("1101", 2)):
-        parent = cascade.increment(real, w)
-        kids = [cascade.increment(real, w.child(j)) for j in range(2)]
+        parent = increment(real, w)
+        kids = [increment(real, w.child(j)) for j in range(2)]
         for k in range(2):
             assert parent[k] == pytest.approx(sum(c[k] for c in kids), abs=1e-10)
 
@@ -335,15 +342,6 @@ def test_memoized_grid_min_max_equals_block_oracle(model, depth, order):
     assert cascade.grid_min_max(real, 3) is cascade.grid_min_max(real, 3)
 
 
-def test_grid_min_max_reduces_a_held_grid_without_walking_again(monkeypatch):
-    real = cascade.build(TABLE, seed=2, depth=12)
-    cascade.grid_values(real)
-    monkeypatch.setattr(cascade, "_walk_chunks", None)  # a second walk would raise
-    for level in (7, 12, 9, 0):  # 7 and 12 from the grid, 9 and 0 derived
-        for (lo, hi), (lo_w, hi_w) in zip(cascade.grid_min_max(real, level), block_min_max_oracle(real, level)):
-            assert np.array_equal(lo, lo_w) and np.array_equal(hi, hi_w)
-
-
 def test_grid_min_max_tables_are_read_only():
     real = cascade.build(FRAC, seed=1, depth=8)
     cascade.grid_min_max(real, 8)
@@ -474,15 +472,16 @@ def held_bytes(real):
     return sum(a.nbytes for a in arrays)
 
 
-def test_build_holds_only_the_grid_and_the_root_pair():
-    # build holds the root pair; grid_values adds the grid and nothing else
+def test_build_holds_only_the_root_pair():
+    # build holds the root pair; grid_values walks into fresh arrays and adds nothing
     real = cascade.build(FRAC, seed=3, depth=10)
     assert real.weights == [] and real.grid == () and real._min_max == {}
     assert [(list(q1), list(q2)) for q1, q2 in real.products] == [([1.0], [1.0])]
     assert held_bytes(real) == 16
-    cascade.grid_values(real)
-    assert held_bytes(real) == 16 * (2**10 + 1) + 16
-    assert cascade.grid_values(real) is real.grid
+    first, second = cascade.grid_values(real), cascade.grid_values(real)
+    assert all(a is not b for a, b in zip(first, second))
+    assert_same_bytes(first, second)
+    assert held_bytes(real) == 16 and real.grid == () and real._min_max == {}
 
 
 def peak_bytes(fn, *args):
@@ -611,20 +610,101 @@ def test_large_base_min_max_equals_the_block_reduction_of_the_grid(b, depth):
                     assert_same_bytes(pair, reduceat_min_max(f, b**level, b ** (depth - level)))
 
 
-def test_fold_keeps_the_later_of_two_tied_zeros():
+def test_fold_keeps_the_later_of_two_tied_zeros(monkeypatch):
     # worked by hand: a tie between +0.0 and -0.0 keeps the one further right
     a = np.array([0.0, -0.0, 1.0, 0.0, -0.0, -1.0])
     assert_same_bytes([cascade._fold(a, 2, np.minimum)], [np.array([-0.0, 0.0, -1.0])])
     assert_same_bytes([cascade._fold(a, 2, np.maximum)], [np.array([-0.0, 1.0, -0.0])])
     assert_same_bytes([cascade._fold(a, 3, np.minimum)], [np.array([-0.0, -1.0])])
     assert_same_bytes([cascade._fold(a, 3, np.maximum)], [np.array([1.0, -0.0])])
-    # a held grid with closed level-1 blocks (0.0, -0.0, 0.0) and (0.0, -0.0, 0.5):
+    # one chunk with closed level-1 blocks (0.0, -0.0, 0.0) and (0.0, -0.0, 0.5):
     # the right end is the last value folded in
     real = cascade.build(FRAC, seed=0, depth=2)
-    real.grid = (np.array([0.0, -0.0, 0.0, -0.0, 0.5]), np.array([-0.0, 0.0, -0.0, 0.0, -0.0]))
+    assert cascade._chunk_shape(2, 2) == (0, 4)
+    chunk = (np.array([0.0, -0.0, 0.0, -0.0, 0.5]), np.array([-0.0, 0.0, -0.0, 0.0, -0.0]))
+    monkeypatch.setattr(cascade, "grid_chunks", lambda real: iter([chunk]))
     (lo1, hi1), (lo2, hi2) = cascade.grid_min_max(real, 1)
     assert_same_bytes((lo1, hi1), (np.array([0.0, -0.0]), np.array([0.0, 0.5])))
     assert_same_bytes((lo2, hi2), (np.array([-0.0, -0.0]), np.array([-0.0, -0.0])))
+
+
+def histogram_oracle(grid, bins):
+    """The former occupation_histogram: one np.histogram over the whole grid."""
+    lo, hi = float(grid.min()), float(grid.max())
+    if hi == lo:
+        hi = lo + 1e-12
+    counts, edges = np.histogram(grid[:-1], bins=bins, range=(lo, hi))
+    return edges, counts / (len(grid) - 1)
+
+
+# (2, 19), (3, 12) and (4, 9) span 8, 9 and 4 chunks
+@pytest.mark.parametrize("b,depth", [(2, 19), (3, 12), (4, 9)])
+def test_streamed_histogram_equals_the_histogram_of_the_grid(b, depth):
+    for model in kinds(b):
+        grid = eager_build.__wrapped__(model, 21, depth)[2]
+        for k, bins in ((1, 64), (2, 37)):
+            # the range walked at the chunks' top level, then derived from a finer table
+            for held in (None, depth - 2):
+                real = cascade.build(model, seed=21, depth=depth)
+                if held is not None:
+                    cascade.grid_min_max(real, held)
+                got = estimate.occupation_histogram(real, k, bins)
+                assert_same_bytes(got, histogram_oracle(grid[k - 1], bins))
+                assert real.grid == ()
+
+
+@pytest.mark.parametrize("seed", [0, 4])
+def test_streamed_histogram_of_a_minimum_tied_between_signed_zeros(seed, monkeypatch):
+    # grid[k][0] is +0.0 and grid[k][1] -0.0, and no value is negative; chunks of 2 leaves
+    monkeypatch.setattr(cascade, "_CHUNK_CELLS", 2)
+    model = DiscreteTable(2, (((-0.0, -0.0), 0.5), ((0.5, 0.5), 0.5)))
+    grid = eager_build.__wrapped__(model, seed, 3)[2]
+    for f in grid:
+        assert not np.signbit(f[0]) and np.signbit(f[1]) and f.min() == 0.0
+    for k in (1, 2):
+        got = estimate.occupation_histogram(cascade.build(model, seed=seed, depth=3), k, 8)
+        assert_same_bytes(got, histogram_oracle(grid[k - 1], 8))
+
+
+def test_streamed_histogram_of_a_flat_grid():
+    # both level-1 weights are zero, so every product is a zero of either sign and the grid is flat
+    model = DiscreteTable(2, (((0.0, -0.0), 0.5), ((1.0, 1.0), 0.5)))
+    seed = next(s for s in range(64) if not cascade.level_weights(model, s, 1)[0].any())
+    grid = eager_build.__wrapped__(model, seed, 4)[2]
+    assert all(not f.any() for f in grid) and np.signbit(grid[1]).any()
+    for k in (1, 2):
+        edges, masses = estimate.occupation_histogram(cascade.build(model, seed=seed, depth=4), k, 8)
+        assert_same_bytes((edges, masses), histogram_oracle(grid[k - 1], 8))
+        assert edges[-1] == 1e-12 and masses[0] == 1.0
+
+
+@pytest.mark.parametrize("model", [FRAC, LognormalSigned.from_beta(2, 0.8, 0.1)], ids=lambda m: type(m).__name__)
+def test_streamed_histogram_peak_does_not_grow_with_depth(model):
+    # the walk holds one chunk buffer, and the histogram bins one chunk at a time
+    estimate.occupation_histogram(cascade.build(model, seed=1, depth=6), 1, 64)  # one-off allocations
+    above_tables = []
+    for depth in (18, 22):
+        real = cascade.build(model, seed=1, depth=depth)
+        _, peak = peak_bytes(estimate.occupation_histogram, real, 1, 64)
+        tables = sum(a.nbytes for t in real._min_max.values() for pair in t for a in pair)
+        above_tables.append(peak - tables)
+    assert above_tables[1] <= 1.05 * above_tables[0]
+    assert above_tables[0] <= 6 * 16 * cascade._CHUNK_CELLS  # a few arrays of one chunk's size
+
+
+@pytest.mark.parametrize("q", [(1.0, 1.0), (0.5, 0.5), (-0.5, 2.0), (1.5, -1.0)])
+def test_partition_function_peak_is_two_oscillation_arrays(q):
+    # with every table of the window memoized, only one level's oscillations are alive
+    model = LognormalSigned.from_beta(2, 0.8, 0.1)
+    real = cascade.build(model, seed=1, depth=20)
+    for m in range(16, 1, -1):
+        cascade.grid_min_max(real, m)
+    est, peak = peak_bytes(estimate.partition_function, real, q, 2, 16)
+    assert peak <= 2.25 * 8 * 2**16  # two level-16 arrays, plus a bool array and slack
+    # the in-place powers give the bits of the out-of-place ones
+    for m, log in est.counts_per_scale:
+        t = cascade.oscillations(real, m)
+        assert log == math.log(float((t.o1 ** q[0] * t.o2 ** q[1]).sum())) / math.log(2)
 
 
 def test_walk_descends_only_through_levels_above_the_whole_level_limit(monkeypatch):
@@ -679,18 +759,6 @@ def test_walk_multiplies_a_shared_modulus_once_per_level(model, monkeypatch):
     assert all((m1 is m2) == shared for m1, m2 in steps)
     assert times == [1] * (1 if shared else 2) * len(steps)
     assert_same_bytes(grid, eager_build.__wrapped__(model, 5, 17)[2])
-
-
-@pytest.mark.parametrize("level", [0, 3, 16, 20])
-def test_held_grid_min_max_peak_is_the_tables_plus_a_chunk(level):
-    # a held grid is reduced one chunk-wide slice at a time, not whole
-    real = cascade.build(FRAC, seed=1, depth=20)
-    cascade.grid_values(real)
-    tables, peak = peak_bytes(cascade.grid_min_max, real, level)
-    table_bytes = sum(a.nbytes for pair in tables for a in pair) + sum(
-        a.nbytes for m, t in real._min_max.items() if m != level for pair in t for a in pair
-    )
-    assert peak - table_bytes <= 2 * 8 * cascade._CHUNK_CELLS
 
 
 def test_negative_target_depth_is_a_config_error():

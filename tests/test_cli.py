@@ -219,6 +219,19 @@ def test_levelset_sampled_levels(model_file, tmp_path):
     assert len(rows) == 5
 
 
+def test_levelset_walks_the_grid_twice(model_file, tmp_path, monkeypatch):
+    # one walk for the level table that level_set reads, and the histogram's range derived from
+    # it; one walk for the histogram
+    walks = []
+    walk = cascade._walk_chunks
+    monkeypatch.setattr(cascade, "_walk_chunks", lambda real, frame: walks.append(real) or walk(real, frame))
+    args = ["levelset", "--model", model_file(FRACTIONAL), "--depth", "12", "--y-count", "4"]
+    assert main([*args, "--out", str(tmp_path / "sampled")]) == 0
+    assert len(walks) == 2
+    assert main([*args, "--out", str(tmp_path / "given"), "--y", "0.5"]) == 0
+    assert len(walks) == 3
+
+
 def test_uniform_sweep_cli(model_file, tmp_path):
     out = tmp_path / "out"
     rc = main(

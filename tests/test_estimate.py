@@ -63,6 +63,29 @@ def test_invalid_test_sets():
         cantor_set(2, (0, 0), 3)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        (2, (0, 1), 2.5),  # was accepted, then image_box_dim raised a TypeError
+        (2, (1, 1.5), 3),  # was read as the digits (1, 1): dimension 1.0, indices [7] * 8
+        (2, (0, True), 3),
+        (2, (0,), 3, 1.0),
+        (2.0, (0,), 3),
+        (1, (0,), 3),
+    ],
+)
+def test_test_set_arguments_that_are_not_integers_are_config_errors(args):
+    with pytest.raises(ConfigError):
+        cantor_set(*args)
+
+
+def test_test_set_holds_numpy_integers_as_ints():
+    ts = cantor_set(np.int64(3), (np.int32(2), np.int64(0)), np.int8(2))
+    assert (ts.base, ts.keep_digits, ts.generations) == (3, (0, 2), 2)
+    assert all(type(v) is int for v in (ts.base, ts.block, ts.generations, *ts.keep_digits))
+    assert ts.word_indices().tolist() == [0, 2, 6, 8]
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(2, 4), st.integers(1, 2), st.integers(1, 4))
 def test_test_set_properties(base, block, gens):
@@ -286,6 +309,28 @@ def test_occupation_histogram_guards():
         estimate.occupation_histogram(real, 1, 4)
     with pytest.raises(ConfigError):
         estimate.occupation_histogram(real, 3, 16)
+
+
+@pytest.mark.parametrize("k,bin_count", [(1, 8.5), (1.0, 64), (True, 64), (1, np.float64(16))])
+def test_occupation_histogram_arguments_that_are_not_integers_are_config_errors(k, bin_count):
+    # a float raised a raw TypeError from np.histogram or from the component index
+    real = cascade.build(IDENTITY2, seed=0, depth=6)
+    with pytest.raises(ConfigError, match="must be an integer"):
+        estimate.occupation_histogram(real, k, bin_count)
+    edges, masses = estimate.occupation_histogram(real, np.int64(1), np.int32(16))
+    assert len(edges) == 17 and masses.sum() == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("k", [1.0, True, np.float64(2)])
+def test_level_set_component_that_is_not_an_integer_is_a_config_error(k):
+    # 1.0 raised a raw TypeError from the component index
+    real = cascade.build(FRAC, seed=9, depth=10)
+    for call in (
+        lambda: estimate.level_set(real, k, 0.5, 8),
+        lambda: estimate.level_crossing_counts(real, k, 0.5, 2, 8),
+    ):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            call()
 
 
 def test_sample_occupation_levels_land_in_range():
