@@ -27,6 +27,6 @@ from .weights import (
     WeightModel,
     check_assumptions,
 )
-from .words import BadicInterval, Word, interval_of, successor, word_of
+from .words import Word
 
 __version__ = "0.1.0"

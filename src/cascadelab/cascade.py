@@ -1,18 +1,17 @@
 """Seed-deterministic cascade realizations.
 
 A realization of depth n is fixed by (model, seed, n): ``build``
-validates them and holds nothing but the root pair.  No realization
-holds its grid F_{k,n}(j * b**-n): every grid value a reader asks for
-is regenerated from the level streams.  What is memoized on the
-realization, on first read, is small beside the grid:
+validates them and holds no array.  No realization holds its grid
+F_{k,n}(j * b**-n), its node weights (W1, W2) or its running products
+(Q1, Q2): every value a reader asks for is regenerated from the level
+streams.  What is memoized on the realization, on first read, is small
+beside the grid:
 
 - the per-level min/max tables of the grid (see grid_min_max);
-- node weights (W1, W2) and running products (Q1, Q2), level by level
-  (see _levels);
 - the tilted sampler's per-q tables (see sample_tilted_path).
 
-Words are held as flat arrays indexed by their integer value within the
-level.
+A level's values are flat arrays indexed by each word's integer value
+within the level (see words.Word.index).
 
 Node randomness comes from counter-based Philox streams, one per
 (seed, level); the draw position inside the stream is the word index.
@@ -31,9 +30,11 @@ WeightModel.sample_pairs: a sign byte per node, XOR-ed down the levels,
 and moduli multiplied alone (floats for the fractional kind, one shared
 array for the lognormal kind; see _next_signed).  Float products are
 assembled only at the leaves, bit-identical to signed float products.
-grid_chunks sums each chunk into one reused buffer, so a reader of it
-(grid_min_max, and estimate.occupation_histogram) peaks at one chunk
-plus what it keeps, whatever the depth.  grid_values sums the chunks
+export_level takes one level's products from the same recurrence, built
+whole (see _signed_level).  grid_chunks sums each chunk into one reused
+buffer, so a reader of it (grid_min_max, and
+estimate.occupation_histogram) peaks at one chunk plus what it keeps,
+whatever the depth.  grid_values sums the chunks
 into a fresh grid of 16 * (b**n + 1) bytes, for the readers that need
 every value at once.  Every min/max table comes from one strided fold
 (see _fold), which turns each run of neighbours into one value.
@@ -49,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, ResourceError
+from .errors import ConfigError, DivergenceError, ResourceError, as_integer
 from .weights import WeightModel, signed_pairs
 from .words import Word
 
@@ -57,13 +58,6 @@ DEFAULT_CELL_BUDGET = 2**26
 _CHUNK_CELLS = 2**16  # leaves of the subtree a grid walk samples and sums at once
 _WHOLE_LEVEL_CELLS = 2**12  # a grid walk builds every level of at most this many nodes whole
 _FOLD_RUN_MAX = 32  # _fold reduces each run in one call when it is longer
-
-
-def as_integer(value, what: str) -> int:
-    """``value`` as an int: a Python or numpy integer, never a bool; else ConfigError."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _philox_key(seed: int, level: int) -> np.ndarray:
@@ -89,29 +83,23 @@ class CascadeRealization:
 
     Two realizations are equal when their (model, seed, depth) are: the
     memos below hold values regenerated from those three and never take
-    part in a comparison.  ``grid`` is always (): no reader holds the
-    grid (see grid_values), and the field is kept only because the
-    benchmark's tracer sums its arrays with the weights and products on
-    every build.  ``weights`` and ``products`` are prefix memos filled on
-    first read: ``weights[m - 1]`` and ``products[m]`` hold the level-m
-    (W1, W2) and (Q1, Q2) arrays for every level up to the deepest one
-    read so far, and products[0] is the root pair (1, 1), all ``build``
-    leaves.  The per-level grid min/max
-    tables are memoized on first use too (see grid_min_max), and so are
-    the tilted-path tables, per q (see sample_tilted_path).  None of the
-    memos changes a value a reader sees.
+    part in a comparison.  The per-level grid min/max tables are memoized
+    on first use (see grid_min_max), and so are the tilted-path tables,
+    per q (see sample_tilted_path).  None of the memos changes a value a
+    reader sees.
+
+    ``weights``, ``products`` and ``grid`` are empty tuples on the class,
+    not fields: no realization holds those arrays, and the names are
+    read only by the benchmark's tracer, which sums their arrays on
+    every build until its re-base drops them.
     """
 
     model: WeightModel
     seed: int
     depth: int
-    grid: tuple = field(default=(), init=False, repr=False, compare=False)
-    weights: list = field(default_factory=list, init=False, repr=False, compare=False)
-    products: list = field(
-        default_factory=lambda: [(np.ones(1), np.ones(1))], init=False, repr=False, compare=False
-    )
     _min_max: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _tilted: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    weights = products = grid = ()
 
     @property
     def base(self) -> int:
@@ -120,23 +108,6 @@ class CascadeRealization:
     @property
     def cells(self) -> int:
         return self.base**self.depth
-
-    def word_index(self, w: Word) -> int:
-        if w.base != self.base:
-            raise ConfigError(f"word base {w.base} != realization base {self.base}")
-        if len(w) > self.depth:
-            raise ConfigError(f"word length {len(w)} exceeds depth {self.depth}")
-        return w.index
-
-
-def _next_products(q: np.ndarray, w: np.ndarray, b: int) -> np.ndarray:
-    """Level-m products from level m-1's, written over ``w`` and returned.
-
-    Each parent's product times each of its b children's weights.
-    """
-    children = w.reshape(-1, b)
-    np.multiply(q[:, None], children, out=children)
-    return w
 
 
 def _next_signed(q: tuple, w: tuple, b: int) -> tuple:
@@ -164,6 +135,15 @@ def _times(p, m, b: int):
     children = m.reshape(-1, b)
     np.multiply(p[:, None] if np.ndim(p) else p, children, out=children)
     return m
+
+
+def _signed_level(model: WeightModel, seed: int, level: int) -> tuple:
+    """Level ``level``'s products (Q1, Q2) in the signed form, each level above it built whole."""
+    b = model.base
+    q = (np.zeros(1, dtype=np.uint8), 1.0, 1.0)  # the root, in the signed form
+    for m in range(1, level + 1):
+        q = _next_signed(q, model.sample_pairs(level_rng(seed, m), b**m, signed=True), b)
+    return q
 
 
 def _slice(q: tuple, lo: int, hi: int) -> tuple:
@@ -261,9 +241,7 @@ def _walk_chunks(real: CascadeRealization, frame):
     whole = top
     while whole < depth and b ** (whole + 1) <= _WHOLE_LEVEL_CELLS:
         whole += 1
-    q = (np.zeros(1, dtype=np.uint8), 1.0, 1.0)  # the root, in the signed form
-    for m in range(1, whole + 1):
-        q = _next_signed(q, model.sample_pairs(level_rng(seed, m), b**m, signed=True), b)
+    q = _signed_level(model, seed, whole)
     span = b ** (whole - top)  # level-whole words under each chunk
     streams = [_LevelStream(seed, m, b**m) for m in range(whole + 1, depth + 1)]
     ends = (0.0, 0.0)
@@ -308,39 +286,6 @@ def grid_values(real: CascadeRealization) -> tuple:
     for _ in _walk_chunks(real, lambda i: tuple(f[i * width : (i + 1) * width + 1] for f in grid)):
         pass
     return grid
-
-
-def _levels(real: CascadeRealization, level: int) -> tuple[list, list]:
-    """``real.weights`` and ``real.products``, filled through ``level``.
-
-    Missing levels are regenerated from their (seed, level) streams, so
-    they are bit-identical to the ones the grid was built from.
-    """
-    weights, products, b = real.weights, real.products, real.base
-    for m in range(len(weights) + 1, level + 1):
-        w1, w2 = level_weights(real.model, real.seed, m)
-        q1, q2 = products[m - 1]
-        weights.append((w1, w2))
-        products.append((_next_products(q1, w1.copy(), b), _next_products(q2, w2.copy(), b)))
-    return weights, products
-
-
-def partial_product(real: CascadeRealization, w: Word) -> tuple[float, float]:
-    """(Q1(w), Q2(w)); Q_k(empty) = 1."""
-    idx = real.word_index(w)
-    _, products = _levels(real, len(w))
-    q1, q2 = products[len(w)]
-    return float(q1[idx]), float(q2[idx])
-
-
-def node_weight(real: CascadeRealization, w: Word) -> tuple[float, float]:
-    """(W1(w), W2(w)) at a nonempty word."""
-    if len(w) == 0:
-        raise ConfigError("the empty word carries no weight")
-    idx = real.word_index(w)
-    weights, _ = _levels(real, len(w))
-    w1, w2 = weights[len(w) - 1]
-    return float(w1[idx]), float(w2[idx])
 
 
 def _fold(a: np.ndarray, b: int, ufunc, out=None) -> np.ndarray:
@@ -450,15 +395,15 @@ def _tilted_tables(real: CascadeRealization, q: tuple[float, float], level: int)
     |W1|^q1 |W2|^q2 over its siblings up to itself (0 * inf counts as 1);
     ``totals[m - 1]`` lists each level-(m-1) parent's sum.  Both are the
     values a per-parent cumsum and sum of the same slice give, bit for bit.
+    Each new level's weights are drawn from its stream (see level_weights).
     """
     cums, totals = real._tilted.setdefault(q, ([], []))
     b = real.base
-    weights, _ = _levels(real, level)
     q1, q2 = q
     # whole levels, visited or not: an infinite total raises only when a path reaches it
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for m in range(len(cums) + 1, level + 1):
-            w1, w2 = weights[m - 1]
+            w1, w2 = level_weights(real.model, real.seed, m)
             tw = np.abs(w1) ** q1 * np.abs(w2) ** q2
             tw[np.isnan(tw)] = 1.0  # 0 * inf
             tw = tw.reshape(-1, b)
@@ -515,14 +460,15 @@ def export_level(real: CascadeRealization, level: int):
     Rows come in word-index order; a word is written as ``str(Word)``
     writes it (digits without separators, or dot-separated for b > 10,
     so ``parse_word`` reads it back), and its endpoint is the grid value
-    at its interval's right end.
+    at its interval's right end.  The level's products are built whole
+    from the level streams (see _signed_level), bit-identical to the
+    ones the grid walk multiplies, and nothing is kept on ``real``.
     """
     level = as_integer(level, "level")
     if not 0 <= level <= real.depth:
         raise ConfigError(f"level {level} outside [0, {real.depth}]")
     b = real.base
-    _, products = _levels(real, level)
-    q1, q2 = products[level]
+    q1, q2 = signed_pairs(*_signed_level(real.model, real.seed, level))
     step = b ** (real.depth - level)
     f1, f2 = grid_values(real)
     digits = [str(d) for d in range(b)]

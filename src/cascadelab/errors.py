@@ -1,8 +1,10 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and its integer check.
 
 The CLI maps these onto exit codes: config errors -> 2, assumption
 failures -> 3, numeric failures -> 4, resource limits -> 5.
 """
+
+import numpy as np
 
 
 class CascadeLabError(Exception):
@@ -39,3 +41,10 @@ class ZeroOscillationError(NumericError):
 
 class ResourceError(CascadeLabError):
     """A memory or size budget would be exceeded."""
+
+
+def as_integer(value, what: str) -> int:
+    """``value`` as an int: a Python or numpy integer, never a bool; else ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(value)

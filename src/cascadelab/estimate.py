@@ -21,6 +21,7 @@ from .errors import (
     DegenerateRangeError,
     DivergenceError,
     ZeroOscillationError,
+    as_integer,
 )
 from .weights import Fractional
 from .words import Word, word_from_index
@@ -48,8 +49,8 @@ class TestSet:
 
     def __post_init__(self):
         for name in ("base", "block", "generations"):
-            object.__setattr__(self, name, cascade.as_integer(getattr(self, name), f"test-set {name}"))
-        digits = sorted(cascade.as_integer(d, "keep digit") for d in self.keep_digits)
+            object.__setattr__(self, name, as_integer(getattr(self, name), f"test-set {name}"))
+        digits = sorted(as_integer(d, "keep digit") for d in self.keep_digits)
         if self.base < 2:
             raise ConfigError(f"base must be >= 2, got {self.base}")
         if self.block < 1 or self.generations < 0:
@@ -82,9 +83,6 @@ class TestSet:
         for _ in range(self.generations):
             idx = (idx[:, None] * big + keep[None, :]).ravel()
         return idx
-
-    def words(self) -> list[Word]:
-        return [word_from_index(int(j), self.word_level, self.base) for j in self.word_indices()]
 
 
 def cantor_set(base: int, keep_digits, generations: int, block: int = 1) -> TestSet:
@@ -262,13 +260,13 @@ def image_box_dim(
 
 
 def _int_levels(*levels) -> tuple[int, ...]:
-    """The levels of a window as ints (see cascade.as_integer)."""
-    return tuple(cascade.as_integer(m, "level") for m in levels)
+    """The levels of a window as ints (see errors.as_integer)."""
+    return tuple(as_integer(m, "level") for m in levels)
 
 
 def _component(k) -> int:
-    """The component k as an int, once it is 1 or 2 (see cascade.as_integer)."""
-    k = cascade.as_integer(k, "component k")
+    """The component k as an int, once it is 1 or 2 (see errors.as_integer)."""
+    k = as_integer(k, "component k")
     if k not in (1, 2):
         raise ConfigError(f"component k must be 1 or 2, got {k}")
     return k
@@ -371,19 +369,14 @@ def holder_exponents(
     return h1, h2
 
 
-def holder_exponent(
-    real: CascadeRealization, w: Word, level_lo: int, level_hi: int
-) -> tuple[float, float]:
-    """Holder pair at the point addressed by a single word."""
-    if len(w) < level_hi:
-        raise ConfigError(f"word length {len(w)} shorter than window top {level_hi}")
-    idx = w.prefix(level_hi).index
-    h1, h2 = holder_exponents(real, [idx], level_lo, level_hi)
-    return float(h1[0]), float(h2[0])
-
-
 # ---------------------------------------------------------------------------
 # level sets and occupation measure
+
+
+def _check_finite_level(y) -> None:
+    """NaN and +-inf bracket nothing, so a level y that is not finite raises ConfigError."""
+    if not math.isfinite(y):
+        raise ConfigError(f"level y must be finite, got {y}")
 
 
 def level_crossing_counts(
@@ -391,6 +384,7 @@ def level_crossing_counts(
 ) -> np.ndarray:
     """Number of level-m intervals whose refined grid brackets y, per m."""
     k = _component(k)
+    _check_finite_level(y)
     level_lo, level_hi = _int_levels(level_lo, level_hi)
     if not 0 <= level_lo <= level_hi <= real.depth:
         raise ConfigError(f"bad level window [{level_lo}, {level_hi}]")
@@ -414,9 +408,11 @@ def level_set(
     closed I_w brackets y (min <= y <= max); endpoint sign changes would
     miss double crossings.  The dimension is the slope of log_b(count)
     against the level over [fit_lo, level].  An empty level set is a
-    valid outcome, reported as dimension 0 with the ``empty`` flag.
+    valid outcome, reported as dimension 0 with the ``empty`` flag; a y
+    that is not finite raises ConfigError.
     """
     k = _component(k)
+    _check_finite_level(y)
     fit_lo, level = _int_levels(fit_lo, level)
     if not 1 <= fit_lo <= level <= real.depth:
         raise ConfigError(f"bad level window [{fit_lo}, {level}]")
@@ -453,7 +449,7 @@ def occupation_histogram(
     value and the fixed (range, bins) alone, so the edges and masses are
     those of one histogram over the whole grid, bit for bit.
     """
-    bin_count = cascade.as_integer(bin_count, "bin_count")
+    bin_count = as_integer(bin_count, "bin_count")
     if bin_count < 8:
         raise ConfigError(f"bin_count must be >= 8, got {bin_count}")
     k = _component(k)
@@ -471,7 +467,17 @@ def occupation_histogram(
 def sample_occupation_levels(
     edges: np.ndarray, masses: np.ndarray, rng: np.random.Generator, count: int
 ) -> np.ndarray:
-    """Draw y values from an occupation histogram (uniform within bins)."""
+    """Draw y values from an occupation histogram (uniform within bins).
+
+    The masses must be finite and non-negative with a positive sum, and
+    ``count`` a non-negative integer; else ConfigError.
+    """
+    count = as_integer(count, "count")
+    if count < 0:
+        raise ConfigError(f"count must be >= 0, got {count}")
+    masses = np.asarray(masses, dtype=float)
+    if not (np.isfinite(masses).all() and (masses >= 0).all() and masses.sum() > 0):
+        raise ConfigError("occupation masses must be finite and non-negative with a positive sum")
     cum = np.cumsum(masses)
     cum /= cum[-1]
     bins = np.searchsorted(cum, rng.random(count), side="right")

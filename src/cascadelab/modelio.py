@@ -1,4 +1,4 @@
-"""Reading and writing weight-model specification files.
+"""Reading weight-model specification files, the text ``WeightModel.describe`` writes.
 
 The format is line-oriented key/value text.  Keys and values are
 whitespace separated; an optional ``=`` between them is accepted and
@@ -126,8 +126,3 @@ def load_model(path) -> WeightModel:
     except OSError as e:
         raise ConfigError(f"cannot read model file {path}: {e}") from e
     return parse_model(text)
-
-
-def save_model(model: WeightModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(model.describe())

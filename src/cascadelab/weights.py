@@ -150,10 +150,6 @@ class SignJoint:
         signs |= b
         return signs
 
-    def sample(self, u: np.ndarray, mag1: float, mag2: float):
-        """Signed moduli (+-mag1, +-mag2) for uniforms ``u`` in [0, 1) and moduli >= 0 (see signs)."""
-        return signed_pairs(self.signs(u), mag1, mag2)
-
 
 def _with_sign(signs: np.ndarray, bit: int, mag) -> np.ndarray:
     """-mag where sign bit ``bit`` (0 or 1) of ``signs`` is set, mag elsewhere (-0.0 for mag = 0.0).
@@ -226,10 +222,6 @@ class WeightModel:
         is this one assembled by ``signed_pairs``, bit for bit.
         """
         raise NotImplementedError
-
-    def sample(self, rng: np.random.Generator) -> tuple[float, float]:
-        w1, w2 = self.sample_pairs(rng, 1)
-        return float(w1[0]), float(w2[0])
 
     # -- analytic moments --------------------------------------------------
 
@@ -360,8 +352,22 @@ def sigma_from_beta(beta: float, base: int) -> float:
     return math.sqrt(2.0 * beta * math.log(base))
 
 
+class _LognormalFactor:
+    """The beta parametrization of the kinds whose moduli carry exp(sigma*Y - sigma**2/2)."""
+
+    @property
+    def beta(self) -> float:
+        """sigma**2 / (2 ln b)."""
+        return self.sigma**2 / (2.0 * math.log(self.base))
+
+    @classmethod
+    def from_beta(cls, base, alpha, beta, signs=None):
+        """The model of sigma = sigma_from_beta(beta, base); ``signs`` is its fourth field."""
+        return cls(base, alpha, sigma_from_beta(beta, base), signs)
+
+
 @dataclass(frozen=True)
-class LognormalSigned(WeightModel):
+class LognormalSigned(_LognormalFactor, WeightModel):
     """W_k = X_k * exp(sigma*Y - sigma**2/2), one shared normal Y per draw.
 
     X_k = +-b**-alpha with marginals making E(W_k) = b**-1.  The shared
@@ -387,14 +393,6 @@ class LognormalSigned(WeightModel):
                 raise ConfigError(
                     f"sign marginal {plus} does not give E(W_k)=1/b (need {want})"
                 )
-
-    @property
-    def beta(self) -> float:
-        return self.sigma**2 / (2.0 * math.log(self.base))
-
-    @classmethod
-    def from_beta(cls, base, alpha, beta, sign_joint=None):
-        return cls(base, alpha, sigma_from_beta(beta, base), sign_joint)
 
     def sample_pairs(self, rng, size, signed=False):
         signs = self.sign_joint.signs(rng.random(size))
@@ -432,7 +430,7 @@ class LognormalSigned(WeightModel):
 
 
 @dataclass(frozen=True)
-class Mixed(WeightModel):
+class Mixed(_LognormalFactor, WeightModel):
     """W1 signed lognormal, W2 = b**-1 * exp(sigma*Y - sigma**2/2) > 0.
 
     The second coordinate is almost surely positive, so F2 is increasing
@@ -454,14 +452,6 @@ class Mixed(WeightModel):
             )
         if not 0.0 <= self.sign_plus <= 1.0:
             raise ConfigError(f"sign_plus must be a probability, got {self.sign_plus}")
-
-    @property
-    def beta(self) -> float:
-        return self.sigma**2 / (2.0 * math.log(self.base))
-
-    @classmethod
-    def from_beta(cls, base, alpha, beta, sign_plus=None):
-        return cls(base, alpha, sigma_from_beta(beta, base), sign_plus)
 
     def sample_pairs(self, rng, size, signed=False):
         signs = (rng.random(size) >= self.sign_plus).view(np.uint8)
@@ -588,19 +578,6 @@ class DiscreteTable(WeightModel):
         return "\n".join(lines) + "\n"
 
 
-def finite_difference_grad(model: WeightModel, q1: float, q2: float, h: float = 1e-5):
-    """Central-difference gradient of phi; oracle for the analytic forms."""
-    vals = [
-        model.phi(q1 + h, q2),
-        model.phi(q1 - h, q2),
-        model.phi(q1, q2 + h),
-        model.phi(q1, q2 - h),
-    ]
-    if any(math.isinf(v) for v in vals):
-        raise DivergenceError("phi infinite at a finite-difference stencil point")
-    return ((vals[0] - vals[1]) / (2 * h), (vals[2] - vals[3]) / (2 * h))
-
-
 def _a1_condition_closed_form(alpha: float, beta: float) -> bool:
     """Closed-form admissibility for the lognormal-factor kinds."""
     if beta >= 1.0 or alpha > 1.0:
@@ -646,7 +623,7 @@ def check_assumptions(model: WeightModel, grid_points: int = 512) -> AssumptionR
     a1_ok = worst(q_best) < 1.0 / b
     a1_witness = q_best if a1_ok else None
 
-    if isinstance(model, (LognormalSigned, Mixed)):
+    if isinstance(model, _LognormalFactor):
         closed = _a1_condition_closed_form(model.alpha, model.beta)
         if closed != a1_ok:
             notes.append(

@@ -50,15 +50,20 @@ def test_prefix_stability_across_depths():
         assert q_a == [row[:3] for row in cascade.export_level(b, m)]
 
 
+def partial_product(real, w):
+    """(Q1(w), Q2(w)), read off the export of w's level."""
+    return cascade.export_level(real, len(w))[w.index][1:3]
+
+
 def test_root_partial_product():
     real = cascade.build(FRAC, seed=0, depth=6)
-    assert cascade.partial_product(real, Word(2)) == (1.0, 1.0)
+    assert partial_product(real, Word(2)) == (1.0, 1.0)
 
 
 def test_fractional_partial_product_modulus():
     real = cascade.build(FRAC, seed=0, depth=8)
     for w in (parse_word("0", 2), parse_word("101", 2), parse_word("11011", 2)):
-        q1, q2 = cascade.partial_product(real, w)
+        q1, q2 = partial_product(real, w)
         assert abs(q1) == pytest.approx(2 ** (-0.75 * len(w)), rel=1e-12)
         assert abs(q2) == pytest.approx(2 ** (-0.75 * len(w)), rel=1e-12)
 
@@ -70,10 +75,10 @@ def test_partial_product_recomputable_from_level_streams():
     q1, q2 = 1.0, 1.0
     for i in range(1, len(w) + 1):
         lvl1, lvl2 = cascade.level_weights(TABLE, 77, i)
-        idx = w.prefix(i).index
+        idx = Word(2, w.digits[:i]).index
         q1 *= lvl1[idx]
         q2 *= lvl2[idx]
-    got = cascade.partial_product(real, w)
+    got = partial_product(real, w)
     assert got[0] == pytest.approx(q1, rel=1e-14)
     assert got[1] == pytest.approx(q2, rel=1e-14)
 
@@ -81,18 +86,18 @@ def test_partial_product_recomputable_from_level_streams():
 def test_multiplicativity():
     real = cascade.build(FRAC, seed=3, depth=8)
     w = parse_word("0110", 2)
-    qp = cascade.partial_product(real, w)
+    qp = partial_product(real, w)
+    w1, w2 = cascade.level_weights(FRAC, 3, 5)
     for j in (0, 1):
-        child = w.child(j)
-        qc = cascade.partial_product(real, child)
-        nw = cascade.node_weight(real, child)
-        assert qc[0] == pytest.approx(qp[0] * nw[0], rel=1e-14)
-        assert qc[1] == pytest.approx(qp[1] * nw[1], rel=1e-14)
+        child = Word(2, w.digits + (j,))
+        qc = partial_product(real, child)
+        assert qc[0] == pytest.approx(qp[0] * w1[child.index], rel=1e-14)
+        assert qc[1] == pytest.approx(qp[1] * w2[child.index], rel=1e-14)
 
 
 def increment(real, w):
     """The former cascade.increment: the increment of (F1, F2) over I_w, read off the grid."""
-    idx = real.word_index(w)
+    idx = w.index
     step = real.base ** (real.depth - len(w))
     return tuple(float(f[(idx + 1) * step] - f[idx * step]) for f in cascade.grid_values(real))
 
@@ -100,9 +105,7 @@ def increment(real, w):
 def test_increment_at_full_depth_equals_product():
     real = cascade.build(FRAC, seed=11, depth=9)
     w = parse_word("010011011", 2)
-    assert increment(real, w) == pytest.approx(
-        cascade.partial_product(real, w), rel=1e-10
-    )
+    assert increment(real, w) == pytest.approx(partial_product(real, w), rel=1e-10)
 
 
 def test_increment_of_empty_word_is_total_mass():
@@ -117,7 +120,7 @@ def test_increments_telescope():
     real = cascade.build(TABLE, seed=21, depth=10)
     for w in (parse_word("01", 2), parse_word("1101", 2)):
         parent = increment(real, w)
-        kids = [increment(real, w.child(j)) for j in range(2)]
+        kids = [increment(real, Word(2, w.digits + (j,))) for j in range(2)]
         for k in range(2):
             assert parent[k] == pytest.approx(sum(c[k] for c in kids), abs=1e-10)
 
@@ -188,7 +191,7 @@ def test_rescaled_oscillations_equidistributed_across_levels():
     def rescaled(seed, level, n=13):
         real = cascade.build(FRAC, seed=seed, depth=n)
         o = cascade.oscillations(real, level).o1[0]
-        q = abs(cascade.partial_product(real, parse_word("0" * level, 2))[0])
+        q = abs(partial_product(real, parse_word("0" * level, 2))[0])
         return o / q
 
     a = np.sort([rescaled(s, 3) for s in range(80)])
@@ -284,14 +287,6 @@ def test_depth_guards():
         cascade.build(FRAC, seed=0, depth=0)
     with pytest.raises(ResourceError):
         cascade.build(FRAC, seed=0, depth=30)
-
-
-def test_word_guards():
-    real = cascade.build(FRAC, seed=0, depth=4)
-    with pytest.raises(ConfigError):
-        cascade.partial_product(real, parse_word("01010", 2))
-    with pytest.raises(ConfigError):
-        cascade.partial_product(real, parse_word("012", 3))
 
 
 def test_export_level():
@@ -468,20 +463,32 @@ def test_grid_keeps_the_sign_of_negative_zero_products(seed):
 
 
 def held_bytes(real):
+    """What the benchmark's tracer counts as held: the arrays of weights, products and grid."""
     arrays = [a for pair in real.weights + real.products for a in pair] + list(real.grid)
     return sum(a.nbytes for a in arrays)
 
 
-def test_build_holds_only_the_root_pair():
-    # build holds the root pair; grid_values walks into fresh arrays and adds nothing
+FIELDS = {"model", "seed", "depth", "_min_max", "_tilted"}
+
+
+def test_build_holds_no_arrays():
+    # build holds (model, seed, depth); grid_values walks into fresh arrays and adds nothing
     real = cascade.build(FRAC, seed=3, depth=10)
-    assert real.weights == [] and real.grid == () and real._min_max == {}
-    assert [(list(q1), list(q2)) for q1, q2 in real.products] == [([1.0], [1.0])]
-    assert held_bytes(real) == 16
+    assert set(vars(real)) == FIELDS and real._min_max == {} and real._tilted == {}
+    assert held_bytes(real) == 0
     first, second = cascade.grid_values(real), cascade.grid_values(real)
     assert all(a is not b for a, b in zip(first, second))
     assert_same_bytes(first, second)
-    assert held_bytes(real) == 16 and real.grid == () and real._min_max == {}
+    assert set(vars(real)) == FIELDS and real._min_max == {} and held_bytes(real) == 0
+
+
+def test_export_and_tilted_paths_keep_only_the_tilted_tables():
+    real = cascade.build(TABLE, seed=3, depth=10)
+    cascade.export_level(real, 6)
+    cascade.sample_tilted_path(real, (1.0, 0.5), 8, np.random.default_rng(0))
+    assert set(vars(real)) == FIELDS and real._min_max == {}
+    assert list(real._tilted) == [(1.0, 0.5)]
+    assert held_bytes(real) == 0
 
 
 def peak_bytes(fn, *args):
@@ -528,15 +535,11 @@ def test_streamed_min_max_peak_does_not_grow_with_depth(model):
 def test_readers_regenerate_levels_equal_to_the_eager_build():
     model = LognormalSigned.from_beta(3, 0.8, 0.1)
     real = cascade.build(model, seed=8, depth=6)
-    weights, products, _ = eager_build(model, 8, 6)
-    w, v = parse_word("0212", 3), parse_word("02", 3)
-    assert cascade.partial_product(real, v) == tuple(float(q[v.index]) for q in products[2])
-    assert len(real.weights) == 2 and len(real.products) == 3  # a prefix memo, no deeper
-    assert cascade.node_weight(real, w) == tuple(float(a[w.index]) for a in weights[3])
-    assert cascade.partial_product(real, w) == tuple(float(q[w.index]) for q in products[4])
-    assert len(real.weights) == 4 and len(real.products) == 5
-    for m in range(5):
-        assert all(np.array_equal(a, b) for a, b in zip(real.products[m], products[m]))
+    _, products, _ = eager_build(model, 8, 6)
+    for m in (4, 2, 6, 0):  # any order: each export regenerates its level from the streams
+        rows = cascade.export_level(real, m)
+        assert_same_bytes([np.array([row[k] for row in rows]) for k in (1, 2)], products[m])
+    assert set(vars(real)) == FIELDS and held_bytes(real) == 0
 
 
 def test_grid_readers_regenerate_no_weights():
@@ -546,9 +549,8 @@ def test_grid_readers_regenerate_no_weights():
     estimate.partition_function(real, (1.0, 1.0), 2, 8)
     estimate.holder_exponents(real, [0, 5, 2**12 - 1], 3, 12)
     estimate.level_set(real, 1, y, 8)
-    assert real.weights == []
-    assert len(real.products) == 1
-    assert real.grid == ()
+    assert set(vars(real)) == FIELDS and real._tilted == {}
+    assert held_bytes(real) == 0
 
 
 def test_realizations_compare_by_model_seed_and_depth():
@@ -796,11 +798,19 @@ def as_text(rows):
 
 @pytest.mark.parametrize(
     "model,depth",
-    [(FRAC, 8), (Fractional(3, 0.7, 0.9), 5), (Fractional(11, 0.75, 0.75), 2), (TABLE, 6)],
+    [
+        (FRAC, 8),
+        (Fractional(3, 0.7, 0.9), 5),
+        (Fractional(11, 0.75, 0.75), 2),
+        (TABLE, 6),
+        (LognormalSigned.from_beta(2, 0.8, 0.1), 8),
+        (Mixed.from_beta(3, 0.8, 0.1), 5),
+        (DiscreteTable(2, (((-0.0, -0.0), 0.5), ((0.5, 0.5), 0.5))), 6),  # %.17g writes -0.0 as -0
+    ],
 )
 def test_export_level_equals_loop_oracle(model, depth):
     real = cascade.build(model, seed=4, depth=depth)
-    for level in sorted({0, 1, depth // 2, depth}):
+    for level in range(depth + 1):
         rows = cascade.export_level(real, level)
         assert as_text(rows) == as_text(export_level_oracle(real, level))
     assert cascade.export_level(real, 0)[0][0] == ""
@@ -954,7 +964,7 @@ def test_non_finite_tilt_is_a_config_error(q):
     real = cascade.build(TABLE, seed=0, depth=4)
     with pytest.raises(ConfigError):
         cascade.sample_tilted_path(real, q, 4, np.random.default_rng(0))
-    assert real._tilted == {} and real.weights == []
+    assert real._tilted == {}
 
 
 def test_export_words_above_base_ten_are_distinct_and_parse_back():

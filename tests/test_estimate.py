@@ -10,7 +10,7 @@ from cascadelab.errors import ConfigError, DegenerateRangeError, DivergenceError
 from cascadelab.estimate import TestSet as CantorSet
 from cascadelab.estimate import cantor_set, fit_loglog
 from cascadelab.weights import DiscreteTable, Fractional, LognormalSigned, SignJoint
-from cascadelab.words import parse_word
+from cascadelab.words import parse_word, word_from_index
 
 IDENTITY2 = Fractional(2, 1.0, 1.0, SignJoint(1.0, 0.0, 0.0, 0.0))
 IDENTITY3 = Fractional(3, 1.0, 1.0, SignJoint(1.0, 0.0, 0.0, 0.0))
@@ -31,7 +31,7 @@ def test_middle_thirds_cantor_set():
 def test_small_cantor_indices_by_hand():
     ts = cantor_set(3, (0, 2), 2)
     assert ts.word_indices().tolist() == [0, 2, 6, 8]
-    assert [str(w) for w in ts.words()] == ["00", "02", "20", "22"]
+    assert [str(word_from_index(int(j), 2, 3)) for j in ts.word_indices()] == ["00", "02", "20", "22"]
 
 
 def test_block_cantor_set_on_binary_base():
@@ -43,7 +43,8 @@ def test_block_cantor_set_on_binary_base():
     assert len(idx) == 8
     assert idx[0] == 0 and idx[-1] == 4**3 - 1
     # digit blocks of every survivor are 00 or 11
-    for w in ts.words():
+    for j in idx:
+        w = word_from_index(int(j), ts.word_level, 2)
         pairs = [w.digits[i : i + 2] for i in range(0, 6, 2)]
         assert all(p in ((0, 0), (1, 1)) for p in pairs)
 
@@ -207,7 +208,7 @@ def test_zero_oscillation_reports_the_coarsest_level():
 
 def test_identity_holder_exponent_is_one():
     real = cascade.build(IDENTITY2, seed=0, depth=12)
-    h1, h2 = estimate.holder_exponent(real, parse_word("0110101101", 2), 2, 10)
+    (h1,), (h2,) = estimate.holder_exponents(real, [parse_word("0110101101", 2).index], 2, 10)
     assert h1 == pytest.approx(1.0, abs=1e-10)
     assert h2 == pytest.approx(1.0, abs=1e-10)
 
@@ -221,20 +222,10 @@ def test_fractional_holder_exponents_concentrate_at_alpha():
     assert h1.std() < 0.2
 
 
-def test_holder_single_word_matches_vectorized():
-    real = cascade.build(FRAC, seed=5, depth=12)
-    w = parse_word("0110101101", 2)
-    single = estimate.holder_exponent(real, w, 3, 10)
-    h1, h2 = estimate.holder_exponents(real, [w.index], 3, 10)
-    assert single == (h1[0], h2[0])
-
-
 def test_holder_window_guards():
     real = cascade.build(FRAC, seed=0, depth=8)
     with pytest.raises(ConfigError):
         estimate.holder_exponents(real, [0], 5, 5)
-    with pytest.raises(ConfigError):
-        estimate.holder_exponent(real, parse_word("01", 2), 2, 6)
 
 
 @pytest.mark.parametrize("index", [2**6, 2**8, -1])
@@ -331,6 +322,34 @@ def test_level_set_component_that_is_not_an_integer_is_a_config_error(k):
     ):
         with pytest.raises(ConfigError, match="must be an integer"):
             call()
+
+
+@pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf])
+def test_non_finite_level_is_a_config_error(y):
+    # NaN brackets nothing: level_set(real, 1, nan, 6) reported an empty level set
+    real = cascade.build(FRAC, seed=9, depth=10)
+    for call in (
+        lambda: estimate.level_set(real, 1, y, 6),
+        lambda: estimate.level_crossing_counts(real, 1, y, 2, 6),
+    ):
+        with pytest.raises(ConfigError, match="must be finite"):
+            call()
+
+
+@pytest.mark.parametrize("masses, count", [
+    ([0.0, 0.0, 0.0], 4),  # raised a RuntimeWarning and drew from NaN bins
+    ([0.5, -0.25, 0.75], 4),
+    ([0.5, math.nan, 0.5], 4),
+    ([0.5, math.inf, 0.5], 4),
+    ([], 4),
+    ([0.25, 0.25, 0.5], 1.5),  # TypeError
+    ([0.25, 0.25, 0.5], -1),  # ValueError
+    ([0.25, 0.25, 0.5], True),
+])
+def test_bad_occupation_masses_and_counts_are_config_errors(masses, count):
+    edges = np.linspace(0.0, 1.0, len(masses) + 1)
+    with pytest.raises(ConfigError):
+        estimate.sample_occupation_levels(edges, np.array(masses), np.random.default_rng(0), count)
 
 
 def test_sample_occupation_levels_land_in_range():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cascadelab.errors import ConfigError
+from cascadelab.errors import ConfigError, DivergenceError
 from cascadelab.weights import (
     DiscreteTable,
     Fractional,
@@ -14,7 +14,6 @@ from cascadelab.weights import (
     SignJoint,
     check_assumptions,
     default_sign_plus,
-    finite_difference_grad,
     signed_pairs,
 )
 
@@ -29,6 +28,24 @@ def identity_model(b=2):
 
 def lognormal_beta(b, alpha, beta, sign_joint=None):
     return LognormalSigned.from_beta(b, alpha, beta, sign_joint)
+
+
+def sign_sample(sj, u, mag1, mag2):
+    """Signed moduli (+-mag1, +-mag2) for uniforms ``u`` in [0, 1) and moduli >= 0."""
+    return signed_pairs(sj.signs(u), mag1, mag2)
+
+
+def finite_difference_grad(model, q1, q2, h=1e-5):
+    """Central-difference gradient of phi; oracle for the analytic forms."""
+    vals = [
+        model.phi(q1 + h, q2),
+        model.phi(q1 - h, q2),
+        model.phi(q1, q2 + h),
+        model.phi(q1, q2 - h),
+    ]
+    if any(math.isinf(v) for v in vals):
+        raise DivergenceError("phi infinite at a finite-difference stencil point")
+    return ((vals[0] - vals[1]) / (2 * h), (vals[2] - vals[3]) / (2 * h))
 
 
 SYMMETRIC_TABLE = DiscreteTable(2, ((((0.3, 0.7)), 0.5), (((0.7, 0.3)), 0.5)))
@@ -241,10 +258,11 @@ def test_sample_mean_reproduces_a0(model):
 
 def test_deterministic_models_sample_exactly():
     m = identity_model()
-    w1, w2 = m.sample(np.random.default_rng(0))
-    assert (w1, w2) == (0.5, 0.5)
+    w1, w2 = m.sample_pairs(np.random.default_rng(0), 1)
+    assert (w1.tolist(), w2.tolist()) == ([0.5], [0.5])
     t = DiscreteTable(2, (((0.3, 0.4), 1.0),))
-    assert t.sample(np.random.default_rng(0)) == (0.3, 0.4)
+    w1, w2 = t.sample_pairs(np.random.default_rng(0), 1)
+    assert (w1.tolist(), w2.tolist()) == ([0.3], [0.4])
     ln = LognormalSigned(2, 1.0, 0.0, all_plus())
     w1s, w2s = ln.sample_pairs(np.random.default_rng(0), 100)
     assert np.all(np.abs(w1s) == 0.5) and np.all(np.abs(w2s) == 0.5)
@@ -314,7 +332,7 @@ def bound_uniforms(sj, seed=11):
 def test_threshold_signs_equal_searchsorted_cells(sj):
     u = bound_uniforms(sj)
     s1, s2 = searchsorted_signs(sj, u)
-    w1, w2 = sj.sample(u, 0.5, 0.25)
+    w1, w2 = sign_sample(sj, u, 0.5, 0.25)
     assert np.array_equal(w1, s1 * 0.5)
     assert np.array_equal(w2, s2 * 0.25)
 
@@ -329,7 +347,7 @@ def test_signs_follow_the_bound_count_when_bounds_are_not_monotone(sj):
     assert np.any(np.diff(cum) < 0.0)
     u = bound_uniforms(sj)
     cell = (u[:, None] >= np.maximum.accumulate(cum[:3])).sum(axis=1)
-    w1, w2 = sj.sample(u, 0.5, 0.25)
+    w1, w2 = sign_sample(sj, u, 0.5, 0.25)
     assert np.array_equal(w1, np.where(cell >= 2, -0.5, 0.5))
     assert np.array_equal(w2, np.where(cell % 2 == 1, -0.25, 0.25))
 
@@ -375,7 +393,7 @@ SUBNORMAL = 5e-324
 @pytest.mark.parametrize("mags", [(0.0, 0.0), (SUBNORMAL, 0.0), (0.0, SUBNORMAL), (0.5, 0.25)])
 def test_sign_bits_equal_the_former_where_signs(sj, mags):
     u = bound_uniforms(sj)
-    got = sj.sample(u, *mags)
+    got = sign_sample(sj, u, *mags)
     want = where_signs(sj, u, *mags)
     for a, b in zip(got, want):
         assert a.dtype == b.dtype == np.float64
@@ -396,7 +414,7 @@ NEGATIVE_CELL_TABLES = [
 @pytest.mark.parametrize("sj", NEGATIVE_CELL_TABLES)
 def test_cells_of_negative_probability_are_never_drawn(sj):
     u = bound_uniforms(sj)
-    w1, w2 = sj.sample(u, 0.5, 0.25)
+    w1, w2 = sign_sample(sj, u, 0.5, 0.25)
     drawn = {(bool(a), bool(b)) for a, b in zip(np.signbit(w1), np.signbit(w2))}
     probs = {(False, False): sj.pp, (False, True): sj.pm, (True, False): sj.mp, (True, True): sj.mm}
     assert drawn == {cell for cell, p in probs.items() if p > 0.0}
@@ -410,10 +428,10 @@ def test_cells_of_negative_probability_are_never_drawn(sj):
 def test_u_past_the_last_bound_falls_in_the_last_cell_not_of_negative_probability(sj, cell):
     top = np.nextafter(1.0, 0.0)
     u = np.array([top, np.nextafter(sj.cumulative()[2], 1.0), 0.0])
-    w1, w2 = sj.sample(u[:1], 1.0, 1.0)
+    w1, w2 = sign_sample(sj, u[:1], 1.0, 1.0)
     assert (bool(np.signbit(w1[0])), bool(np.signbit(w2[0]))) == cell
     assert (w1[0], w2[0]) == (-1.0 if cell[0] else 1.0, -1.0 if cell[1] else 1.0)
-    w1, w2 = sj.sample(u, 0.5, 0.25)
+    w1, w2 = sign_sample(sj, u, 0.5, 0.25)
     probs = {(False, False): sj.pp, (False, True): sj.pm, (True, False): sj.mp, (True, True): sj.mm}
     assert all(probs[bool(a), bool(b)] >= 0.0 for a, b in zip(np.signbit(w1), np.signbit(w2)))
 
@@ -621,7 +639,7 @@ def test_table_zero_atoms_keep_their_sign_bits():
 def test_sign_joint_sample_equals_the_former_float_signs(sj):
     u = bound_uniforms(sj)
     for mags in ((0.5, 0.25), (0.0, SUBNORMAL)):
-        got, want = sj.sample(u, *mags), former_sign_sample(sj, u, *mags)
+        got, want = sign_sample(sj, u, *mags), former_sign_sample(sj, u, *mags)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
@@ -638,6 +656,20 @@ def test_sign_joint_sample_equals_the_former_float_signs(sj):
 def test_overflowing_moments_are_infinite(model, q):
     assert model.joint_moment(*q) == math.inf
     assert model.phi(*q) == -math.inf
+
+
+P3 = default_sign_plus(3, 0.8)
+
+
+@pytest.mark.parametrize("kind, signs, field", [
+    (LognormalSigned, SignJoint(P3, 0.0, 0.0, 1.0 - P3), "sign_joint"),
+    (Mixed, 0.9, "sign_plus"),
+])
+def test_from_beta_inverts_beta_and_passes_the_fourth_field(kind, signs, field):
+    model = kind.from_beta(3, 0.8, 0.2, signs)
+    assert model.beta == pytest.approx(0.2, rel=1e-14)
+    assert model.sigma == math.sqrt(2.0 * 0.2 * math.log(3))
+    assert getattr(model, field) == signs
 
 
 @pytest.mark.parametrize("kind", [LognormalSigned, Mixed])
