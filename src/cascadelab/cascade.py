@@ -30,22 +30,25 @@ WeightModel.sample_pairs: a sign byte per node, XOR-ed down the levels,
 and moduli multiplied alone (floats for the fractional kind, one shared
 array for the lognormal kind; see _next_signed).  Float products are
 assembled only at the leaves, bit-identical to signed float products.
-export_level takes one level's products from the same recurrence, built
-whole (see _signed_level).  grid_chunks sums each chunk into one reused
-buffer, so a reader of it (grid_min_max, and
-estimate.occupation_histogram) peaks at one chunk plus what it keeps,
-whatever the depth.  grid_values sums the chunks
-into a fresh grid of 16 * (b**n + 1) bytes, for the readers that need
-every value at once.  Every min/max table comes from one strided fold
-(see _fold), which turns each run of neighbours into one value.
+grid_chunks sums each chunk into one reused buffer, so a reader of it
+(grid_min_max, export_level and estimate.occupation_histogram) peaks at
+one chunk plus what it keeps, whatever the depth.  grid_values sums the
+chunks into a fresh grid of 16 * (b**n + 1) bytes, for a caller that
+wants every value at once.  Every min/max table comes from one strided
+fold (see _fold), which turns each run of neighbours into one value.
+
+export_level returns one level as columns (see LevelExport): its words,
+its products in the signed form, taken from the same recurrence built
+whole (see _signed_level), and the grid values at its words' right ends,
+collected chunk by chunk (see _right_ends).
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -454,26 +457,95 @@ def sample_tilted_path(
     return Word(b, tuple(digits))
 
 
-def export_level(real: CascadeRealization, level: int):
-    """Rows (word, Q1, Q2, F1 endpoint, F2 endpoint) at one level.
+def _words(b: int, level: int) -> list[str]:
+    """Every level-``level`` word as ``str(Word)`` writes it, in index order.
+
+    Each level's words are the previous level's with one digit appended,
+    dot-separated for b > 10.
+    """
+    digits = [str(d) for d in range(b)]
+    tails = ["." + d for d in digits] if b > 10 else digits
+    words = digits if level else [""]
+    for _ in range(level - 1):
+        words = [w + t for w in words for t in tails]
+    return words
+
+
+def _right_ends(real: CascadeRealization, level: int) -> tuple:
+    """(F1, F2) at each level-``level`` word's right end, collected chunk by chunk.
+
+    The right ends of a level at or above the chunks' top level fall every
+    step-th point of each chunk's frame (see grid_chunks); a coarser
+    level's are every run-th right end of the top level, which are the
+    chunks' last values.  The peak is the chunk buffers plus the two
+    arrays, whatever the depth.
+    """
+    b = real.base
+    top, _ = _chunk_shape(b, real.depth)
+    finer = max(level, top)
+    rows, step = b ** (finer - top), b ** (real.depth - finer)
+    ends = (np.empty(b**finer), np.empty(b**finer))
+    for i, chunk in enumerate(grid_chunks(real)):
+        for f, e in zip(chunk, ends):
+            e[i * rows : (i + 1) * rows] = f[step::step]
+    run = b ** (finer - level)
+    return tuple(e[run - 1 :: run] for e in ends)
+
+
+@dataclass(frozen=True, eq=False)
+class LevelExport(Sequence):
+    """One level's export as columns, its arrays read-only; ``len``, indexing and iteration give its rows.
+
+    ``words`` holds each word as ``str(Word)`` writes it; ``signs`` and
+    ``moduli`` the level's products (Q1, Q2) in the signed form of
+    ``WeightModel.sample_pairs`` (a modulus is one float for the
+    fractional kind); ``ends`` the grid values (F1, F2) at each word's
+    right end.  A row is (word, Q1, Q2, F1, F2) as Python str and floats;
+    the rows are built when a caller first reads one, and kept.
+    """
+
+    words: list
+    signs: np.ndarray
+    moduli: tuple
+    ends: tuple
+
+    def __post_init__(self):
+        for a in (self.signs, *self.moduli, *self.ends):
+            if np.ndim(a):
+                a.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+    def __getitem__(self, i):
+        return self._rows[i]
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def products(self) -> tuple[np.ndarray, np.ndarray]:
+        """(Q1, Q2) as float arrays, bit-identical to the signed form."""
+        return signed_pairs(self.signs, *self.moduli)
+
+    @functools.cached_property
+    def _rows(self) -> list[tuple]:
+        columns = (*self.products(), *self.ends)
+        return list(zip(self.words, *(c.tolist() for c in columns)))
+
+
+def export_level(real: CascadeRealization, level: int) -> LevelExport:
+    """Rows (word, Q1, Q2, F1 endpoint, F2 endpoint) at one level, held as columns.
 
     Rows come in word-index order; a word is written as ``str(Word)``
     writes it (digits without separators, or dot-separated for b > 10,
     so ``parse_word`` reads it back), and its endpoint is the grid value
     at its interval's right end.  The level's products are built whole
     from the level streams (see _signed_level), bit-identical to the
-    ones the grid walk multiplies, and nothing is kept on ``real``.
+    ones the grid walk multiplies; the endpoints are collected from one
+    grid walk, chunk by chunk (see _right_ends).  Nothing is kept on ``real``.
     """
     level = as_integer(level, "level")
     if not 0 <= level <= real.depth:
         raise ConfigError(f"level {level} outside [0, {real.depth}]")
-    b = real.base
-    q1, q2 = signed_pairs(*_signed_level(real.model, real.seed, level))
-    step = b ** (real.depth - level)
-    f1, f2 = grid_values(real)
-    digits = [str(d) for d in range(b)]
-    sep = "." if b > 10 else ""
-    words = (sep.join(p) for p in itertools.product(digits, repeat=level))
-    ends1, ends2 = f1[step::step].tolist(), f2[step::step].tolist()
-    return list(zip(words, q1.tolist(), q2.tolist(), ends1, ends2))
-
+    signs, m1, m2 = _signed_level(real.model, real.seed, level)
+    return LevelExport(_words(real.base, level), signs, (m1, m2), _right_ends(real, level))

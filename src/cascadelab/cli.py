@@ -125,8 +125,8 @@ def _seeds(args) -> list[int]:
 
 def _write_csv(path: Path, header, rows) -> None:
     """Write ``header`` and ``rows`` as CSV.  A row that is a ``str`` is
-    written verbatim as a finished line, terminator included: the caller
-    guarantees its fields need no quoting."""
+    written verbatim as one or more finished lines, terminators included:
+    the caller guarantees its fields need no quoting."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -155,7 +155,7 @@ def _run(args) -> int:
     """Run one table-writing command: load and gate the model, create
     ``--out``, write each ``(name, header, rows)`` table the command yields
     as ``<name>.csv``, then the manifest.  A row may be a sequence of
-    fields, or a ``str`` holding a finished CSV line (see _write_csv)."""
+    fields, or a ``str`` holding finished CSV lines (see _write_csv)."""
     t0 = time.time()
     if args.out is None:
         raise ConfigError("--out is required for commands that write tables")
@@ -211,16 +211,39 @@ def cmd_spectrum_predict(args, model):
     yield "spectrum-predict", ["q1", "q2", "alpha1", "alpha2", "dim_level_set", "in_J"], rows
 
 
-# One finished simulate line: words and numbers never need CSV quoting.
-_SIMULATE_ROW = "%s" + f",%{EXACT}" * 4 + csv.excel.lineterminator
-
-
 def cmd_simulate(args, model):
     real = cascade.build(model, args.seed, args.depth)
     level = args.level if args.level is not None else args.depth
-    yield "simulate", ["word", "q1", "q2", "f1", "f2"], [
-        _SIMULATE_ROW % row for row in cascade.export_level(real, level)
-    ]
+    yield "simulate", ["word", "q1", "q2", "f1", "f2"], _simulate_text(cascade.export_level(real, level))
+
+
+_SIMULATE_BLOCK = 4096  # rows rendered into one text and written at once
+
+
+def _simulate_text(level: cascade.LevelExport):
+    """simulate.csv's rows as finished text, one block of rows at a time.
+
+    Words and numbers never need CSV quoting.  When both moduli are one
+    float (the fractional kind), each Q column takes two values, +modulus
+    and -modulus, and a row's two Q fields are one of four texts picked
+    by its sign byte: the very text ``%.17g`` writes for each signed
+    value, -0 included.  Otherwise the products, like the F columns, are
+    formatted in the row.  A block at a time, the rows' text never
+    exists whole.
+    """
+    m1, m2 = level.moduli
+    if np.ndim(m1) == np.ndim(m2) == 0:
+        t1, t2 = (format(m1, EXACT), format(-m1, EXACT)), (format(m2, EXACT), format(-m2, EXACT))
+        # sign byte k: bit 0 set where Q1 < 0, bit 1 where Q2 < 0
+        texts = np.array([f"{t1[k & 1]},{t2[k >> 1]}" for k in range(4)], dtype=object)
+        columns, q_spec = (texts[level.signs],), "%s"
+    else:
+        columns, q_spec = level.products(), f"%{EXACT},%{EXACT}"
+    columns = (*columns, *level.ends)
+    row = f"%s,{q_spec},%{EXACT},%{EXACT}{csv.excel.lineterminator}".__mod__
+    for lo in range(0, len(level), _SIMULATE_BLOCK):
+        hi = lo + _SIMULATE_BLOCK
+        yield "".join(map(row, zip(level.words[lo:hi], *(c[lo:hi].tolist() for c in columns))))
 
 
 def _estimate_row(seed, label, est, *prediction):

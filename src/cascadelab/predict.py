@@ -17,7 +17,6 @@ dimension 1 - alpha_k of fractional cascades.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -54,23 +53,19 @@ def _smallest_root(f, target: float, hi: float, step: float = SCAN_STEP) -> floa
             return 0.0
         raise NoRootError(f"curve starts below target: f(0)={f0} < {target}")
     n_steps = int(round(hi / step))
+    values = {}  # f at grid index i, each evaluated once
 
-    @functools.cache
     def at(i):
-        return f(i * step)
-
-    def settled(i):
-        v = at(i)
-        if v <= target:
-            return True
-        if i == n_steps:
-            return False
-        return v < math.inf and at(i + 1) >= v
+        v = values.get(i)
+        if v is None:
+            v = values[i] = f(i * step)
+        return v
 
     lo, top = 1, n_steps
     while lo < top:
-        mid = (lo + top) // 2
-        if settled(mid):
+        mid = (lo + top) // 2  # below top, so mid + 1 is still on the grid
+        v = at(mid)
+        if v <= target or (v < math.inf and at(mid + 1) >= v):
             top = mid
         else:
             lo = mid + 1

@@ -365,6 +365,20 @@ class _LognormalFactor:
         """The model of sigma = sigma_from_beta(beta, base); ``signs`` is its fourth field."""
         return cls(base, alpha, sigma_from_beta(beta, base), signs)
 
+    def _moment_in_scaled_logs(self, q1, q2, a1, a2):
+        """b**-(a1*q1 + a2*q2) * exp(sigma**2 * (s*s - s) / 2), s = q1 + q2, taken in logs.
+
+        For the q where s * s or s itself overflows (|s| past about
+        1.3e154), so that the closed form reads 0 * inf or inf - inf.
+        The log is taken with q scaled by 2**-600, which keeps every term
+        finite: the moment is +inf, or 0.0 for sigma = 0 and a positive
+        exponent.
+        """
+        k = 2.0**-600
+        p1, p2 = q1 * k, q2 * k
+        spread = self.sigma**2 * ((p1 + p2) ** 2 - (p1 + p2) * k) / 2.0
+        return _exp((spread - (a1 * p1 + a2 * p2) * k * math.log(self.base)) / k / k)
+
 
 @dataclass(frozen=True)
 class LognormalSigned(_LognormalFactor, WeightModel):
@@ -404,9 +418,12 @@ class LognormalSigned(_LognormalFactor, WeightModel):
         s = q1 + q2
         spread = self.sigma**2 * (s * s - s) / 2.0
         try:
-            return float(self.base ** (-self.alpha * s) * math.exp(spread))
+            m = float(self.base ** (-self.alpha * s) * math.exp(spread))
         except OverflowError:  # one factor overflows: the product, in logs
-            return _exp(spread - self.alpha * s * math.log(self.base))
+            m = _exp(spread - self.alpha * s * math.log(self.base))
+        if m != m:  # NaN: 0 * inf or inf - inf, past an overflowing square
+            return self._moment_in_scaled_logs(q1, q2, self.alpha, self.alpha)
+        return m
 
     def mean(self, k):
         plus = self.sign_joint.plus1 if k == 1 else self.sign_joint.plus2
@@ -464,9 +481,12 @@ class Mixed(_LognormalFactor, WeightModel):
         s = q1 + q2
         spread = self.sigma**2 * (s * s - s) / 2.0
         try:
-            return float(self.base ** -(self.alpha * q1 + q2) * math.exp(spread))
+            m = float(self.base ** -(self.alpha * q1 + q2) * math.exp(spread))
         except OverflowError:  # one factor overflows: the product, in logs
-            return _exp(spread - (self.alpha * q1 + q2) * math.log(self.base))
+            m = _exp(spread - (self.alpha * q1 + q2) * math.log(self.base))
+        if m != m:  # NaN: 0 * inf or inf - inf, past an overflowing square
+            return self._moment_in_scaled_logs(q1, q2, self.alpha, 1.0)
+        return m
 
     def mean(self, k):
         if k == 1:

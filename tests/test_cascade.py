@@ -818,6 +818,41 @@ def test_export_level_equals_loop_oracle(model, depth):
         assert cascade.export_level(real, 2)[model.base * 10 + 3][0] == "10.3"
 
 
+# (2, 18) and (3, 12) have chunks' top level 2: levels 0 and 1 take their right ends from chunk boundaries
+@pytest.mark.parametrize("b,depth", [(2, 18), (3, 12)])
+def test_export_right_ends_are_the_grid_at_every_level(b, depth):
+    real = cascade.build(Fractional(b, 0.75, 0.6), seed=2, depth=depth)
+    assert cascade._chunk_shape(b, depth)[0] == 2
+    f1, f2 = cascade.grid_values(real)
+    for level in range(depth + 1):
+        step = b ** (depth - level)
+        exported = cascade.export_level(real, level)
+        assert len(exported) == b**level
+        assert_same_bytes(exported.ends, (f1[step::step], f2[step::step]))
+    assert exported[-1][3:] == (f1[-1], f2[-1])
+
+
+def test_exported_columns_are_read_only_and_rows_are_built_on_first_read():
+    real = cascade.build(TABLE, seed=3, depth=6)
+    exported = cascade.export_level(real, 4)
+    assert "_rows" not in vars(exported)
+    for a in (exported.signs, *exported.moduli, *exported.ends):
+        assert not a.flags.writeable
+    assert len(exported) == 16 and "_rows" not in vars(exported)
+    rows = list(exported)
+    assert rows == [exported[i] for i in range(16)] and exported[-1] == rows[15]
+    assert [r[1:3] for r in rows] == list(zip(*(q.tolist() for q in exported.products())))
+    assert all(type(v) is float for r in rows for v in r[1:]) and exported[0] in exported
+
+
+@pytest.mark.parametrize("model", [FRAC, LognormalSigned.from_beta(2, 0.8, 0.1)], ids=lambda m: type(m).__name__)
+def test_export_level_peak_is_a_walk_not_a_grid(model):
+    # the grid of a depth-20 realization alone takes 16 MB; the right ends are collected chunk by chunk
+    cascade.export_level(cascade.build(model, seed=1, depth=6), 3)  # one-off allocations of a first call
+    _, peak = peak_bytes(cascade.export_level, cascade.build(model, seed=1, depth=20), 8)
+    assert peak < 6 * 2**20
+
+
 def tilted_path_oracle(real, q, target_depth, rng):
     """The former sample_tilted_path over the eager build: fancy-indexed children, np.where for NaN."""
     q1, q2 = q

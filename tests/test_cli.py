@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -159,6 +160,41 @@ def test_simulate_csv_is_the_csv_writer_rendering_of_export_level(model_file, tm
     assert (out / "simulate.csv").read_bytes() == expected.getvalue().encode("utf-8")
 
 
+FRACTIONAL_UNEQUAL = "kind fractional\nb 2\nalpha1 0.6\nalpha2 0.8\n"
+
+
+@pytest.mark.parametrize(
+    "text,argv,digest",
+    [
+        (FRACTIONAL_UNEQUAL, ["--depth", "10", "--level", "0"],
+         "7afcd0577d0970417e2a1f86a5b52164ea16fe4b486d8a7d55d3b558ff846eac"),
+        (FRACTIONAL_UNEQUAL, ["--depth", "10", "--level", "5"],
+         "099a76693fdbd24f1ecd13647d3dc45c8bdf1daf74eed909d798cf068704a853"),
+        (FRACTIONAL_UNEQUAL, ["--depth", "10", "--level", "10"],
+         "279792b2c70a82487ce85124b57acec05256db00b74e1e22fa87cfa708bce004"),
+        # level 1 lies above the chunks' top level 2: its right ends are chunk boundaries
+        (FRACTIONAL_UNEQUAL, ["--depth", "18", "--level", "1"],
+         "ed6577f1bb5d861e0d126243f252d6bc1c8a0c18b2ab676515695a0a0269b0f8"),
+        ("kind lognormal\nb 3\nalpha 0.8\nbeta 0.1\n", ["--depth", "6"],
+         "8efddde04072e53ed2e27080d04d37fc34707dbe1c905d0d20462b6b9edce599"),
+        ("kind mixed\nb 2\nalpha 0.8\nbeta 0.1\n", ["--depth", "8"],
+         "d7f5ff00c09934a92a8a5e9c84183b7f8b6650c1262a1862fc03e9f88397eeb5"),
+        # both zero signs reach the Q columns, written as 0 and -0
+        ("kind table\nb 2\natom -0.0 -0.0 0.5\natom 1.0 1.0 0.5\n", ["--depth", "8", "--force"],
+         "4a277b730636ac79e59a10ec86c2b0fec17329b1d35bb8a8daef0783ed15a9f2"),
+        # dot-separated words
+        ("kind fractional\nb 12\nalpha1 0.75\nalpha2 0.9\n", ["--depth", "3"],
+         "fcb946599a3b5b26a4e0f7452d234b0ccfe7aaf7839aa419040da49f15e1a791"),
+    ],
+    ids=["frac-level0", "frac-level5", "frac-level10", "frac-above-chunks", "lognormal-b3", "mixed",
+         "signed-zeros", "b12"],
+)
+def test_simulate_csv_bytes_are_pinned(model_file, tmp_path, text, argv, digest):
+    out = tmp_path / "out"
+    assert main(["simulate", "--model", model_file(text), "--out", str(out), "--seed", "5", *argv]) == 0
+    assert hashlib.sha256((out / "simulate.csv").read_bytes()).hexdigest() == digest
+
+
 def test_image_dim_runs(model_file, tmp_path):
     out = tmp_path / "out"
     rc = main(
@@ -306,6 +342,7 @@ def test_image_dim_checks_the_cell_budget_before_its_default_test_set(model_file
 
 @pytest.mark.parametrize("command", [
     ["spectrum-predict", "--q", "1,1;-200,-200"],
+    ["spectrum-predict", "--q", "1e200,0"],  # once wrote nan as dim_level_set and exited 0
     ["partition", "--depth", "10", "--q", "1,1;-200,-200"],
 ])
 def test_overflowing_moments_and_sums_are_numeric_errors(model_file, tmp_path, capsys, command):

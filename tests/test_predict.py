@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -338,6 +339,54 @@ def test_curve_with_no_crossing_raises_like_the_scan():
             predict._smallest_root(f, 0.5, hi)
         assert outcome(linear_scan_root, f, 0.5, hi) is NoRootError
     assert predict._smallest_root(f, 0.7, 4.0) == linear_scan_root(f, 0.7, 4.0)
+
+
+def cached_bisection_calls(f, target, hi, step=predict.SCAN_STEP):
+    """The points the grid bisection evaluates, in order, with a functools.cache memo and a settled helper."""
+    calls = []
+
+    @functools.cache
+    def at(i):
+        calls.append(i * step)
+        return f(i * step)
+
+    def settled(i):
+        v = at(i)
+        if v <= target:
+            return True
+        if i == n_steps:
+            return False
+        return v < math.inf and at(i + 1) >= v
+
+    n_steps = int(round(hi / step))
+    lo, top = 1, n_steps
+    while lo < top:
+        mid = (lo + top) // 2
+        if settled(mid):
+            top = mid
+        else:
+            lo = mid + 1
+    at(lo)
+    return calls
+
+
+@pytest.mark.parametrize("model", ORACLE_MODELS[:9], ids=lambda m: f"{type(m).__name__}-b{m.base}")
+def test_grid_bisection_evaluates_each_point_once_in_the_former_order(model):
+    def curve(x):
+        return max(model.joint_moment(x, 0.0), model.joint_moment(0.0, x))
+
+    for xi0 in (1.0 / 3.0, 0.5, 0.9):
+        target = model.base**-xi0
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return curve(x)
+
+        outcome(predict._smallest_root, f, target, predict.Q_MAX)
+        grid = cached_bisection_calls(curve, target, predict.Q_MAX)
+        assert calls[1 : len(grid) + 1] == grid  # after f(0), before the cell bisection
+        assert len(set(grid)) == len(grid)
 
 
 @pytest.mark.parametrize("q", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)])

@@ -682,6 +682,40 @@ def test_moment_past_an_overflowing_factor_is_taken_in_logs(kind):
     assert model.joint_moment(1.0, 0.0) == pytest.approx(10.0**-300, rel=1e-9)
 
 
+@pytest.mark.parametrize("kind", [LognormalSigned, Mixed])
+@pytest.mark.parametrize("q", [(1e160, 0.0), (1e200, 0.0), (1e308, 1e308)])
+def test_moment_past_an_overflowing_square_is_infinite(kind, q):
+    # b**(-alpha * s) underflowed to 0 while exp(spread) was inf, or s * s - s was inf - inf: NaN
+    model = kind.from_beta(2, 0.8, 0.1)
+    assert model.joint_moment(*q) == math.inf
+    assert model.phi(*q) == -math.inf
+
+
+@pytest.mark.parametrize("kind", [LognormalSigned, Mixed])
+def test_moment_past_an_overflowing_square_without_spread_is_the_power(kind):
+    # sigma = 0 leaves b**-exponent: 0 for a large positive q, inf for a large negative one
+    model = kind(2, 0.8, 0.0)
+    cases = (((1e200, 0.0), 0.0), ((1e308, 1e308), 0.0), ((-1e200, 0.0), math.inf), ((-1e308, -1e308), math.inf))
+    for q, want in cases:
+        assert model.joint_moment(*q) == want
+    assert model.phi(1e200, 0.0) == math.inf
+
+
+@pytest.mark.parametrize("kind", [LognormalSigned, Mixed])
+def test_finite_lognormal_moments_keep_their_closed_form_bits(kind):
+    model = kind.from_beta(3, 0.7, 0.2)
+    alpha = (model.alpha, model.alpha) if kind is LognormalSigned else (model.alpha, 1.0)
+    for q1, q2 in ((1.3, 0.7), (-0.4, 2.5), (0.0, 0.0), (1e150, 0.0), (-3.0, -1e100)):
+        s = q1 + q2
+        spread = model.sigma**2 * (s * s - s) / 2.0
+        exponent = alpha[0] * s if kind is LognormalSigned else alpha[0] * q1 + q2
+        try:
+            want = float(3 ** -exponent * math.exp(spread))
+        except OverflowError:
+            want = math.inf
+        assert model.joint_moment(q1, q2) == want
+
+
 @pytest.mark.parametrize("atoms, q, want", [
     ((((0.3, 0.7), 0.5), ((0.7, 0.3), 0.5)), (-700.0, 700.0), math.inf),  # (7/3)**700
     ((((0.3, 0.1), 0.5), ((0.7, 0.3), 0.5)), (-700.0, 700.0), 0.0),  # (1/3)**700 and (3/7)**700
