@@ -31,16 +31,17 @@ and moduli multiplied alone (floats for the fractional kind, one shared
 array for the lognormal kind; see _next_signed).  Float products are
 assembled only at the leaves, bit-identical to signed float products.
 grid_chunks sums each chunk into one reused buffer, so a reader of it
-(grid_min_max, export_level and estimate.occupation_histogram) peaks at
-one chunk plus what it keeps, whatever the depth.  grid_values sums the
-chunks into a fresh grid of 16 * (b**n + 1) bytes, for a caller that
-wants every value at once.  Every min/max table comes from one strided
-fold (see _fold), which turns each run of neighbours into one value.
+(grid_min_max, grid_values and estimate.occupation_histogram) peaks at
+one chunk plus what it keeps, whatever the depth.  grid_values keeps the
+values at one level's points, b**m + 1 of them at level m: the whole
+grid, 16 * (b**n + 1) bytes, only when asked for level n.  Every
+min/max table comes from one strided fold (see _fold), which turns each
+run of neighbours into one value.
 
 export_level returns one level as columns (see LevelExport): its words,
 its products in the signed form, taken from the same recurrence built
 whole (see _signed_level), and the grid values at its words' right ends,
-collected chunk by chunk (see _right_ends).
+collected chunk by chunk (see grid_values).
 """
 
 from __future__ import annotations
@@ -277,18 +278,28 @@ def grid_chunks(real: CascadeRealization):
         yield buffer
 
 
-def grid_values(real: CascadeRealization) -> tuple:
-    """The grid (F1, F2) at every point j * b**-n, walked afresh on every call.
+def grid_values(real: CascadeRealization, level: int | None = None) -> tuple:
+    """The grid (F1, F2) at the points j * b**-level, j = 0 .. b**level, walked afresh on every call.
 
-    Two new arrays of length b**n + 1, 16 * (b**n + 1) bytes, that the
-    realization does not keep; the walk sums each chunk straight into its
-    slice, so the peak is the grid plus a few arrays of one chunk's size.
+    ``level`` defaults to the depth n: every grid point.  The points of a
+    level at or above the chunks' top level fall every step-th point of
+    each chunk (see grid_chunks), so the walk copies those out chunk by
+    chunk; a coarser level's are every run-th point of the top level's.
+    The result is two new arrays of b**level + 1 values that the
+    realization does not keep, and the peak is those arrays plus the
+    walk's arrays of one chunk's size, whatever the depth.
     """
-    _, width = _chunk_shape(real.base, real.depth)
-    grid = (np.empty(real.cells + 1), np.empty(real.cells + 1))
-    for _ in _walk_chunks(real, lambda i: tuple(f[i * width : (i + 1) * width + 1] for f in grid)):
-        pass
-    return grid
+    b, depth = real.base, real.depth
+    level = depth if level is None else level
+    top, _ = _chunk_shape(b, depth)
+    finer = max(level, top)
+    rows, step = b ** (finer - top), b ** (depth - finer)
+    grid = (np.empty(b**finer + 1), np.empty(b**finer + 1))
+    for i, chunk in enumerate(grid_chunks(real)):
+        for f, g in zip(chunk, grid):
+            g[i * rows : (i + 1) * rows + 1] = f[::step]
+    run = b ** (finer - level)
+    return tuple(g[::run] for g in grid)
 
 
 def _fold(a: np.ndarray, b: int, ufunc, out=None) -> np.ndarray:
@@ -471,27 +482,6 @@ def _words(b: int, level: int) -> list[str]:
     return words
 
 
-def _right_ends(real: CascadeRealization, level: int) -> tuple:
-    """(F1, F2) at each level-``level`` word's right end, collected chunk by chunk.
-
-    The right ends of a level at or above the chunks' top level fall every
-    step-th point of each chunk's frame (see grid_chunks); a coarser
-    level's are every run-th right end of the top level, which are the
-    chunks' last values.  The peak is the chunk buffers plus the two
-    arrays, whatever the depth.
-    """
-    b = real.base
-    top, _ = _chunk_shape(b, real.depth)
-    finer = max(level, top)
-    rows, step = b ** (finer - top), b ** (real.depth - finer)
-    ends = (np.empty(b**finer), np.empty(b**finer))
-    for i, chunk in enumerate(grid_chunks(real)):
-        for f, e in zip(chunk, ends):
-            e[i * rows : (i + 1) * rows] = f[step::step]
-    run = b ** (finer - level)
-    return tuple(e[run - 1 :: run] for e in ends)
-
-
 @dataclass(frozen=True, eq=False)
 class LevelExport(Sequence):
     """One level's export as columns, its arrays read-only; ``len``, indexing and iteration give its rows.
@@ -541,11 +531,13 @@ def export_level(real: CascadeRealization, level: int) -> LevelExport:
     so ``parse_word`` reads it back), and its endpoint is the grid value
     at its interval's right end.  The level's products are built whole
     from the level streams (see _signed_level), bit-identical to the
-    ones the grid walk multiplies; the endpoints are collected from one
-    grid walk, chunk by chunk (see _right_ends).  Nothing is kept on ``real``.
+    ones the grid walk multiplies; the endpoints are the level's grid
+    values but the first, collected from one grid walk chunk by chunk
+    (see grid_values).  Nothing is kept on ``real``.
     """
     level = as_integer(level, "level")
     if not 0 <= level <= real.depth:
         raise ConfigError(f"level {level} outside [0, {real.depth}]")
     signs, m1, m2 = _signed_level(real.model, real.seed, level)
-    return LevelExport(_words(real.base, level), signs, (m1, m2), _right_ends(real, level))
+    ends = tuple(f[1:] for f in grid_values(real, level))
+    return LevelExport(_words(real.base, level), signs, (m1, m2), ends)

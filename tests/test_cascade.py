@@ -818,14 +818,15 @@ def test_export_level_equals_loop_oracle(model, depth):
         assert cascade.export_level(real, 2)[model.base * 10 + 3][0] == "10.3"
 
 
-# (2, 18) and (3, 12) have chunks' top level 2: levels 0 and 1 take their right ends from chunk boundaries
+# (2, 18) and (3, 12) have chunks' top level 2: levels 0 and 1 take their points from chunk boundaries
 @pytest.mark.parametrize("b,depth", [(2, 18), (3, 12)])
-def test_export_right_ends_are_the_grid_at_every_level(b, depth):
+def test_level_points_and_export_right_ends_are_the_grid_at_every_level(b, depth):
     real = cascade.build(Fractional(b, 0.75, 0.6), seed=2, depth=depth)
     assert cascade._chunk_shape(b, depth)[0] == 2
     f1, f2 = cascade.grid_values(real)
     for level in range(depth + 1):
         step = b ** (depth - level)
+        assert_same_bytes(cascade.grid_values(real, level), (f1[::step], f2[::step]))
         exported = cascade.export_level(real, level)
         assert len(exported) == b**level
         assert_same_bytes(exported.ends, (f1[step::step], f2[step::step]))

@@ -15,10 +15,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "cascadelab").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
 
-# public names whose callers are planned (ROADMAP items 3 and 6), the reader of simulate.csv words,
-# and the whole-grid reader that the acceptance gates (05 and 11) read
+# public names whose callers are planned (ROADMAP items 3 and 6), and the reader of simulate.csv words
 ALLOWED = {
-    "cascade.grid_values",
     "predict.restricted_image_dim",
     "predict.predicted_levelset_dim",
     "words.parse_word",
