@@ -8,7 +8,7 @@ streams.  What is memoized on the realization, on first read, is small
 beside the grid:
 
 - the per-level min/max tables of the grid (see grid_min_max);
-- the tilted sampler's per-q tables (see sample_tilted_path).
+- the tilted sampler's per-q tables and safe prefixes (see sample_tilted_path).
 
 A level's values are flat arrays indexed by each word's integer value
 within the level (see words.Word.index).
@@ -402,16 +402,35 @@ def oscillations(real: CascadeRealization, level: int) -> OscillationTable:
     return OscillationTable(level, max1 - min1, max2 - min2)
 
 
-def _tilted_tables(real: CascadeRealization, q: tuple[float, float], level: int):
+class _TiltedTables(tuple):
+    """One q's ``(cums, totals)`` (see _tilted_tables), and ``safe``.
+
+    ``safe`` counts the leading levels on which every parent's total is
+    finite and > 0: no path can stop on them (see sample_tilted_path).
+    """
+
+    def __new__(cls):
+        tables = super().__new__(cls, ([], []))
+        tables.safe = 0
+        return tables
+
+
+def _tilted_tables(real: CascadeRealization, q: tuple[float, float], level: int) -> _TiltedTables:
     """``(cums, totals)`` of the q-tilted child weights, filled through ``level``.
 
     ``cums[m - 1]`` lists, for every level-m word, the cumulative sum of
     |W1|^q1 |W2|^q2 over its siblings up to itself (0 * inf counts as 1);
     ``totals[m - 1]`` lists each level-(m-1) parent's sum.  Both are the
     values a per-parent cumsum and sum of the same slice give, bit for bit.
-    Each new level's weights are drawn from its stream (see level_weights).
+    Each new level's weights are drawn from its stream (see level_weights),
+    and ``safe`` grows while every new level's totals are finite and > 0.
     """
-    cums, totals = real._tilted.setdefault(q, ([], []))
+    tables = real._tilted.get(q)
+    if tables is None:
+        tables = real._tilted[q] = _TiltedTables()
+    cums, totals = tables
+    if len(cums) >= level:
+        return tables
     b = real.base
     q1, q2 = q
     # whole levels, visited or not: an infinite total raises only when a path reaches it
@@ -421,9 +440,12 @@ def _tilted_tables(real: CascadeRealization, q: tuple[float, float], level: int)
             tw = np.abs(w1) ** q1 * np.abs(w2) ** q2
             tw[np.isnan(tw)] = 1.0  # 0 * inf
             tw = tw.reshape(-1, b)
+            total = tw.sum(axis=1)
+            if tables.safe == m - 1 and ((0.0 < total) & (total < math.inf)).all():
+                tables.safe = m
             cums.append(tw.cumsum(axis=1).ravel().tolist())
-            totals.append(tw.sum(axis=1).tolist())
-    return cums, totals
+            totals.append(total.tolist())
+    return tables
 
 
 def sample_tilted_path(
@@ -446,6 +468,13 @@ def sample_tilted_path(
     holds b**m cumulative weights and b**(m-1) totals as Python floats,
     about 32 * (b**m + b**(m-1)) bytes.  A parent whose total is zero
     or not finite raises DivergenceError only when a path visits it.
+
+    The levels of the memoized safe prefix hold no such parent, so their
+    doubles are read in one ``rng.random(k)`` call, the same doubles in
+    the same order as k single draws; from the first level with a
+    degenerate parent on, each level draws its own, after the check.
+    The stream is therefore left where a per-level loop leaves it, also
+    after a DivergenceError.
     """
     target_depth = as_integer(target_depth, "target depth")
     if not 0 <= target_depth <= real.depth:
@@ -454,7 +483,10 @@ def sample_tilted_path(
     if not (math.isfinite(q1) and math.isfinite(q2)):
         raise ConfigError(f"q must be finite, got {q}")
     b = real.base
-    cums, totals = _tilted_tables(real, (float(q1), float(q2)), target_depth)
+    tables = _tilted_tables(real, (float(q1), float(q2)), target_depth)
+    cums, totals = tables
+    safe = min(tables.safe, target_depth)
+    draws = rng.random(safe).tolist()
     random, bisect_right = rng.random, bisect.bisect_right
     idx = 0
     digits = []
@@ -463,7 +495,8 @@ def sample_tilted_path(
         if not 0.0 < total < math.inf:
             raise DivergenceError(f"tilted child weights degenerate at level {m + 1}")
         lo = idx * b
-        idx = min(bisect_right(cums[m], random() * total, lo, lo + b), lo + b - 1)
+        u = draws[m] if m < safe else random()
+        idx = min(bisect_right(cums[m], u * total, lo, lo + b), lo + b - 1)
         digits.append(idx - lo)
     return Word(b, tuple(digits))
 

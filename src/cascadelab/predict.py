@@ -13,6 +13,13 @@ min(xi, 1) when they are almost surely equal), the signed
 lognormal and mixed-kind KPZ curves in closed form, the restricted
 spectrum points xi0 + q . grad_phi(q) - phi(q), and the level-set
 dimension 1 - alpha_k of fractional cascades.
+
+Each model object memoizes its two curves (see _solve): their values
+at the grid points, shared by every search on that model, and their
+roots per (target, upper end), so a KPZ sweep evaluates each grid point
+of a curve once and a repeated solve is a lookup.  The memo lives in
+the model's own __dict__ and holds only floats, so it is freed with the
+model.
 """
 
 from __future__ import annotations
@@ -28,13 +35,15 @@ Q_MAX = 4.0
 ROOT_TOL = 1e-12
 
 
-def _smallest_root(f, target: float, hi: float, step: float = SCAN_STEP) -> float:
+def _smallest_root(f, target: float, hi: float, step: float = SCAN_STEP, values=None) -> float:
     """Smallest x in [0, hi] with f(x) = target.
 
     f(0) >= target is assumed (it holds for the two moment curves, which
     start at 1 >= b**-xi0).  The first grid point x_i = i * step with
     f(x_i) <= target is found by bisection over the grid index, then the
-    root is bisected on [x_{i-1}, x_i].
+    root is bisected on [x_{i-1}, x_i].  ``values`` holds f at grid
+    indices: one dict passed to every search of a curve on the same grid
+    evaluates each grid point once across all of them.
 
     The grid bisection rests on log-convexity.  Every moment curve
     x -> E|W1|**a(x) |W2|**c(x) with affine exponents is log-convex
@@ -43,17 +52,15 @@ def _smallest_root(f, target: float, hi: float, step: float = SCAN_STEP) -> floa
     is false up to some index and true from it on.  Where it first holds
     either f(x_i) <= target, and no earlier grid point reached the
     target, or the curve has turned upward above the target and never
-    comes back down.  Infinite or NaN values, which only occur on a
-    leading stretch where an exponent is negative and an atom is zero,
-    count as still falling.
+    comes back down.  A log-convex curve is finite on an interval, so an
+    infinite or NaN value lies either on a leading stretch (where an
+    exponent is negative and an atom is zero), which counts as still
+    falling, or past the minimum, where the curve overflows and the
+    predicate holds.  It is past the minimum when the curve is finite at
+    the last index known to be still falling: at 0, or at the last point
+    the bisection moved right of.
     """
-    f0 = f(0.0)
-    if f0 <= target:
-        if abs(f0 - target) <= ROOT_TOL:
-            return 0.0
-        raise NoRootError(f"curve starts below target: f(0)={f0} < {target}")
-    n_steps = int(round(hi / step))
-    values = {}  # f at grid index i, each evaluated once
+    values = {} if values is None else values
 
     def at(i):
         v = values.get(i)
@@ -61,11 +68,21 @@ def _smallest_root(f, target: float, hi: float, step: float = SCAN_STEP) -> floa
             v = values[i] = f(i * step)
         return v
 
+    f0 = at(0)
+    if f0 <= target:
+        if abs(f0 - target) <= ROOT_TOL:
+            return 0.0
+        raise NoRootError(f"curve starts below target: f(0)={f0} < {target}")
+    n_steps = int(round(hi / step))
     lo, top = 1, n_steps
     while lo < top:
         mid = (lo + top) // 2  # below top, so mid + 1 is still on the grid
         v = at(mid)
-        if v <= target or (v < math.inf and at(mid + 1) >= v):
+        if v < math.inf:
+            settled = v <= target or at(mid + 1) >= v
+        else:
+            settled = at(lo - 1) < math.inf  # lo - 1 is 0 or a point already read
+        if settled:
             top = mid
         else:
             lo = mid + 1
@@ -83,33 +100,57 @@ def _smallest_root(f, target: float, hi: float, step: float = SCAN_STEP) -> floa
     return 0.5 * (lo_b + hi_b)
 
 
+def _psi(model: WeightModel):
+    """The xi curve x -> max_k E|W_k|**x."""
+    return lambda x: max(model.joint_moment(x, 0.0), model.joint_moment(0.0, x))
+
+
+def _psi_tilde(model: WeightModel):
+    """The zeta curve z -> max(E|W1|**(z-1) |W2|, E|W1| |W2|**(z-1))."""
+    return lambda z: max(model.joint_moment(z - 1.0, 1.0), model.joint_moment(1.0, z - 1.0))
+
+
+def _solve(model: WeightModel, curve, target: float, hi: float) -> float:
+    """``_smallest_root`` of ``curve(model)`` on [0, hi], through the model's memo of that curve.
+
+    The memo is ``(values, roots)`` in the model's __dict__, under the
+    curve's name: the curve at grid indices, at most hi / SCAN_STEP + 1
+    of them for the widest hi, and each root found, keyed by
+    (target, hi).  A search that raises NoRootError keeps the values it
+    read and no root.  The curve is built afresh on each search, so the
+    memo holds floats only and no reference back to the model.
+    """
+    values, roots = vars(model).setdefault(f"{curve.__name__}_memo", ({}, {}))
+    root = roots.get((target, hi))
+    if root is None:
+        root = roots[target, hi] = _smallest_root(curve(model), target, hi, values=values)
+    return root
+
+
 def _check_xi0(xi0: float) -> None:
     if not 0.0 <= xi0 <= 1.0:
         raise ConfigError(f"xi0 must be in [0, 1], got {xi0}")
 
 
+def _check_q_max(q_max: float) -> None:
+    if not math.isfinite((q_max + 1.0) / SCAN_STEP):
+        raise ConfigError(f"q_max must span a finite number of grid steps, got {q_max}")
+
+
 def solve_xi(model: WeightModel, xi0: float, q_max: float = Q_MAX) -> float:
     """Smallest xi >= 0 with max_k E|W_k|**xi = b**-xi0."""
     _check_xi0(xi0)
+    _check_q_max(q_max)
     if xi0 == 0.0:
         return 0.0
-    target = model.base**-xi0
-
-    def psi(x):
-        return max(model.joint_moment(x, 0.0), model.joint_moment(0.0, x))
-
-    return _smallest_root(psi, target, q_max)
+    return _solve(model, _psi, model.base**-xi0, q_max)
 
 
 def solve_zeta(model: WeightModel, xi0: float, q_max: float = Q_MAX) -> float:
     """Smallest zeta >= 0 solving the cross-moment equation."""
     _check_xi0(xi0)
-
-    def psi_tilde(z):
-        return max(model.joint_moment(z - 1.0, 1.0), model.joint_moment(1.0, z - 1.0))
-
-    target = model.base**-xi0
-    return _smallest_root(psi_tilde, target, q_max + 1.0)
+    _check_q_max(q_max)
+    return _solve(model, _psi_tilde, model.base**-xi0, q_max + 1.0)
 
 
 def xi_star(model: WeightModel) -> float:

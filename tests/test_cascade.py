@@ -1042,3 +1042,27 @@ def test_a_float_seed_does_not_read_another_seeds_streams():
     a = cascade.build(FRAC, np.int64(1), 6)
     assert cascade.grid_min_max(a, np.int16(3)) is cascade.grid_min_max(a, 3)
     assert len(cascade.export_level(a, np.int64(2))) == 4
+
+
+@pytest.mark.parametrize(
+    "model,q,depth,safe",
+    [
+        (TABLE, (1.0, 1.0), 12, 12),  # every total is 0.42: one draw per path
+        (ZERO_ATOM, (-1.0, -1.0), 8, 1),  # a zero child makes level 2 on hold infinite totals
+    ],
+)
+def test_tilted_paths_leave_the_stream_where_the_per_level_loop_does(model, q, depth, safe):
+    real = cascade.build(model, seed=2, depth=depth)
+    rng, rng_oracle = np.random.default_rng(5), np.random.default_rng(5)
+    stops = 0
+    for _ in range(2000):
+        got = tilted_outcome(cascade.sample_tilted_path, real, q, depth, rng)
+        assert got == tilted_outcome(tilted_path_oracle, real, q, depth, rng_oracle)
+        assert rng.bit_generator.state == rng_oracle.bit_generator.state
+        stops += isinstance(got, str)
+    assert (stops > 0) == (model is ZERO_ATOM)
+    tables = real._tilted[q]
+    assert tables.safe == safe
+    _, totals = tables
+    leading = itertools.takewhile(lambda level: all(0.0 < t < math.inf for t in level), totals)
+    assert len(list(leading)) == safe

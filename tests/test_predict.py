@@ -1,5 +1,8 @@
+import dataclasses
 import functools
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -285,21 +288,19 @@ def outcome(fn, *args):
         return type(e)
 
 
+def xi_curve(model):
+    return lambda x: max(model.joint_moment(x, 0.0), model.joint_moment(0.0, x))
+
+
+def zeta_curve(model):
+    return lambda z: max(model.joint_moment(z - 1.0, 1.0), model.joint_moment(1.0, z - 1.0))
+
+
 def oracle_solves(model, xi0):
     """(xi, zeta) from the linear scan, set up exactly as solve_xi/solve_zeta do."""
     target = model.base**-xi0
-    xi = 0.0 if xi0 == 0.0 else outcome(
-        linear_scan_root,
-        lambda x: max(model.joint_moment(x, 0.0), model.joint_moment(0.0, x)),
-        target,
-        predict.Q_MAX,
-    )
-    zeta = outcome(
-        linear_scan_root,
-        lambda z: max(model.joint_moment(z - 1.0, 1.0), model.joint_moment(1.0, z - 1.0)),
-        target,
-        predict.Q_MAX + 1.0,
-    )
+    xi = 0.0 if xi0 == 0.0 else outcome(linear_scan_root, xi_curve(model), target, predict.Q_MAX)
+    zeta = outcome(linear_scan_root, zeta_curve(model), target, predict.Q_MAX + 1.0)
     return xi, zeta
 
 
@@ -387,6 +388,90 @@ def test_grid_bisection_evaluates_each_point_once_in_the_former_order(model):
         grid = cached_bisection_calls(curve, target, predict.Q_MAX)
         assert calls[1 : len(grid) + 1] == grid  # after f(0), before the cell bisection
         assert len(set(grid)) == len(grid)
+
+
+# ---------------------------------------------------------------------------
+# wide search intervals and the per-model memo
+
+
+@pytest.mark.parametrize("q_max", [4.0, 100.0, 200.0, 250.0, 300.0, 1000.0])
+def test_wide_search_interval_keeps_the_root(q_max):
+    m = LognormalSigned.from_beta(2, 0.8, 0.1)  # both curves overflow to inf from about 105.8 on
+    target = m.base**-0.5
+    assert predict.solve_xi(m, 0.5, q_max) == linear_scan_root(xi_curve(m), target, q_max)
+    assert predict.solve_zeta(m, 0.5, q_max) == linear_scan_root(zeta_curve(m), target, q_max + 1.0)
+    assert predict.solve_xi(m, 0.5, q_max) == 0.5948751620467192
+
+
+def test_curve_that_overflows_past_its_minimum_keeps_its_root():
+    def f(x):  # log-convex, minimum 0.6 at x = 1, inf from x of about 27.6 on
+        return 0.6 * math.exp((x - 1.0) ** 2) if (x - 1.0) ** 2 < 709.0 else math.inf
+
+    for hi in (4.0, 100.0, 1000.0):
+        assert predict._smallest_root(f, 0.7, hi) == linear_scan_root(f, 0.7, hi)
+        with pytest.raises(NoRootError):
+            predict._smallest_root(f, 0.5, hi)
+
+
+@pytest.mark.parametrize("q_max", [math.inf, -math.inf, math.nan, 1e308])
+def test_q_max_off_a_finite_grid_is_a_config_error(q_max):
+    for solve in (predict.solve_xi, predict.solve_zeta):
+        for xi0 in (0.0, 0.5):
+            with pytest.raises(ConfigError):
+                solve(LN, xi0, q_max)
+
+
+def oracle_rows(model, grid):
+    """kpz_curve's rows, each root from the linear scan."""
+    xs = predict.xi_star(model)
+    rows = []
+    for xi0 in grid:
+        xi, zeta = oracle_solves(model, xi0)
+        if NoRootError in (xi, zeta):
+            raise NoRootError
+        if model.identical_weights():
+            dim, branch = (xi, "xi") if xi <= 1.0 else (1.0, "capped")
+        else:
+            dim, branch = (xi, "xi") if xi <= zeta else (zeta, "zeta")
+        rows.append(predict.PredictionRow(xi0, xi, zeta, xs, dim, branch, predict.closed_form_image_dim(model, xi0)))
+    return rows
+
+
+def memo_sizes(model):
+    """(grid values, roots) held for the xi and the zeta curve."""
+    return [tuple(map(len, vars(model).get(name, ({}, {})))) for name in ("_psi_memo", "_psi_tilde_memo")]
+
+
+@pytest.mark.parametrize("model", ORACLE_MODELS, ids=lambda m: f"{type(m).__name__}-b{m.base}")
+def test_memoized_kpz_curve_equals_the_linear_scan_rows(model):
+    model = dataclasses.replace(model)  # a fresh object, with no memo
+    grid = [i / 16 for i in range(17)]
+    want = outcome(oracle_rows, model, grid)
+    first = outcome(predict.kpz_curve, model, grid)
+    sizes = memo_sizes(model)
+    second = outcome(predict.kpz_curve, model, grid)
+    assert repr(first) == repr(want) and repr(second) == repr(want)
+    assert memo_sizes(model) == sizes
+    if want is NoRootError:
+        return
+    b = model.base
+    for name, hi, solved in (("_psi_memo", predict.Q_MAX, grid[1:]), ("_psi_tilde_memo", predict.Q_MAX + 1.0, grid)):
+        values, roots = vars(model)[name]
+        assert len(values) <= hi / predict.SCAN_STEP + 1
+        assert set(roots) == {(b**-xi0, hi) for xi0 in solved}
+
+
+def test_memo_does_not_keep_its_model_alive():
+    gc.disable()
+    try:
+        model = LognormalSigned.from_beta(2, 0.8, 0.1)
+        predict.kpz_curve(model, [0.0, 0.5, 1.0])
+        assert memo_sizes(model)[0][0] > 0
+        ref = weakref.ref(model)
+        del model
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("q", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)])
