@@ -39,9 +39,13 @@ min/max table comes from one strided fold (see _fold), which turns each
 run of neighbours into one value.
 
 export_level returns one level as columns (see LevelExport): its words,
-its products in the signed form, taken from the same recurrence built
-whole (see _signed_level), and the grid values at its words' right ends,
-collected chunk by chunk (see grid_values).
+built one aligned block of at most _WORD_BLOCK = 2**12 rows at a time
+from the block's prefix and the kept level-k tails (see _Words), so the
+level's b**level strings never exist at once; its products in the
+signed form, taken from the same recurrence built whole (see
+_signed_level); and the grid values at its words' right ends, collected
+chunk by chunk (see grid_values), whose distinct values a renderer can
+format once each (see LevelExport.distinct_ends).
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -62,6 +67,7 @@ DEFAULT_CELL_BUDGET = 2**26
 _CHUNK_CELLS = 2**16  # leaves of the subtree a grid walk samples and sums at once
 _WHOLE_LEVEL_CELLS = 2**12  # a grid walk builds every level of at most this many nodes whole
 _FOLD_RUN_MAX = 32  # _fold reduces each run in one call when it is longer
+_WORD_BLOCK = 2**12  # rows of the largest block of words that an export builds at once
 
 
 def _philox_key(seed: int, level: int) -> np.ndarray:
@@ -515,19 +521,87 @@ def _words(b: int, level: int) -> list[str]:
     return words
 
 
+class _Words(Sequence):
+    """A level's words as ``str(Word)`` writes them, in index order, built a block at a time.
+
+    The level's b**level rows fall in aligned blocks of ``block`` = b**k
+    rows, b**k the largest power of b within _WORD_BLOCK and at least b
+    (b**level at most).  Block p's words are ``_prefix(p) + tail`` for
+    each of the b**k level-k words, in order, and only those tails are
+    kept: never the level's b**level strings.
+    """
+
+    def __init__(self, b: int, level: int):
+        k = 1
+        while b ** (k + 1) <= _WORD_BLOCK:
+            k += 1
+        k = min(k, level)
+        self._b, self._digits, self._len = b, level - k, b**level
+        self._tails = _words(b, k)
+        self.block = len(self._tails)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def _prefix(self, p: int) -> str:
+        """Block p's prefix: the level-(level - k) word p, and a dot after it for b > 10."""
+        digits = []
+        for _ in range(self._digits):
+            p, d = divmod(p, self._b)
+            digits.append(str(d))
+        sep = "." if self._b > 10 and digits else ""
+        return sep.join(reversed(digits)) + sep
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            lo, hi, step = i.indices(self._len)
+            if step != 1:
+                return [self[j] for j in range(lo, hi, step)]
+            words = []
+            while lo < hi:  # one block, or the part of one the slice covers, at a time
+                p, t = divmod(lo, self.block)
+                n = min(hi - lo, self.block - t)
+                words += map(self._prefix(p).__add__, self._tails[t : t + n])
+                lo += n
+            return words
+        j = operator.index(i)
+        if j < 0:
+            j += self._len
+        if not 0 <= j < self._len:
+            raise IndexError(f"word index {i} out of range for {self._len} words")
+        p, t = divmod(j, self.block)
+        return self._prefix(p) + self._tails[t]
+
+    def __iter__(self):
+        for p in range(self._len // self.block):
+            yield from map(self._prefix(p).__add__, self._tails)
+
+
+class _Positions:
+    """Each row's position among a column's distinct bit patterns, read a slice of rows at a time."""
+
+    def __init__(self, keys: np.ndarray, bits: np.ndarray):
+        self._keys, self._bits = keys, bits
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        return np.searchsorted(self._keys, self._bits[rows])
+
+
 @dataclass(frozen=True, eq=False)
 class LevelExport(Sequence):
     """One level's export as columns, its arrays read-only; ``len``, indexing and iteration give its rows.
 
-    ``words`` holds each word as ``str(Word)`` writes it; ``signs`` and
-    ``moduli`` the level's products (Q1, Q2) in the signed form of
-    ``WeightModel.sample_pairs`` (a modulus is one float for the
-    fractional kind); ``ends`` the grid values (F1, F2) at each word's
-    right end.  A row is (word, Q1, Q2, F1, F2) as Python str and floats;
-    the rows are built when a caller first reads one, and kept.
+    ``words`` is the sequence of the words as ``str(Word)`` writes them,
+    built one aligned block of ``words.block`` rows at a time (see
+    _Words); ``signs`` and ``moduli`` the level's products (Q1, Q2) in
+    the signed form of ``WeightModel.sample_pairs`` (a modulus is one
+    float for the fractional kind); ``ends`` the grid values (F1, F2) at
+    each word's right end.  A row is (word, Q1, Q2, F1, F2) as Python str
+    and floats; the rows are built when a caller first reads one, and
+    kept.
     """
 
-    words: list
+    words: _Words
     signs: np.ndarray
     moduli: tuple
     ends: tuple
@@ -550,6 +624,22 @@ class LevelExport(Sequence):
         """(Q1, Q2) as float arrays, bit-identical to the signed form."""
         return signed_pairs(self.signs, *self.moduli)
 
+    def distinct_ends(self) -> list[tuple]:
+        """(values, positions) of each F column: its distinct values, and each row's position among them.
+
+        The values are one per bit pattern, so 0.0 and -0.0 are two, in
+        the order of their patterns; ``positions[lo:hi]`` gives rows lo ..
+        hi - 1's positions, so that ``values[positions[lo:hi]]`` is the
+        column's slice bit for bit.  The column is sorted once, and each
+        slice is looked up in the sorted patterns.
+        """
+        distinct = []
+        for f in self.ends:
+            bits = f.view(np.uint64)
+            keys = np.unique(bits)
+            distinct.append((keys.view(np.float64), _Positions(keys, bits)))
+        return distinct
+
     @functools.cached_property
     def _rows(self) -> list[tuple]:
         columns = (*self.products(), *self.ends)
@@ -562,15 +652,17 @@ def export_level(real: CascadeRealization, level: int) -> LevelExport:
     Rows come in word-index order; a word is written as ``str(Word)``
     writes it (digits without separators, or dot-separated for b > 10,
     so ``parse_word`` reads it back), and its endpoint is the grid value
-    at its interval's right end.  The level's products are built whole
-    from the level streams (see _signed_level), bit-identical to the
-    ones the grid walk multiplies; the endpoints are the level's grid
-    values but the first, collected from one grid walk chunk by chunk
-    (see grid_values).  Nothing is kept on ``real``.
+    at its interval's right end.  The words are a sequence that keeps
+    only one block's tails and builds each word from its block's prefix
+    (see _Words), so no list of b**level strings is made.  The level's
+    products are built whole from the level streams (see _signed_level),
+    bit-identical to the ones the grid walk multiplies; the endpoints
+    are the level's grid values but the first, collected from one grid
+    walk chunk by chunk (see grid_values).  Nothing is kept on ``real``.
     """
     level = as_integer(level, "level")
     if not 0 <= level <= real.depth:
         raise ConfigError(f"level {level} outside [0, {real.depth}]")
     signs, m1, m2 = _signed_level(real.model, real.seed, level)
     ends = tuple(f[1:] for f in grid_values(real, level))
-    return LevelExport(_words(real.base, level), signs, (m1, m2), ends)
+    return LevelExport(_Words(real.base, level), signs, (m1, m2), ends)

@@ -217,33 +217,37 @@ def cmd_simulate(args, model):
     yield "simulate", ["word", "q1", "q2", "f1", "f2"], _simulate_text(cascade.export_level(real, level))
 
 
-_SIMULATE_BLOCK = 4096  # rows rendered into one text and written at once
-
-
 def _simulate_text(level: cascade.LevelExport):
-    """simulate.csv's rows as finished text, one block of rows at a time.
+    """simulate.csv's rows as finished text, one aligned block of words at a time (see LevelExport).
 
     Words and numbers never need CSV quoting.  When both moduli are one
     float (the fractional kind), each Q column takes two values, +modulus
     and -modulus, and a row's two Q fields are one of four texts picked
-    by its sign byte: the very text ``%.17g`` writes for each signed
-    value, -0 included.  Otherwise the products, like the F columns, are
-    formatted in the row.  A block at a time, the rows' text never
-    exists whole.
+    by its sign byte; each F column's field is picked from the texts of
+    its distinct values (see LevelExport.distinct_ends), each formatted
+    once.  Each is the very text ``%.17g`` writes for the value, -0
+    included, with the comma before it and, in the last column, the line
+    end after it, so a row is its word and its three texts joined.
+    Otherwise the products and the F columns are formatted in the row.
+    A block at a time, the rows' text never exists whole.
     """
     m1, m2 = level.moduli
+    eol = csv.excel.lineterminator
     if np.ndim(m1) == np.ndim(m2) == 0:
         t1, t2 = (format(m1, EXACT), format(-m1, EXACT)), (format(m2, EXACT), format(-m2, EXACT))
         # sign byte k: bit 0 set where Q1 < 0, bit 1 where Q2 < 0
-        texts = np.array([f"{t1[k & 1]},{t2[k >> 1]}" for k in range(4)], dtype=object)
-        columns, q_spec = (texts[level.signs],), "%s"
+        picks = [([f",{t1[k & 1]},{t2[k >> 1]}" for k in range(4)], level.signs)]
+        for (values, at), end in zip(level.distinct_ends(), ("", eol)):
+            picks.append(([f",{v:{EXACT}}{end}" for v in values.tolist()], at))
+        picks = [(np.array(texts, dtype=object), keys) for texts, keys in picks]
+        columns, row = (), "".join
     else:
-        columns, q_spec = level.products(), f"%{EXACT},%{EXACT}"
-    columns = (*columns, *level.ends)
-    row = f"%s,{q_spec},%{EXACT},%{EXACT}{csv.excel.lineterminator}".__mod__
-    for lo in range(0, len(level), _SIMULATE_BLOCK):
-        hi = lo + _SIMULATE_BLOCK
-        yield "".join(map(row, zip(level.words[lo:hi], *(c[lo:hi].tolist() for c in columns))))
+        picks, columns = (), (*level.products(), *level.ends)
+        row = f"%s,%{EXACT},%{EXACT},%{EXACT},%{EXACT}{eol}".__mod__
+    for lo in range(0, len(level), level.words.block):
+        hi = lo + level.words.block
+        fields = [texts[keys[lo:hi]].tolist() for texts, keys in picks] + [c[lo:hi].tolist() for c in columns]
+        yield "".join(map(row, zip(level.words[lo:hi], *fields)))
 
 
 def _estimate_row(seed, label, est, *prediction):

@@ -35,7 +35,9 @@ Q_MAX = 4.0
 ROOT_TOL = 1e-12
 
 
-def _smallest_root(f, target: float, hi: float, step: float = SCAN_STEP, values=None) -> float:
+def _smallest_root(
+    f, target: float, hi: float, step: float = SCAN_STEP, values=None, finite_at: float = 0.0
+) -> float:
     """Smallest x in [0, hi] with f(x) = target.
 
     f(0) >= target is assumed (it holds for the two moment curves, which
@@ -56,9 +58,10 @@ def _smallest_root(f, target: float, hi: float, step: float = SCAN_STEP, values=
     infinite or NaN value lies either on a leading stretch (where an
     exponent is negative and an atom is zero), which counts as still
     falling, or past the minimum, where the curve overflows and the
-    predicate holds.  It is past the minimum when the curve is finite at
-    the last index known to be still falling: at 0, or at the last point
-    the bisection moved right of.
+    predicate holds.  It is past the minimum when it lies right of
+    ``finite_at``, a point where the curve is known to be finite (0 by
+    default): bisection alone cannot find the finite stretch between a
+    leading infinite stretch and an overflow.
     """
     values = {} if values is None else values
 
@@ -74,6 +77,7 @@ def _smallest_root(f, target: float, hi: float, step: float = SCAN_STEP, values=
             return 0.0
         raise NoRootError(f"curve starts below target: f(0)={f0} < {target}")
     n_steps = int(round(hi / step))
+    finite = finite_at / step
     lo, top = 1, n_steps
     while lo < top:
         mid = (lo + top) // 2  # below top, so mid + 1 is still on the grid
@@ -81,7 +85,7 @@ def _smallest_root(f, target: float, hi: float, step: float = SCAN_STEP, values=
         if v < math.inf:
             settled = v <= target or at(mid + 1) >= v
         else:
-            settled = at(lo - 1) < math.inf  # lo - 1 is 0 or a point already read
+            settled = mid > finite
         if settled:
             top = mid
         else:
@@ -110,8 +114,11 @@ def _psi_tilde(model: WeightModel):
     return lambda z: max(model.joint_moment(z - 1.0, 1.0), model.joint_moment(1.0, z - 1.0))
 
 
-def _solve(model: WeightModel, curve, target: float, hi: float) -> float:
+def _solve(model: WeightModel, curve, target: float, hi: float, finite_at: float = 0.0) -> float:
     """``_smallest_root`` of ``curve(model)`` on [0, hi], through the model's memo of that curve.
+
+    ``finite_at`` is a point where the curve is known to be finite (see
+    _smallest_root).
 
     The memo is ``(values, roots)`` in the model's __dict__, under the
     curve's name: the curve at grid indices, at most hi / SCAN_STEP + 1
@@ -123,7 +130,7 @@ def _solve(model: WeightModel, curve, target: float, hi: float) -> float:
     values, roots = vars(model).setdefault(f"{curve.__name__}_memo", ({}, {}))
     root = roots.get((target, hi))
     if root is None:
-        root = roots[target, hi] = _smallest_root(curve(model), target, hi, values=values)
+        root = roots[target, hi] = _smallest_root(curve(model), target, hi, values=values, finite_at=finite_at)
     return root
 
 
@@ -147,10 +154,14 @@ def solve_xi(model: WeightModel, xi0: float, q_max: float = Q_MAX) -> float:
 
 
 def solve_zeta(model: WeightModel, xi0: float, q_max: float = Q_MAX) -> float:
-    """Smallest zeta >= 0 solving the cross-moment equation."""
+    """Smallest zeta >= 0 solving the cross-moment equation.
+
+    The curve is finite at z = 1, where both moments' exponents are
+    >= 0; it may be infinite left of it, where an atom of |W_k| is 0.
+    """
     _check_xi0(xi0)
     _check_q_max(q_max)
-    return _solve(model, _psi_tilde, model.base**-xi0, q_max + 1.0)
+    return _solve(model, _psi_tilde, model.base**-xi0, q_max + 1.0, finite_at=1.0)
 
 
 def xi_star(model: WeightModel) -> float:

@@ -1011,6 +1011,31 @@ def test_export_words_above_base_ten_are_distinct_and_parse_back():
     assert words[1 * 121 + 0 * 11 + 10] == "1.0.10" and words[10 * 121 + 1 * 11 + 0] == "10.1.0"
 
 
+@pytest.mark.parametrize("word_block", [cascade._WORD_BLOCK, 16], ids=["default-blocks", "small-blocks"])
+@pytest.mark.parametrize("b,level", [(2, 6), (3, 6), (12, 4)])
+def test_exported_words_are_the_level_words_in_every_access_form(monkeypatch, word_block, b, level):
+    # a level of 12**6 words would take about 200 MB as a list; 12**4 already spans 12 blocks of 12**3
+    monkeypatch.setattr(cascade, "_WORD_BLOCK", word_block)
+    words = cascade.export_level(cascade.build(Fractional(b, 0.75, 0.75), seed=1, depth=level), level).words
+    want = list(cascade._words(b, level))
+    n = len(want)
+    assert len(words) == n and n % words.block == 0 and b <= words.block <= max(word_block, b)
+    assert list(words) == want
+    assert [words[i] for i in range(-n, n)] == want + want
+    for bad in (n, -n - 1, 2**70):
+        with pytest.raises(IndexError):
+            words[bad]
+    assert words[np.int64(n - 1)] == want[-1]
+    block = words.block
+    cuts = [None, 0, 1, block - 1, block, block + 1, 2 * block + 3, n // 2, n - 1, n, n + 5, -1, -block - 2]
+    for lo, hi, step in itertools.product(cuts, cuts, (None, 1, 2, 3, -1, -5)):
+        assert words[lo:hi:step] == want[lo:hi:step]
+    for w in (want[0], want[block - 1], want[block % n], want[-1], want[n // 3]):
+        assert w in words
+    for w in ("", want[0] + "0", "x", 7, None):
+        assert w not in words
+
+
 NOT_INTEGERS = [1.5, 2.0, True, np.float64(3.0), "2", None]
 
 

@@ -3,13 +3,15 @@ import hashlib
 import io
 import json
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cascadelab import cascade, estimate, modelio
-from cascadelab.cli import _parse_q_list, _parse_testset, _parse_window, _xi0_grid, main
+from cascadelab.cli import _parse_q_list, _parse_testset, _parse_window, _simulate_text, _xi0_grid, main
 from cascadelab.errors import ConfigError
 from cascadelab.weights import DiscreteTable, Fractional, LognormalSigned, Mixed
 
@@ -158,6 +160,74 @@ def test_simulate_csv_is_the_csv_writer_rendering_of_export_level(model_file, tm
     for word, *values in cascade.export_level(cascade.build(model, 3, 6), level):
         writer.writerow([word, *(format(v, ".17g") for v in values)])
     assert (out / "simulate.csv").read_bytes() == expected.getvalue().encode("utf-8")
+
+
+def csv_writer_bytes(level):
+    """simulate.csv as csv.writer writes ``level``'s rows, each value in %.17g."""
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["word", "q1", "q2", "f1", "f2"])
+    for word, *values in level:
+        writer.writerow([word, *(format(v, ".17g") for v in values)])
+    return expected.getvalue().encode("utf-8")
+
+
+def rendered_bytes(level):
+    return (",".join(["word", "q1", "q2", "f1", "f2"]) + "\r\n" + "".join(_simulate_text(level))).encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "text,depth,rows_per_block",
+    [
+        (FRACTIONAL, 14, 4096),  # 4 blocks
+        ("kind fractional\nb 3\nalpha1 0.75\nalpha2 0.6\n", 9, 2187),  # 9 blocks
+        ("kind fractional\nb 12\nalpha1 0.75\nalpha2 0.9\n", 4, 1728),  # dot-separated words cross 12 blocks
+        ("kind lognormal\nb 3\nalpha 0.8\nbeta 0.1\n", 9, 2187),
+    ],
+    ids=["frac-b2", "frac-b3", "frac-b12", "lognormal-b3"],
+)
+def test_simulate_csv_of_a_multi_block_level_is_the_csv_writer_rendering(
+    model_file, tmp_path, monkeypatch, text, depth, rows_per_block
+):
+    model = modelio.parse_model(text)
+    out = tmp_path / "out"
+    assert main(["simulate", "--model", model_file(text), "--out", str(out),
+                 "--seed", "3", "--depth", str(depth)]) == 0
+    level = cascade.export_level(cascade.build(model, 3, depth), depth)
+    assert level.words.block == rows_per_block and len(level) > rows_per_block
+    want = csv_writer_bytes(level)
+    assert (out / "simulate.csv").read_bytes() == want
+    monkeypatch.setattr(cascade, "_WORD_BLOCK", 16)  # blocks of b**k rows, b**k <= 16 but at least b
+    small = cascade.export_level(cascade.build(model, 3, depth), depth)
+    assert small.words.block == {2: 16, 3: 9, 12: 12}[model.base]
+    assert rendered_bytes(small) == want
+
+
+def test_distinct_end_texts_keep_each_zero_sign(monkeypatch):
+    monkeypatch.setattr(cascade, "_WORD_BLOCK", 8)  # 4 blocks of 8 rows
+    f1 = np.array([0.0, -0.0, 0.5, 0.0, -0.0, 0.5, -0.5, -0.0] * 4)
+    f2 = np.array([-0.0, -0.0, 0.0, 1e-300, 0.0, -1e-300, 0.0, -0.0] * 4)
+    signs = np.arange(32, dtype=np.uint8) % 4
+    level = cascade.LevelExport(cascade._Words(2, 5), signs, (0.25, 0.5), (f1, f2))
+    assert [len(values) for values, _ in level.distinct_ends()] == [4, 4]  # 0.0 and -0.0 apart
+    rows = list(csv.reader(io.StringIO("".join(_simulate_text(level)), newline="")))
+    assert [r[3] for r in rows] == ["0", "-0", "0.5", "0", "-0", "0.5", "-0.5", "-0"] * 4
+    assert [r[4] for r in rows] == ["-0", "-0", "0", "1e-300", "0", "-1e-300", "0", "-0"] * 4
+    assert [r[1:3] for r in rows[:4]] == [["0.25", "0.5"], ["-0.25", "0.5"], ["0.25", "-0.5"], ["-0.25", "-0.5"]]
+    assert rendered_bytes(level) == csv_writer_bytes(level)
+
+
+@pytest.mark.parametrize("text", [FRACTIONAL, LOGNORMAL], ids=["fractional", "lognormal"])
+def test_simulate_peak_holds_no_level_of_words_or_texts(model_file, tmp_path, text):
+    argv = ["simulate", "--model", model_file(text), "--out", str(tmp_path / "out"), "--depth", "16"]
+    assert main([*argv[:-1], "6"]) == 0  # one-off allocations of a first call
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20  # 65,536 word strings alone took about 4.7 MB
 
 
 FRACTIONAL_UNEQUAL = "kind fractional\nb 2\nalpha1 0.6\nalpha2 0.8\n"

@@ -413,6 +413,25 @@ def test_curve_that_overflows_past_its_minimum_keeps_its_root():
             predict._smallest_root(f, 0.5, hi)
 
 
+def test_finite_point_tells_a_leading_infinite_stretch_from_an_overflow():
+    def f(x):  # inf on [0, 0.5), then log-convex with minimum 0.6 at x = 1, inf from x of about 27.6 on
+        return 0.6 * math.exp((x - 1.0) ** 2) if 0.5 <= x and (x - 1.0) ** 2 < 709.0 else math.inf
+
+    for hi in (4.0, 100.0, 1000.0):
+        assert predict._smallest_root(f, 0.7, hi, finite_at=1.0) == linear_scan_root(f, 0.7, hi)
+        with pytest.raises(NoRootError):
+            predict._smallest_root(f, 0.5, hi, finite_at=1.0)
+
+
+@pytest.mark.parametrize("q_max", [4.0, 2000.0, 2100.0, 3000.0])
+def test_zeta_root_between_a_leading_infinite_stretch_and_an_overflow(q_max):
+    # zeta is infinite on [0, 1), where an atom of |W1| is 0, and overflows past its minimum
+    m = DiscreteTable(2, (((0.0, 0.5), 0.3), ((2.0, -0.2), 0.7)))
+    target = m.base**-0.5
+    want = linear_scan_root(zeta_curve(m), target, q_max + 1.0)
+    assert predict.solve_zeta(m, 0.5, q_max) == want == 1.4244002341588384
+
+
 @pytest.mark.parametrize("q_max", [math.inf, -math.inf, math.nan, 1e308])
 def test_q_max_off_a_finite_grid_is_a_config_error(q_max):
     for solve in (predict.solve_xi, predict.solve_zeta):
