@@ -209,15 +209,17 @@ def check_size(base: int, depth: int, cell_budget: int = DEFAULT_CELL_BUDGET) ->
     """``depth`` as an int, once it is at least 1 and b**(depth+1) fits the cell budget.
 
     A depth that is not an integer or below 1 raises ConfigError, one
-    over the budget ResourceError.
+    over the budget ResourceError.  Since b >= 2, b**(depth+1) is over
+    the budget whenever depth + 1 exceeds the budget's bit length, which
+    is checked first: the power of a huge depth is never computed, and
+    the message never prints it (its digits could pass Python's
+    int-to-str limit).
     """
     depth = as_integer(depth, "depth")
     if depth < 1:
         raise ConfigError(f"depth must be >= 1, got {depth}")
-    if base ** (depth + 1) > cell_budget:
-        raise ResourceError(
-            f"b**(depth+1) = {base**(depth + 1)} exceeds cell budget {cell_budget}"
-        )
+    if depth + 1 > cell_budget.bit_length() or base ** (depth + 1) > cell_budget:
+        raise ResourceError(f"b**(depth+1) = {base}**{depth + 1} exceeds cell budget {cell_budget}")
     return depth
 
 
@@ -233,18 +235,19 @@ def _chunk_shape(b: int, depth: int) -> tuple[int, int]:
     return depth - s, b**s
 
 
-def _walk_chunks(real: CascadeRealization, frame):
-    """Sum each chunk's leaf products into ``frame(i)``, then yield i, in index order.
+def _walk_chunks(real: CascadeRealization, frame: tuple):
+    """Sum each chunk's leaf products into ``frame``, then yield the chunk's index i, in index order.
 
-    ``frame(i)`` returns two arrays of width + 1 values (see _chunk_shape)
-    that take (F1, F2) at the leaf points i * width .. (i + 1) * width of
-    chunk i.  The levels down to top, and every level of at most
-    _WHOLE_LEVEL_CELLS nodes, are built whole; then each chunk's slices of
-    the larger levels are drawn from their streams (see _LevelStream) and
-    multiplied out, slot 0 of its frame is set to the value the previous
-    chunk ended on (0.0 before the first), and the rest to the cumulative
-    sum of its products from there.  The values are bit-identical to one
-    cumsum over a whole-level build.
+    ``frame`` is two arrays of width + 1 values (see _chunk_shape); when
+    i is yielded they hold (F1, F2) at the leaf points i * width .. (i +
+    1) * width of chunk i, until the next chunk overwrites them.  The
+    levels down to top, and every level of at most _WHOLE_LEVEL_CELLS
+    nodes, are built whole; then each chunk's slices of the larger levels
+    are drawn from their streams (see _LevelStream) and multiplied out,
+    slot 0 of the frame is set to the value the previous chunk ended on
+    (0.0 before the first), and the rest to the cumulative sum of its
+    products from there.  The values are bit-identical to one cumsum over
+    a whole-level build.
     """
     model, seed, depth, b = real.model, real.seed, real.depth, real.base
     top, _ = _chunk_shape(b, depth)
@@ -259,13 +262,12 @@ def _walk_chunks(real: CascadeRealization, frame):
         c = _slice(q, i * span, (i + 1) * span)
         for k, stream in enumerate(streams, whole - top + 1):
             c = _next_signed(c, model.sample_pairs(stream, b**k, signed=True), b)
-        values = frame(i)
-        for f, c, end in zip(values, signed_pairs(*c), ends):
+        for f, c, end in zip(frame, signed_pairs(*c), ends):
             f[0] = end
             if i:  # never on the first chunk: 0.0 + -0.0 would drop a sign bit
                 c[0] += end
             np.cumsum(c, out=f[1:])
-        ends = (values[0][-1], values[1][-1])
+        ends = (frame[0][-1], frame[1][-1])
         yield i
 
 
@@ -280,7 +282,7 @@ def grid_chunks(real: CascadeRealization):
     """
     _, width = _chunk_shape(real.base, real.depth)
     buffer = (np.empty(width + 1), np.empty(width + 1))
-    for _ in _walk_chunks(real, lambda i: buffer):
+    for _ in _walk_chunks(real, buffer):
         yield buffer
 
 
@@ -577,6 +579,19 @@ class _Words(Sequence):
             yield from map(self._prefix(p).__add__, self._tails)
 
 
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of ``keys``, sorted in place.
+
+    np.unique gives the same values, but from numpy 2.3 on it goes
+    through a hash table first, which is many times slower on these keys.
+    """
+    keys.sort()
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    return keys[new]
+
+
 class _Positions:
     """Each row's position among a column's distinct bit patterns, read a slice of rows at a time."""
 
@@ -636,7 +651,7 @@ class LevelExport(Sequence):
         distinct = []
         for f in self.ends:
             bits = f.view(np.uint64)
-            keys = np.unique(bits)
+            keys = _distinct(bits.copy())
             distinct.append((keys.view(np.float64), _Positions(keys, bits)))
         return distinct
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import dataclasses
 import json
 import math
@@ -34,6 +35,17 @@ EXIT_ASSUMPTION = 3
 EXIT_NUMERIC = 4
 EXIT_RESOURCE = 5
 
+# glibc's malloc starts with a 128 KiB mmap threshold and a trim threshold
+# of twice that, and raises both only when a larger mmapped block is freed,
+# up to 32 MiB.  Until then, the few MB that each walk chunk and box count
+# free go back to the kernel and are faulted in again, zeroed, by the next
+# one: about 54k minor faults per pass of 24 depth-18 realizations.  main()
+# sets both where that rule ends, so no command's speed depends on what an
+# earlier one freed; no output depends on them.  Parameter numbers from
+# malloc.h.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 * 2**20  # DEFAULT_MMAP_THRESHOLD_MAX on 64-bit
+_TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD  # the trim threshold glibc pairs with it
 
 # Number formats of every CSV table: estimates and predictions, exported
 # realization values (round-trip exact), and the q / xi0 row labels.
@@ -396,7 +408,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _steady_heap() -> None:
+    """Pin glibc's mmap and trim thresholds (see _MMAP_THRESHOLD), on Linux.
+
+    Without a C library that has ``mallopt`` (not glibc), the process is
+    left as it is.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
 def main(argv=None) -> int:
+    _steady_heap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

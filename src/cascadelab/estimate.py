@@ -143,19 +143,6 @@ def _bounding_boxes(real: CascadeRealization, ts: TestSet, extra_levels: int):
     return min1[idx], max1[idx], min2[idx], max2[idx]
 
 
-def _distinct(keys: np.ndarray) -> np.ndarray:
-    """The sorted distinct values of ``keys``, sorted in place.
-
-    np.unique gives the same values, but from numpy 2.3 on it goes
-    through a hash table first, which is many times slower on these keys.
-    """
-    keys.sort()
-    new = np.empty(len(keys), dtype=bool)
-    new[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=new[1:])
-    return keys[new]
-
-
 def _square_counts(x0, x1, y0, y1, j_lo: int, j_hi: int) -> list[int]:
     """Distinct dyadic squares of side 2**-j meeting any closed box, for j = j_lo .. j_hi.
 
@@ -180,7 +167,7 @@ def _square_counts(x0, x1, y0, y1, j_lo: int, j_hi: int) -> list[int]:
     first = np.cumsum(per_box) - per_box
     dx, dy = np.divmod(np.arange(len(box)) - first[box], ny[box])
     corner = (ix0 - ox) * width + (iy0 - oy)
-    keys = _distinct(corner[box] + dx * width + dy)
+    keys = cascade._distinct(corner[box] + dx * width + dy)
     counts = [len(keys)]
     for _ in range(j_hi - j_lo):
         ix, iy = np.divmod(keys, width)
@@ -194,7 +181,7 @@ def _square_counts(x0, x1, y0, y1, j_lo: int, j_hi: int) -> list[int]:
         iy -= oy
         ix *= width
         ix += iy
-        keys = _distinct(ix)
+        keys = cascade._distinct(ix)
         counts.append(len(keys))
     return counts[::-1]
 

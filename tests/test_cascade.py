@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import operator
+import time
 import tracemalloc
 import warnings
 
@@ -287,6 +288,13 @@ def test_depth_guards():
         cascade.build(FRAC, seed=0, depth=0)
     with pytest.raises(ResourceError):
         cascade.build(FRAC, seed=0, depth=30)
+
+
+def test_a_huge_depth_fails_the_budget_without_computing_its_power():
+    start = time.perf_counter()
+    with pytest.raises(ResourceError, match=r"3\*\*10000001 exceeds"):
+        cascade.check_size(3, 10**7)  # 3**(10**7 + 1) alone took some 6 s
+    assert time.perf_counter() - start < 0.5
 
 
 def test_export_level():

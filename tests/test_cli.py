@@ -1,16 +1,24 @@
 import csv
+import ctypes
 import hashlib
 import io
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cascadelab import cascade, estimate, modelio
+import cascadelab
+from cascadelab import cascade, cli, estimate, modelio
 from cascadelab.cli import _parse_q_list, _parse_testset, _parse_window, _simulate_text, _xi0_grid, main
 from cascadelab.errors import ConfigError
 from cascadelab.weights import DiscreteTable, Fractional, LognormalSigned, Mixed
@@ -402,6 +410,14 @@ def test_resource_error_exit_code(model_file, tmp_path):
     assert rc == 5
 
 
+def test_a_depth_whose_power_has_thousands_of_digits_is_a_resource_error(model_file, tmp_path, capsys):
+    # b**(depth+1) formatted into the message once passed Python's int-to-str limit: exit 1, a traceback
+    for command in ("image-dim", "simulate"):
+        argv = [command, "--model", model_file(FRACTIONAL), "--out", str(tmp_path / "o"), "--depth", "20000"]
+        assert main(argv) == 5
+        assert json.loads(capsys.readouterr().err)["error"] == "resource"
+
+
 def test_image_dim_checks_the_cell_budget_before_its_default_test_set(model_file, tmp_path):
     # a default test set of b digits for b = 10**20 - 1 raised a raw OverflowError
     text = FRACTIONAL.replace("b 2", "b 99999999999999999999")
@@ -593,3 +609,51 @@ def test_cli_parsers_let_only_config_errors_escape(text, base):
             result = [result.dimension]
         values = [v for item in result for v in (item if isinstance(item, tuple) else (item,))]
         assert all(math.isfinite(v) for v in values if isinstance(v, float))
+
+
+# ---------------------------------------------------------------------------
+# the allocator thresholds main() pins
+
+FAULTS_PER_CALL = """
+import resource, sys
+from cascadelab.cli import main
+faults = []
+for _ in range(4):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert main(sys.argv[1:]) == 0
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(*faults)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+def test_repeated_commands_stop_faulting_pages_in(model_file, tmp_path):
+    # a fresh interpreter, whose thresholds no earlier test has raised; with glibc's dynamic
+    # thresholds each call faulted some 1,930 pages back in, calls 3 and 4 included
+    argv = ["image-dim", "--model", model_file(FRACTIONAL), "--out", str(tmp_path / "o"),
+            "--depth", "16", "--seeds", "4"]
+    src = str(Path(cascadelab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", FAULTS_PER_CALL, *argv],
+                         env=env, capture_output=True, text=True, check=True)
+    faults = [int(n) for n in run.stdout.split()]
+    assert len(faults) == 4 and max(faults[2:]) < 300, faults
+
+
+def test_steady_heap_pins_both_thresholds(monkeypatch):
+    calls = []
+    monkeypatch.setattr(sys, "platform", "linux")
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=lambda *a: calls.append(a)))
+    cli._steady_heap()
+    assert calls == [(-3, 32 * 2**20), (-1, 64 * 2**20)]  # M_MMAP_THRESHOLD, then M_TRIM_THRESHOLD
+
+
+def _no_c_library(name):
+    raise OSError("no such library")
+
+
+@pytest.mark.parametrize("cdll", [_no_c_library, lambda name: types.SimpleNamespace()], ids=["oserror", "no-mallopt"])
+def test_steady_heap_without_mallopt_leaves_the_process_alone(monkeypatch, cdll):
+    monkeypatch.setattr(sys, "platform", "linux")
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert cli._steady_heap() is None
