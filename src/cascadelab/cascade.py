@@ -11,7 +11,8 @@ beside the grid:
 - the tilted sampler's per-q tables and safe prefixes (see sample_tilted_path).
 
 A level's values are flat arrays indexed by each word's integer value
-within the level (see words.Word.index).
+within the level, its digits read in base b; sample_tilted_path hands
+out each path as that index of its word.
 
 Node randomness comes from counter-based Philox streams, one per
 (seed, level); the draw position inside the stream is the word index.
@@ -53,15 +54,12 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-import operator
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, ResourceError, as_integer
 from .weights import WeightModel, signed_pairs
-from .words import Word
 
 DEFAULT_CELL_BUDGET = 2**26
 _CHUNK_CELLS = 2**16  # leaves of the subtree a grid walk samples and sums at once
@@ -80,11 +78,6 @@ def _philox_key(seed: int, level: int) -> np.ndarray:
 def level_rng(seed: int, level: int) -> np.random.Generator:
     """The counter-based stream holding the weights of one tree level."""
     return np.random.Generator(np.random.Philox(key=_philox_key(seed, level)))
-
-
-def level_weights(model: WeightModel, seed: int, level: int):
-    """(W1, W2) arrays for all base**level words, regenerable at will."""
-    return model.sample_pairs(level_rng(seed, level), model.base**level)
 
 
 @dataclass
@@ -152,7 +145,7 @@ def _signed_level(model: WeightModel, seed: int, level: int) -> tuple:
     b = model.base
     q = (np.zeros(1, dtype=np.uint8), 1.0, 1.0)  # the root, in the signed form
     for m in range(1, level + 1):
-        q = _next_signed(q, model.sample_pairs(level_rng(seed, m), b**m, signed=True), b)
+        q = _next_signed(q, model.sample_pairs(level_rng(seed, m), b**m), b)
     return q
 
 
@@ -261,7 +254,7 @@ def _walk_chunks(real: CascadeRealization, frame: tuple):
     for i in range(b**top):
         c = _slice(q, i * span, (i + 1) * span)
         for k, stream in enumerate(streams, whole - top + 1):
-            c = _next_signed(c, model.sample_pairs(stream, b**k, signed=True), b)
+            c = _next_signed(c, model.sample_pairs(stream, b**k), b)
         for f, c, end in zip(frame, signed_pairs(*c), ends):
             f[0] = end
             if i:  # never on the first chunk: 0.0 + -0.0 would drop a sign bit
@@ -430,8 +423,9 @@ def _tilted_tables(real: CascadeRealization, q: tuple[float, float], level: int)
     |W1|^q1 |W2|^q2 over its siblings up to itself (0 * inf counts as 1);
     ``totals[m - 1]`` lists each level-(m-1) parent's sum.  Both are the
     values a per-parent cumsum and sum of the same slice give, bit for bit.
-    Each new level's weights are drawn from its stream (see level_weights),
-    and ``safe`` grows while every new level's totals are finite and > 0.
+    Each new level's moduli are drawn from its stream (see level_rng), a
+    float modulus broadcast to the level's length, and ``safe`` grows
+    while every new level's totals are finite and > 0.
     """
     tables = real._tilted.get(q)
     if tables is None:
@@ -444,8 +438,8 @@ def _tilted_tables(real: CascadeRealization, q: tuple[float, float], level: int)
     # whole levels, visited or not: an infinite total raises only when a path reaches it
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for m in range(len(cums) + 1, level + 1):
-            w1, w2 = level_weights(real.model, real.seed, m)
-            tw = np.abs(w1) ** q1 * np.abs(w2) ** q2
+            _, m1, m2 = real.model.sample_pairs(level_rng(real.seed, m), b**m)
+            tw = np.broadcast_to(m1, b**m) ** q1 * np.broadcast_to(m2, b**m) ** q2
             tw[np.isnan(tw)] = 1.0  # 0 * inf
             tw = tw.reshape(-1, b)
             total = tw.sum(axis=1)
@@ -461,8 +455,8 @@ def sample_tilted_path(
     q: tuple[float, float],
     target_depth: int,
     rng: np.random.Generator,
-) -> Word:
-    """Draw a word digit by digit with child probabilities ~ |W1|^q1 |W2|^q2.
+) -> int:
+    """Draw a word digit by digit with child probabilities ~ |W1|^q1 |W2|^q2; returns its index.
 
     This is the per-node-normalized tilted sampler: the constant
     b**phi(q) cancels in the normalization.  Paths concentrate near
@@ -497,7 +491,6 @@ def sample_tilted_path(
     draws = rng.random(safe).tolist()
     random, bisect_right = rng.random, bisect.bisect_right
     idx = 0
-    digits = []
     for m in range(target_depth):
         total = totals[m][idx]
         if not 0.0 < total < math.inf:
@@ -505,8 +498,7 @@ def sample_tilted_path(
         lo = idx * b
         u = draws[m] if m < safe else random()
         idx = min(bisect_right(cums[m], u * total, lo, lo + b), lo + b - 1)
-        digits.append(idx - lo)
-    return Word(b, tuple(digits))
+    return idx
 
 
 def _words(b: int, level: int) -> list[str]:
@@ -523,14 +515,15 @@ def _words(b: int, level: int) -> list[str]:
     return words
 
 
-class _Words(Sequence):
-    """A level's words as ``str(Word)`` writes them, in index order, built a block at a time.
+class _Words:
+    """A level's words as ``str(Word)`` writes them, in index order, read one aligned block at a time.
 
     The level's b**level rows fall in aligned blocks of ``block`` = b**k
     rows, b**k the largest power of b within _WORD_BLOCK and at least b
     (b**level at most).  Block p's words are ``_prefix(p) + tail`` for
     each of the b**k level-k words, in order, and only those tails are
-    kept: never the level's b**level strings.
+    kept: never the level's b**level strings.  ``words[lo:hi]`` reads
+    rows lo .. hi - 1 of one block.
     """
 
     def __init__(self, b: int, level: int):
@@ -554,29 +547,9 @@ class _Words(Sequence):
         sep = "." if self._b > 10 and digits else ""
         return sep.join(reversed(digits)) + sep
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            lo, hi, step = i.indices(self._len)
-            if step != 1:
-                return [self[j] for j in range(lo, hi, step)]
-            words = []
-            while lo < hi:  # one block, or the part of one the slice covers, at a time
-                p, t = divmod(lo, self.block)
-                n = min(hi - lo, self.block - t)
-                words += map(self._prefix(p).__add__, self._tails[t : t + n])
-                lo += n
-            return words
-        j = operator.index(i)
-        if j < 0:
-            j += self._len
-        if not 0 <= j < self._len:
-            raise IndexError(f"word index {i} out of range for {self._len} words")
-        p, t = divmod(j, self.block)
-        return self._prefix(p) + self._tails[t]
-
-    def __iter__(self):
-        for p in range(self._len // self.block):
-            yield from map(self._prefix(p).__add__, self._tails)
+    def __getitem__(self, rows: slice) -> list[str]:
+        p, t = divmod(rows.start, self.block)
+        return list(map(self._prefix(p).__add__, self._tails[t : t + rows.stop - rows.start]))
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
@@ -603,17 +576,15 @@ class _Positions:
 
 
 @dataclass(frozen=True, eq=False)
-class LevelExport(Sequence):
-    """One level's export as columns, its arrays read-only; ``len``, indexing and iteration give its rows.
+class LevelExport:
+    """One level's export as columns, its arrays read-only; ``len`` gives its number of rows.
 
-    ``words`` is the sequence of the words as ``str(Word)`` writes them,
-    built one aligned block of ``words.block`` rows at a time (see
-    _Words); ``signs`` and ``moduli`` the level's products (Q1, Q2) in
-    the signed form of ``WeightModel.sample_pairs`` (a modulus is one
-    float for the fractional kind); ``ends`` the grid values (F1, F2) at
-    each word's right end.  A row is (word, Q1, Q2, F1, F2) as Python str
-    and floats; the rows are built when a caller first reads one, and
-    kept.
+    ``words`` holds the words as ``str(Word)`` writes them, built one
+    aligned block of ``words.block`` rows at a time (see _Words);
+    ``signs`` and ``moduli`` the level's products (Q1, Q2) in the signed
+    form of ``WeightModel.sample_pairs`` (a modulus is one float for the
+    fractional kind); ``ends`` the grid values (F1, F2) at each word's
+    right end.  Row j is (word, Q1, Q2, F1, F2) read at j in each column.
     """
 
     words: _Words
@@ -628,12 +599,6 @@ class LevelExport(Sequence):
 
     def __len__(self) -> int:
         return len(self.words)
-
-    def __getitem__(self, i):
-        return self._rows[i]
-
-    def __iter__(self):
-        return iter(self._rows)
 
     def products(self) -> tuple[np.ndarray, np.ndarray]:
         """(Q1, Q2) as float arrays, bit-identical to the signed form."""
@@ -655,25 +620,20 @@ class LevelExport(Sequence):
             distinct.append((keys.view(np.float64), _Positions(keys, bits)))
         return distinct
 
-    @functools.cached_property
-    def _rows(self) -> list[tuple]:
-        columns = (*self.products(), *self.ends)
-        return list(zip(self.words, *(c.tolist() for c in columns)))
-
 
 def export_level(real: CascadeRealization, level: int) -> LevelExport:
-    """Rows (word, Q1, Q2, F1 endpoint, F2 endpoint) at one level, held as columns.
+    """Rows (word, Q1, Q2, F1 endpoint, F2 endpoint) at one level, as columns.
 
     Rows come in word-index order; a word is written as ``str(Word)``
     writes it (digits without separators, or dot-separated for b > 10,
     so ``parse_word`` reads it back), and its endpoint is the grid value
-    at its interval's right end.  The words are a sequence that keeps
-    only one block's tails and builds each word from its block's prefix
-    (see _Words), so no list of b**level strings is made.  The level's
-    products are built whole from the level streams (see _signed_level),
-    bit-identical to the ones the grid walk multiplies; the endpoints
-    are the level's grid values but the first, collected from one grid
-    walk chunk by chunk (see grid_values).  Nothing is kept on ``real``.
+    at its interval's right end.  The words keep only one block's tails
+    and build each word from its block's prefix (see _Words), so no list
+    of b**level strings is made.  The level's products are built whole
+    from the level streams (see _signed_level), bit-identical to the ones
+    the grid walk multiplies; the endpoints are the level's grid values
+    but the first, collected from one grid walk chunk by chunk (see
+    grid_values).  Nothing is kept on ``real``.
     """
     level = as_integer(level, "level")
     if not 0 <= level <= real.depth:

@@ -318,7 +318,7 @@ def cmd_holder(args, model):
     paths = _at_least_one(args.paths, "--paths")
     real = cascade.build(model, args.seed, args.depth)
     rng = np.random.default_rng(args.seed + 1)
-    idx = [cascade.sample_tilted_path(real, q, hi, rng).index for _ in range(paths)]
+    idx = [cascade.sample_tilted_path(real, q, hi, rng) for _ in range(paths)]
     h1, h2 = estimate.holder_exponents(real, idx, lo, hi)
     grad = model.grad_phi(*q)
     yield "holder", ["path", "h1", "h2"], [

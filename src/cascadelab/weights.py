@@ -74,6 +74,23 @@ def _exp(x: float) -> float:
         return math.inf
 
 
+def _sorted_bounds(probs) -> np.ndarray:
+    """Sorted cumulative bounds of cells of probabilities ``probs``.
+
+    A uniform u draws the cell numbered by the count of bounds at or
+    below it: the cell ``searchsorted(bounds, u, side="right")`` finds.
+    An accepted probability in [-1e-12, 0) puts its cumulative sum below
+    the one before it; the running maximum keeps the bounds sorted, so
+    such a cell's interval is empty and it is never drawn.  The last cell
+    of positive probability, and every cell after it, get the bound inf,
+    so a u at or past the last finite bound (probabilities summing to just
+    below 1) draws that cell, never a trailing one of probability 0 or less.
+    """
+    bounds = np.maximum.accumulate(np.cumsum(probs))
+    bounds[max(k for k, p in enumerate(probs) if p > 0.0) :] = np.inf
+    return bounds
+
+
 @dataclass(frozen=True)
 class SignJoint:
     """Joint probability table over the sign pairs (+,+), (+,-), (-,+), (-,-)."""
@@ -109,25 +126,10 @@ class SignJoint:
         """P(sign1 == sign2)."""
         return self.pp + self.mm
 
-    def cumulative(self) -> np.ndarray:
-        return np.cumsum([self.pp, self.pm, self.mp, self.mm])
-
     @functools.cached_property
     def _bounds(self) -> tuple[float, float, float]:
-        """The running maximum of the first three cumulative bounds, as floats.
-
-        An accepted probability in [-1e-12, 0) puts its cumulative sum
-        below the one before it; the running maximum keeps the bounds
-        sorted, so such a cell's interval is empty and it is never drawn.
-        The cells after the last one of non-negative probability get the
-        bound inf, so a u at or past the last finite bound (probabilities
-        summing to just below 1) falls in that cell, not in a negative one.
-        """
-        probs = (self.pp, self.pm, self.mp, self.mm)
-        last = max(k for k, p in enumerate(probs) if p >= 0.0)
-        bounds = np.maximum.accumulate(self.cumulative()[:3])
-        bounds[last:] = np.inf
-        c0, c1, c2 = bounds.tolist()
+        """The first three of the cells' sorted bounds (see _sorted_bounds), as floats."""
+        c0, c1, c2, _ = _sorted_bounds((self.pp, self.pm, self.mp, self.mm)).tolist()
         return c0, c1, c2
 
     def signs(self, u: np.ndarray) -> np.ndarray:
@@ -169,11 +171,6 @@ def signed_pairs(signs: np.ndarray, m1, m2) -> tuple[np.ndarray, np.ndarray]:
     return _with_sign(signs, 0, m1), _with_sign(signs, 1, m2)
 
 
-def _pairs(signed: bool, signs: np.ndarray, m1, m2):
-    """What sample_pairs returns: the signed form itself, or (W1, W2) built from it."""
-    return (signs, m1, m2) if signed else signed_pairs(signs, m1, m2)
-
-
 def default_sign_plus(base: int, alpha: float) -> float:
     """Marginal P(sign = +) making E(+-b**-alpha) = b**-1 exact."""
     return (1.0 + base ** (alpha - 1.0)) / 2.0
@@ -200,8 +197,8 @@ class WeightModel:
 
     # -- sampling ----------------------------------------------------------
 
-    def sample_pairs(self, rng: np.random.Generator, size: int, signed: bool = False):
-        """Draw ``size`` i.i.d. copies of (W1, W2); returns two arrays.
+    def sample_pairs(self, rng: np.random.Generator, size: int):
+        """Draw ``size`` i.i.d. copies of (W1, W2) in their signed form ``(signs, m1, m2)``.
 
         ``rng`` is read through ``rng.random(size)`` and, for the kinds
         that need normals, ``rng.standard_normal(size)`` after it, and
@@ -213,13 +210,12 @@ class WeightModel:
         at once.  The grid walk (``cascade._walk_chunks``) reads the
         level streams in such slices.
 
-        With ``signed`` the same draw comes in its signed form
-        ``(signs, m1, m2)``: a uint8 array with bit 0 set where W1 < 0 and
-        bit 1 where W2 < 0 (sign bits, so -0.0 counts as negative), and
-        the moduli |W1| and |W2|.  A modulus is a float when it is the
-        same for every pair, else an array of length ``size``; the two
-        are one array when |W1| = |W2| for every pair.  The default form
-        is this one assembled by ``signed_pairs``, bit for bit.
+        ``signs`` is a uint8 array with bit 0 set where W1 < 0 and bit 1
+        where W2 < 0 (sign bits, so -0.0 counts as negative); ``m1`` and
+        ``m2`` are the moduli |W1| and |W2|.  A modulus is a float when it
+        is the same for every pair, else an array of length ``size``; the
+        two are one array when |W1| = |W2| for every pair.
+        ``signed_pairs(signs, m1, m2)`` assembles the float pairs.
         """
         raise NotImplementedError
 
@@ -307,9 +303,9 @@ class Fractional(WeightModel):
                     f"(need {want})"
                 )
 
-    def sample_pairs(self, rng, size, signed=False):
+    def sample_pairs(self, rng, size):
         signs = self.sign_joint.signs(rng.random(size))
-        return _pairs(signed, signs, self.base**-self.alpha1, self.base**-self.alpha2)
+        return signs, self.base**-self.alpha1, self.base**-self.alpha2
 
     def joint_moment(self, q1, q2):
         try:
@@ -360,11 +356,6 @@ class _LognormalFactor:
         """sigma**2 / (2 ln b)."""
         return self.sigma**2 / (2.0 * math.log(self.base))
 
-    @classmethod
-    def from_beta(cls, base, alpha, beta, signs=None):
-        """The model of sigma = sigma_from_beta(beta, base); ``signs`` is its fourth field."""
-        return cls(base, alpha, sigma_from_beta(beta, base), signs)
-
     def _moment_in_scaled_logs(self, q1, q2, a1, a2):
         """b**-(a1*q1 + a2*q2) * exp(sigma**2 * (s*s - s) / 2), s = q1 + q2, taken in logs.
 
@@ -408,11 +399,11 @@ class LognormalSigned(_LognormalFactor, WeightModel):
                     f"sign marginal {plus} does not give E(W_k)=1/b (need {want})"
                 )
 
-    def sample_pairs(self, rng, size, signed=False):
+    def sample_pairs(self, rng, size):
         signs = self.sign_joint.signs(rng.random(size))
         mag = _lognormal_factor(rng.standard_normal(size), self.sigma)
         mag *= self.base**-self.alpha
-        return _pairs(signed, signs, mag, mag)
+        return signs, mag, mag
 
     def joint_moment(self, q1, q2):
         s = q1 + q2
@@ -470,12 +461,12 @@ class Mixed(_LognormalFactor, WeightModel):
         if not 0.0 <= self.sign_plus <= 1.0:
             raise ConfigError(f"sign_plus must be a probability, got {self.sign_plus}")
 
-    def sample_pairs(self, rng, size, signed=False):
+    def sample_pairs(self, rng, size):
         signs = (rng.random(size) >= self.sign_plus).view(np.uint8)
         factor = _lognormal_factor(rng.standard_normal(size), self.sigma)
         mag1 = factor * self.base**-self.alpha
         factor /= self.base
-        return _pairs(signed, signs, mag1, factor)
+        return signs, mag1, factor
 
     def joint_moment(self, q1, q2):
         s = q1 + q2
@@ -532,29 +523,18 @@ class DiscreteTable(WeightModel):
 
     @functools.cached_property
     def _draw_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Monotone cumulative bounds, then the atoms' sign bytes and two modulus columns.
-
-        An accepted probability in [-1e-12, 0) puts its cumulative sum
-        below the one before it; the running maximum keeps the bounds
-        sorted, so such an atom is never the first bound above u.  The
-        last atom of non-negative probability, and every atom after it,
-        get the bound inf, so a u at or past the last finite bound
-        (probabilities summing to just below 1) draws that atom.
-        """
-        probs = [p for _, p in self.atoms]
-        last = max(k for k, p in enumerate(probs) if p >= 0.0)
-        bounds = np.maximum.accumulate(np.cumsum(probs))
-        bounds[last:] = np.inf
+        """The atoms' sorted bounds (see _sorted_bounds), then their sign bytes and two modulus columns."""
+        bounds = _sorted_bounds([p for _, p in self.atoms])
         vals = np.array([v for v, _ in self.atoms])
         negative = np.signbit(vals).astype(np.uint8)
         signs = negative[:, 0] | negative[:, 1] << 1
         return bounds, signs, np.abs(vals[:, 0]), np.abs(vals[:, 1])
 
-    def sample_pairs(self, rng, size, signed=False):
+    def sample_pairs(self, rng, size):
         """Each u draws the first atom whose cumulative bound exceeds it (see _draw_table)."""
         bounds, signs, mag1, mag2 = self._draw_table
         idx = np.searchsorted(bounds, rng.random(size), side="right")
-        return _pairs(signed, signs[idx], mag1[idx], mag2[idx])
+        return signs[idx], mag1[idx], mag2[idx]
 
     def joint_moment(self, q1, q2):
         total = 0.0

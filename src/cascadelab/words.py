@@ -4,9 +4,9 @@ A word is a finite digit string over {0, ..., b-1}.  The word ``w`` of
 length n addresses the interval ``I_w = [j * b**-n, (j + 1) * b**-n]``,
 where j = ``w.index`` is its digits read in base b: a level's values
 are flat arrays indexed by j, and the readers work on those indices.
-Words are what ``level_set`` and ``sample_tilted_path`` hand out, and
-``str(w)`` is the text ``simulate.csv`` holds (``parse_word`` reads it
-back).
+Words are what ``level_set`` hands out (``sample_tilted_path`` hands
+out the index j alone), and ``str(w)`` is the text ``simulate.csv``
+holds (``parse_word`` reads it back).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ class Word:
         base = as_integer(self.base, "base")
         if base < 2:
             raise ConfigError(f"base must be >= 2, got {base}")
-        # plain ints skip the call: a holder run builds one Word per tilted path
+        # plain ints skip the call: level_set builds one Word per crossing word
         digits = tuple(d if type(d) is int else as_integer(d, "digit") for d in self.digits)
         for d in digits:
             if not 0 <= d < base:

@@ -21,7 +21,7 @@ import cascadelab
 from cascadelab import cascade, cli, estimate, modelio
 from cascadelab.cli import _parse_q_list, _parse_testset, _parse_window, _simulate_text, _xi0_grid, main
 from cascadelab.errors import ConfigError
-from cascadelab.weights import DiscreteTable, Fractional, LognormalSigned, Mixed
+from cascadelab.weights import DiscreteTable, Fractional, LognormalSigned, Mixed, sigma_from_beta
 
 FRACTIONAL = "kind fractional\nb 2\nalpha1 0.75\nalpha2 0.75\n"
 LOGNORMAL = "kind lognormal\nb 2\nalpha 0.8\nbeta 0.1\n"
@@ -40,6 +40,13 @@ def model_file(tmp_path):
     return write
 
 
+def export_rows(export):
+    """The export's rows (word, Q1, Q2, F1, F2), built from its columns a block of words at a time."""
+    block = export.words.block
+    words = [w for lo in range(0, len(export), block) for w in export.words[lo : lo + block]]
+    return list(zip(words, *(c.tolist() for c in (*export.products(), *export.ends))))
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
@@ -52,8 +59,8 @@ def read_csv(path):
 def test_model_round_trips(tmp_path):
     models = [
         Fractional(2, 0.6, 0.8),
-        LognormalSigned.from_beta(2, 0.8, 0.1),
-        Mixed.from_beta(2, 0.8, 0.1),
+        LognormalSigned(2, 0.8, sigma_from_beta(0.1, 2)),
+        Mixed(2, 0.8, sigma_from_beta(0.1, 2)),
         DiscreteTable(2, (((0.3, 0.7), 0.5), ((0.7, 0.3), 0.5))),
     ]
     for i, m in enumerate(models):
@@ -165,7 +172,7 @@ def test_simulate_csv_is_the_csv_writer_rendering_of_export_level(model_file, tm
     expected = io.StringIO(newline="")
     writer = csv.writer(expected)
     writer.writerow(["word", "q1", "q2", "f1", "f2"])
-    for word, *values in cascade.export_level(cascade.build(model, 3, 6), level):
+    for word, *values in export_rows(cascade.export_level(cascade.build(model, 3, 6), level)):
         writer.writerow([word, *(format(v, ".17g") for v in values)])
     assert (out / "simulate.csv").read_bytes() == expected.getvalue().encode("utf-8")
 
@@ -175,7 +182,7 @@ def csv_writer_bytes(level):
     expected = io.StringIO(newline="")
     writer = csv.writer(expected)
     writer.writerow(["word", "q1", "q2", "f1", "f2"])
-    for word, *values in level:
+    for word, *values in export_rows(level):
         writer.writerow([word, *(format(v, ".17g") for v in values)])
     return expected.getvalue().encode("utf-8")
 

@@ -9,7 +9,7 @@ from cascadelab import cascade, estimate
 from cascadelab.errors import ConfigError, DegenerateRangeError, DivergenceError, ZeroOscillationError
 from cascadelab.estimate import TestSet as CantorSet
 from cascadelab.estimate import cantor_set, fit_loglog
-from cascadelab.weights import DiscreteTable, Fractional, LognormalSigned, SignJoint
+from cascadelab.weights import DiscreteTable, Fractional, LognormalSigned, SignJoint, sigma_from_beta
 from cascadelab.words import parse_word, word_from_index
 
 IDENTITY2 = Fractional(2, 1.0, 1.0, SignJoint(1.0, 0.0, 0.0, 0.0))
@@ -390,7 +390,7 @@ def test_uniform_sweep_scope_guards():
         estimate.uniform_sweep(
             cascade.build(Fractional(2, 0.6, 0.8), seed=0, depth=8), []
         )
-    ln = LognormalSigned.from_beta(2, 0.8, 0.1)
+    ln = LognormalSigned(2, 0.8, sigma_from_beta(0.1, 2))
     with pytest.raises(ConfigError):
         estimate.uniform_sweep(cascade.build(ln, seed=0, depth=8), [])
     with pytest.raises(ConfigError):
@@ -465,7 +465,7 @@ def test_non_finite_partition_q_is_a_config_error(q):
 @pytest.mark.parametrize("q", [(-200.0, -200.0), (-200.0, 200.0)])
 def test_overflowing_partition_sum_is_a_divergence_error(q):
     # the level sums read +inf, or NaN where an overflowed power meets an underflowed one
-    real = cascade.build(LognormalSigned.from_beta(2, 0.8, 0.1), seed=0, depth=10)
+    real = cascade.build(LognormalSigned(2, 0.8, sigma_from_beta(0.1, 2)), seed=0, depth=10)
     with pytest.raises(DivergenceError, match="overflows"):
         estimate.partition_function(real, q, 2, 6)
 

@@ -17,11 +17,21 @@ from cascadelab.weights import (
     LognormalSigned,
     Mixed,
     SignJoint,
+    sigma_from_beta,
 )
 
-LN_UNIT = LognormalSigned.from_beta(2, 1.0, 0.25)  # signed lognormal, alpha = 1
-LN = LognormalSigned.from_beta(2, 0.8, 0.25)
-MIXED = Mixed.from_beta(2, 0.8, 0.1)
+
+def lognormal_beta(b, alpha, beta, sign_joint=None):
+    return LognormalSigned(b, alpha, sigma_from_beta(beta, b), sign_joint)
+
+
+def mixed_beta(b, alpha, beta):
+    return Mixed(b, alpha, sigma_from_beta(beta, b))
+
+
+LN_UNIT = lognormal_beta(2, 1.0, 0.25)  # signed lognormal, alpha = 1
+LN = lognormal_beta(2, 0.8, 0.25)
+MIXED = mixed_beta(2, 0.8, 0.1)
 FRAC_EQ = Fractional(2, 0.75, 0.75)
 FRAC_NE = Fractional(2, 0.6, 0.8)
 
@@ -138,7 +148,7 @@ def test_signed_lognormal_residuals_on_a_grid():
 def test_signed_lognormal_max_dim():
     a, b = 0.8, 0.25
     want = (a + b - math.sqrt((a + b) ** 2 - 4.0 * b)) / (2.0 * b)
-    got, branch = predict.predicted_image_dim(LognormalSigned.from_beta(2, a, b), 1.0)
+    got, branch = predict.predicted_image_dim(lognormal_beta(2, a, b), 1.0)
     assert got == pytest.approx(want, abs=1e-8)
     assert want == pytest.approx(1.459688, abs=1e-6)
 
@@ -150,7 +160,7 @@ def test_mixed_phase_transition_is_continuous():
     assert abs(hi - lo) <= 1e-6
     # the two quadratic branches agree exactly at xi0 = alpha
     left = predict.closed_form_image_dim(MIXED, a)
-    m2 = Mixed.from_beta(2, a, MIXED.beta)
+    m2 = mixed_beta(2, a, MIXED.beta)
     b = m2.beta
     right = ((1 + b) - math.sqrt((1 + b) ** 2 - 4 * b * (a + 1 - a))) / (2 * b)
     assert left == pytest.approx(right, abs=1e-8)
@@ -180,7 +190,7 @@ def test_closed_form_is_none_off_the_lognormal_kinds():
 
 def test_identical_weights_cap_at_one():
     p = (1.0 + 2**-0.2) / 2.0
-    ident = LognormalSigned.from_beta(2, 0.8, 0.25, SignJoint(p, 0.0, 0.0, 1.0 - p))
+    ident = lognormal_beta(2, 0.8, 0.25, SignJoint(p, 0.0, 0.0, 1.0 - p))
     assert ident.identical_weights()
     dim, branch = predict.predicted_image_dim(ident, 1.0)
     assert (dim, branch) == (1.0, "capped")
@@ -210,7 +220,7 @@ def test_legendre_point_fractional():
 
 
 def test_legendre_point_lognormal():
-    m = LognormalSigned.from_beta(2, 0.9, 0.2)
+    m = lognormal_beta(2, 0.9, 0.2)
     pt = predict.legendre_point(m, (0.5, 0.5), 0.6)
     assert pt.alpha[0] == pytest.approx(0.7, abs=1e-12)
     assert pt.alpha[1] == pytest.approx(0.7, abs=1e-12)
@@ -310,10 +320,10 @@ ORACLE_MODELS = [
     for model in (
         Fractional(b, 0.75, 0.75),
         Fractional(b, 0.6, 0.9),
-        LognormalSigned.from_beta(b, 0.8, 0.1),
-        LognormalSigned.from_beta(b, 0.5, 0.6),
-        Mixed.from_beta(b, 0.8, 0.1),
-        Mixed.from_beta(b, 1.0, 0.0),
+        lognormal_beta(b, 0.8, 0.1),
+        lognormal_beta(b, 0.5, 0.6),
+        mixed_beta(b, 0.8, 0.1),
+        mixed_beta(b, 1.0, 0.0),
         DiscreteTable(b, (((0.3, 0.7), 0.5), ((0.7, 0.3), 0.5))),
         DiscreteTable(b, (((0.0, 0.5), 0.3), ((0.4, -0.2), 0.7))),  # zeta infinite on [0, 1)
         DiscreteTable(b, (((1.0, 1.0), 1.0),)),  # flat curve: no crossing below 1
@@ -396,7 +406,7 @@ def test_grid_bisection_evaluates_each_point_once_in_the_former_order(model):
 
 @pytest.mark.parametrize("q_max", [4.0, 100.0, 200.0, 250.0, 300.0, 1000.0])
 def test_wide_search_interval_keeps_the_root(q_max):
-    m = LognormalSigned.from_beta(2, 0.8, 0.1)  # both curves overflow to inf from about 105.8 on
+    m = lognormal_beta(2, 0.8, 0.1)  # both curves overflow to inf from about 105.8 on
     target = m.base**-0.5
     assert predict.solve_xi(m, 0.5, q_max) == linear_scan_root(xi_curve(m), target, q_max)
     assert predict.solve_zeta(m, 0.5, q_max) == linear_scan_root(zeta_curve(m), target, q_max + 1.0)
@@ -483,7 +493,7 @@ def test_memoized_kpz_curve_equals_the_linear_scan_rows(model):
 def test_memo_does_not_keep_its_model_alive():
     gc.disable()
     try:
-        model = LognormalSigned.from_beta(2, 0.8, 0.1)
+        model = lognormal_beta(2, 0.8, 0.1)
         predict.kpz_curve(model, [0.0, 0.5, 1.0])
         assert memo_sizes(model)[0][0] > 0
         ref = weakref.ref(model)

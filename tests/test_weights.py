@@ -14,6 +14,7 @@ from cascadelab.weights import (
     SignJoint,
     check_assumptions,
     default_sign_plus,
+    sigma_from_beta,
     signed_pairs,
 )
 
@@ -27,7 +28,21 @@ def identity_model(b=2):
 
 
 def lognormal_beta(b, alpha, beta, sign_joint=None):
-    return LognormalSigned.from_beta(b, alpha, beta, sign_joint)
+    return LognormalSigned(b, alpha, sigma_from_beta(beta, b), sign_joint)
+
+
+def mixed_beta(b, alpha, beta):
+    return Mixed(b, alpha, sigma_from_beta(beta, b))
+
+
+def float_pairs(model, rng, size):
+    """(W1, W2) as float arrays: the signed draw assembled by signed_pairs."""
+    return signed_pairs(*model.sample_pairs(rng, size))
+
+
+def cumulative(sj):
+    """The four cumulative sums of a sign table's probabilities."""
+    return np.cumsum([sj.pp, sj.pm, sj.mp, sj.mm])
 
 
 def sign_sample(sj, u, mag1, mag2):
@@ -54,7 +69,7 @@ MODELS = [
     Fractional(2, 0.75, 0.75),
     Fractional(2, 0.6, 0.8),
     lognormal_beta(2, 0.8, 0.25),
-    Mixed.from_beta(2, 0.8, 0.1),
+    mixed_beta(2, 0.8, 0.1),
     SYMMETRIC_TABLE,
     Fractional(3, 0.7, 0.9),
 ]
@@ -211,8 +226,8 @@ def test_table_with_zero_atom_fails_a2():
 
 
 def test_mixed_assumptions_follow_condition_six():
-    assert check_assumptions(Mixed.from_beta(2, 0.8, 0.1)).a1_ok
-    assert not check_assumptions(Mixed.from_beta(2, 0.55, 0.1)).a1_ok
+    assert check_assumptions(mixed_beta(2, 0.8, 0.1)).a1_ok
+    assert not check_assumptions(mixed_beta(2, 0.55, 0.1)).a1_ok
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +264,7 @@ def test_cross_moment_inequalities(model):
 def test_sample_mean_reproduces_a0(model):
     rng = np.random.default_rng(7)
     n = 100_000
-    w1, w2 = model.sample_pairs(rng, n)
+    w1, w2 = float_pairs(model, rng, n)
     for arr in (w1, w2):
         err = abs(arr.mean() - 1.0 / model.base)
         bound = 4.0 * arr.std() / math.sqrt(n)
@@ -258,13 +273,13 @@ def test_sample_mean_reproduces_a0(model):
 
 def test_deterministic_models_sample_exactly():
     m = identity_model()
-    w1, w2 = m.sample_pairs(np.random.default_rng(0), 1)
+    w1, w2 = float_pairs(m, np.random.default_rng(0), 1)
     assert (w1.tolist(), w2.tolist()) == ([0.5], [0.5])
     t = DiscreteTable(2, (((0.3, 0.4), 1.0),))
-    w1, w2 = t.sample_pairs(np.random.default_rng(0), 1)
+    w1, w2 = float_pairs(t, np.random.default_rng(0), 1)
     assert (w1.tolist(), w2.tolist()) == ([0.3], [0.4])
     ln = LognormalSigned(2, 1.0, 0.0, all_plus())
-    w1s, w2s = ln.sample_pairs(np.random.default_rng(0), 100)
+    w1s, w2s = float_pairs(ln, np.random.default_rng(0), 100)
     assert np.all(np.abs(w1s) == 0.5) and np.all(np.abs(w2s) == 0.5)
 
 
@@ -302,8 +317,12 @@ def test_fractional_moment_formula_property(a1, a2):
 
 
 def searchsorted_signs(sj, u):
-    """The cell lookup the threshold sampler replaced, kept as an oracle."""
-    cell = np.minimum(np.searchsorted(sj.cumulative(), u, side="right"), 3)
+    """The cell lookup the threshold sampler replaced, kept as an oracle.
+
+    A u past the last bound goes to the last cell of positive probability.
+    """
+    last = max(k for k, p in enumerate((sj.pp, sj.pm, sj.mp, sj.mm)) if p > 0.0)
+    cell = np.minimum(np.searchsorted(cumulative(sj), u, side="right"), last)
     return np.where(cell <= 1, 1.0, -1.0), np.where((cell == 0) | (cell == 2), 1.0, -1.0)
 
 
@@ -322,7 +341,7 @@ SIGN_TABLES = [
 
 def bound_uniforms(sj, seed=11):
     """Random u plus every cumulative bound exactly, its float neighbours, and the ends of [0, 1)."""
-    cum = sj.cumulative()
+    cum = cumulative(sj)
     edges = np.concatenate([cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0)])
     u = np.concatenate([np.random.default_rng(seed).random(20000), edges, [0.0, np.nextafter(1.0, 0.0)]])
     return u[(u >= 0.0) & (u < 1.0)]
@@ -343,7 +362,7 @@ def test_threshold_signs_equal_searchsorted_cells(sj):
 def test_signs_follow_the_bound_count_when_bounds_are_not_monotone(sj):
     # a probability of -1e-13 is accepted, and puts one bound just below the one before it;
     # the oracle counts the bounds of the running maximum at or below u
-    cum = sj.cumulative()
+    cum = cumulative(sj)
     assert np.any(np.diff(cum) < 0.0)
     u = bound_uniforms(sj)
     cell = (u[:, None] >= np.maximum.accumulate(cum[:3])).sum(axis=1)
@@ -355,7 +374,7 @@ def test_signs_follow_the_bound_count_when_bounds_are_not_monotone(sj):
 def test_fractional_sampling_matches_searchsorted_oracle():
     for model in (Fractional(2, 0.75, 0.75), Fractional(2, 0.6, 0.8),
                   Fractional(3, 0.7, 0.9), identity_model()):
-        w1, w2 = model.sample_pairs(np.random.default_rng(3), 5000)
+        w1, w2 = float_pairs(model, np.random.default_rng(3), 5000)
         s1, s2 = searchsorted_signs(model.sign_joint, np.random.default_rng(3).random(5000))
         assert np.array_equal(w1, s1 * model.base**-model.alpha1)
         assert np.array_equal(w2, s2 * model.base**-model.alpha2)
@@ -365,7 +384,7 @@ def test_lognormal_sampling_matches_searchsorted_oracle():
     p = (1.0 + 2 ** (0.8 - 1.0)) / 2.0
     for sj in (None, SignJoint(p, 0.0, 0.0, 1.0 - p)):  # second table has empty cells
         model = lognormal_beta(2, 0.8, 0.1, sj)
-        w1, w2 = model.sample_pairs(np.random.default_rng(4), 5000)
+        w1, w2 = float_pairs(model, np.random.default_rng(4), 5000)
         rng = np.random.default_rng(4)
         u, g = rng.random(5000), rng.standard_normal(5000)
         s1, s2 = searchsorted_signs(model.sign_joint, u)
@@ -377,7 +396,7 @@ def test_lognormal_sampling_matches_searchsorted_oracle():
 
 def where_signs(sj, u, mag1, mag2):
     """The former sampler: both signs read off the count of the sorted bounds with np.where."""
-    c0, c1, c2, _ = np.maximum.accumulate(sj.cumulative())
+    c0, c1, c2, _ = np.maximum.accumulate(cumulative(sj))
     cell = (u >= c0).astype(np.uint8)
     cell += u >= c1
     cell += u >= c2
@@ -423,11 +442,12 @@ def test_cells_of_negative_probability_are_never_drawn(sj):
 @pytest.mark.parametrize("sj, cell", [
     (SignJoint(0.25, 0.25, 0.5 - 5e-13, -1e-13), (True, False)),
     (SignJoint(0.5, 0.5 - 3e-13, -1e-13, -1e-13), (False, True)),
-    (SignJoint(0.5, 0.25, 0.25 - 1e-13, 0.0), (True, True)),  # a zero cell keeps the rounding gap
+    (SignJoint(0.5, 0.25, 0.25 - 1e-13, 0.0), (True, False)),  # the gap goes to the last positive cell
+    (SignJoint(0.7, 0.2, 0.1, 0.0), (True, False)),
 ])
 def test_u_past_the_last_bound_falls_in_the_last_cell_not_of_negative_probability(sj, cell):
     top = np.nextafter(1.0, 0.0)
-    u = np.array([top, np.nextafter(sj.cumulative()[2], 1.0), 0.0])
+    u = np.array([top, np.nextafter(cumulative(sj)[2], 1.0), 0.0])
     w1, w2 = sign_sample(sj, u[:1], 1.0, 1.0)
     assert (bool(np.signbit(w1[0])), bool(np.signbit(w2[0]))) == cell
     assert (w1[0], w2[0]) == (-1.0 if cell[0] else 1.0, -1.0 if cell[1] else 1.0)
@@ -436,9 +456,28 @@ def test_u_past_the_last_bound_falls_in_the_last_cell_not_of_negative_probabilit
     assert all(probs[bool(a), bool(b)] >= 0.0 for a, b in zip(np.signbit(w1), np.signbit(w2)))
 
 
+ZERO_CELL_TABLES = [
+    SignJoint(0.7, 0.2, 0.1, 0.0),  # the first three sum to just below 1
+    SignJoint(0.5, 0.25, 0.25 - 1e-13, 0.0),
+    SignJoint(0.5, 0.5 - 1e-13, 0.0, 0.0),
+    SignJoint(0.5, 0.0, 0.5 - 1e-13, 0.0),
+]
+
+
+@pytest.mark.parametrize("sj", ZERO_CELL_TABLES)
+def test_trailing_cells_of_probability_zero_are_never_drawn(sj):
+    # a u at or past the last finite bound once drew the last cell of probability >= 0
+    u = bound_uniforms(sj)
+    assert np.nextafter(1.0, 0.0) in u
+    w1, w2 = sign_sample(sj, u, 0.5, 0.25)
+    drawn = {(bool(a), bool(b)) for a, b in zip(np.signbit(w1), np.signbit(w2))}
+    probs = {(False, False): sj.pp, (False, True): sj.pm, (True, False): sj.mp, (True, True): sj.mm}
+    assert drawn == {cell for cell, p in probs.items() if p > 0.0}
+
+
 def test_mixed_sampling_matches_the_former_where_formula():
-    model = Mixed.from_beta(2, 0.8, 0.1)
-    w1, w2 = model.sample_pairs(np.random.default_rng(5), 5000)
+    model = mixed_beta(2, 0.8, 0.1)
+    w1, w2 = float_pairs(model, np.random.default_rng(5), 5000)
     rng = np.random.default_rng(5)
     u, g = rng.random(5000), rng.standard_normal(5000)
     factor = np.exp(model.sigma * g - model.sigma**2 / 2.0)
@@ -465,27 +504,39 @@ class FixedUniforms:
 def test_table_never_draws_a_negative_probability_atom():
     # the middle atom's -1e-13 puts its cumulative sum just below the first one's
     table = DiscreteTable(2, (((0.1, 0.1), 0.5), ((0.2, 0.2), -1e-13), ((0.3, 0.3), 0.5 + 1e-13)))
-    w1, w2 = table.sample_pairs(FixedUniforms([0.49999999999995]), 1)
+    w1, w2 = float_pairs(table, FixedUniforms([0.49999999999995]), 1)
     assert (w1[0], w2[0]) == (0.1, 0.1)
     cum = np.cumsum([p for _, p in table.atoms])
     edges = np.concatenate([cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0)])
     u = np.concatenate([np.random.default_rng(2).random(5000), edges, [0.0, np.nextafter(1.0, 0.0)]])
     u = u[(u >= 0.0) & (u < 1.0)]
-    w1, _ = table.sample_pairs(FixedUniforms(u), len(u))
+    w1, _ = float_pairs(table, FixedUniforms(u), len(u))
     assert np.array_equal(w1, np.where(u < 0.5, 0.1, 0.3))
 
 
 @pytest.mark.parametrize("atoms, drawn", [
     ((((0.1, 0.1), 0.5), ((0.2, 0.2), 0.5 - 5e-13), ((0.3, 0.3), -1e-13)), 0.2),
     ((((0.1, 0.1), 0.5), ((0.2, 0.2), 0.5 - 3e-13), ((0.3, 0.3), -1e-13), ((0.4, 0.4), -1e-13)), 0.2),
-    ((((0.1, 0.1), 0.5), ((0.2, 0.2), 0.5 - 1e-13), ((0.3, 0.3), 0.0)), 0.3),  # a zero atom keeps the rounding gap
+    ((((0.1, 0.1), 0.5), ((0.2, 0.2), 0.5 - 1e-13), ((0.3, 0.3), 0.0)), 0.2),  # the gap goes to the last positive atom
 ])
 def test_table_u_past_the_last_bound_draws_the_last_atom_not_of_negative_probability(atoms, drawn):
     table = DiscreteTable(2, atoms)
     second_bound = np.cumsum([p for _, p in atoms])[1]  # the last bound below 1
     u = [np.nextafter(1.0, 0.0), second_bound, 0.75, 0.25]
-    w1, w2 = table.sample_pairs(FixedUniforms(u), len(u))
+    w1, w2 = float_pairs(table, FixedUniforms(u), len(u))
     assert w1.tolist() == w2.tolist() == [drawn, drawn, 0.2, 0.1]
+
+
+def test_table_never_draws_a_trailing_atom_of_probability_zero():
+    # the zero atom would fail A2, and check_assumptions skips it because it is never drawn
+    table = DiscreteTable(2, (((0.3, 0.7), 0.7), ((0.7, 0.3), 0.2), ((-0.5, 0.5), 0.1), ((0.0, 0.0), 0.0)))
+    assert check_assumptions(table).a2_ok
+    cum = np.cumsum([p for _, p in table.atoms])
+    u = np.concatenate([cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0), [0.0, np.nextafter(1.0, 0.0)]])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    w1, w2 = float_pairs(table, FixedUniforms(u), len(u))
+    assert set(w1[u == np.nextafter(1.0, 0.0)].tolist()) == {-0.5}
+    assert set(zip(w1.tolist(), w2.tolist())) == {(0.3, 0.7), (0.7, 0.3), (-0.5, 0.5)}
 
 
 @pytest.mark.parametrize("table", [
@@ -498,7 +549,7 @@ def test_table_draw_equals_the_former_searchsorted_draw(table):
     cum = np.cumsum([p for _, p in table.atoms])
     idx = np.minimum(np.searchsorted(cum, u, side="right"), len(table.atoms) - 1)
     vals = np.array([v for v, _ in table.atoms])
-    w1, w2 = table.sample_pairs(FixedUniforms(u), len(u))
+    w1, w2 = float_pairs(table, FixedUniforms(u), len(u))
     assert w1.tobytes() == vals[idx, 0].tobytes() and w2.tobytes() == vals[idx, 1].tobytes()
 
 
@@ -521,9 +572,9 @@ def test_lognormal_and_mixed_reject_non_finite_sigma(bad):
     with pytest.raises(ConfigError):
         Mixed(2, 0.8, bad)
     with pytest.raises(ConfigError):
-        LognormalSigned.from_beta(2, 0.8, bad)
+        lognormal_beta(2, 0.8, bad)
     with pytest.raises(ConfigError):
-        Mixed.from_beta(2, 0.8, bad)
+        mixed_beta(2, 0.8, bad)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -593,7 +644,7 @@ SIGNED_MODELS = [
     identity_model(),
     lognormal_beta(2, 0.8, 0.1),
     lognormal_beta(3, 0.7, 0.25, SignJoint(P3, 0.0, 0.0, 1 - P3)),  # equal signs
-    Mixed.from_beta(2, 0.8, 0.1),
+    mixed_beta(2, 0.8, 0.1),
     SYMMETRIC_TABLE,
     DiscreteTable(3, (((0.5, -0.2), 0.25), ((0.3, 0.9), 0.35), ((0.6, 0.4), 0.4))),
     DiscreteTable(2, (((-0.0, 0.0), 0.25), ((0.0, -0.0), 0.25), ((-0.5, -0.5), 0.25), ((0.5, 0.5), 0.25))),
@@ -603,9 +654,9 @@ SIGNED_MODELS = [
 @pytest.mark.parametrize("model", SIGNED_MODELS, ids=lambda m: m.describe().splitlines()[0][5:])
 @pytest.mark.parametrize("size", [1, 5000, 5001])  # 5001 starts the normals inside a Philox block
 def test_assembled_pairs_equal_the_former_samplers_bit_for_bit(model, size):
-    got = model.sample_pairs(np.random.default_rng(7), size)
+    got = float_pairs(model, np.random.default_rng(7), size)
     want = former_sample_pairs(model, np.random.default_rng(7), size)
-    signs, m1, m2 = model.sample_pairs(np.random.default_rng(7), size, signed=True)
+    signs, m1, m2 = model.sample_pairs(np.random.default_rng(7), size)
     for w, v, bit in zip(got, want, (1, 2)):
         assert w.dtype == v.dtype == np.float64 and w.tobytes() == v.tobytes()
         assert np.array_equal(signs & bit != 0, np.signbit(v))
@@ -615,21 +666,21 @@ def test_assembled_pairs_equal_the_former_samplers_bit_for_bit(model, size):
 
 def test_signed_moduli_are_floats_shared_or_arrays_by_kind():
     rng = np.random.default_rng(1)
-    _, m1, m2 = Fractional(2, 0.75, 0.6).sample_pairs(rng, 8, signed=True)
+    _, m1, m2 = Fractional(2, 0.75, 0.6).sample_pairs(rng, 8)
     assert (type(m1), type(m2)) == (float, float) and (m1, m2) == (2**-0.75, 2**-0.6)
-    _, m1, m2 = lognormal_beta(2, 0.8, 0.1).sample_pairs(rng, 8, signed=True)
+    _, m1, m2 = lognormal_beta(2, 0.8, 0.1).sample_pairs(rng, 8)
     assert m1 is m2 and m1.shape == (8,)
-    for model in (Mixed.from_beta(2, 0.8, 0.1), SYMMETRIC_TABLE):
-        _, m1, m2 = model.sample_pairs(rng, 8, signed=True)
+    for model in (mixed_beta(2, 0.8, 0.1), SYMMETRIC_TABLE):
+        _, m1, m2 = model.sample_pairs(rng, 8)
         assert m1 is not m2 and m1.shape == m2.shape == (8,)
 
 
 def test_table_zero_atoms_keep_their_sign_bits():
     table = SIGNED_MODELS[-1]
     u = [0.1, 0.3, 0.6, 0.9]
-    signs, m1, m2 = table.sample_pairs(FixedUniforms(u), 4, signed=True)
+    signs, m1, m2 = table.sample_pairs(FixedUniforms(u), 4)
     assert signs.tolist() == [1, 2, 3, 0]
-    w1, w2 = table.sample_pairs(FixedUniforms(u), 4)
+    w1, w2 = float_pairs(table, FixedUniforms(u), 4)
     assert np.signbit(w1).tolist() == [True, False, True, False]
     assert np.signbit(w2).tolist() == [False, True, True, False]
     assert np.abs(w1).tolist() == m1.tolist() == [0.0, 0.0, 0.5, 0.5]
@@ -651,7 +702,7 @@ def test_sign_joint_sample_equals_the_former_float_signs(sj):
     (Fractional(2, 0.75, 0.75), (-2000.0, 0.0)),
     (SYMMETRIC_TABLE, (-2000.0, 0.0)),
     (lognormal_beta(2, 0.8, 0.1), (-200.0, -200.0)),
-    (Mixed.from_beta(2, 0.8, 0.1), (-200.0, -200.0)),
+    (mixed_beta(2, 0.8, 0.1), (-200.0, -200.0)),
 ])
 def test_overflowing_moments_are_infinite(model, q):
     assert model.joint_moment(*q) == math.inf
@@ -666,7 +717,7 @@ P3 = default_sign_plus(3, 0.8)
     (Mixed, 0.9, "sign_plus"),
 ])
 def test_from_beta_inverts_beta_and_passes_the_fourth_field(kind, signs, field):
-    model = kind.from_beta(3, 0.8, 0.2, signs)
+    model = kind(3, 0.8, sigma_from_beta(0.2, 3), signs)
     assert model.beta == pytest.approx(0.2, rel=1e-14)
     assert model.sigma == math.sqrt(2.0 * 0.2 * math.log(3))
     assert getattr(model, field) == signs
@@ -676,7 +727,7 @@ def test_from_beta_inverts_beta_and_passes_the_fourth_field(kind, signs, field):
 def test_moment_past_an_overflowing_factor_is_taken_in_logs(kind):
     # beta = 1/2 makes the moment b**((s*s - 3*s) / 2): at s = 3 it is 1, although
     # exp(sigma**2 * (s*s - s) / 2) = b**3 overflows a double for b = 10**300
-    model = kind.from_beta(10**300, 1.0, 0.5)
+    model = kind(10**300, 1.0, sigma_from_beta(0.5, 10**300))
     assert model.joint_moment(3.0, 0.0) == pytest.approx(1.0, rel=1e-9)
     assert model.joint_moment(4.0, 0.0) == math.inf  # b**2
     assert model.joint_moment(1.0, 0.0) == pytest.approx(10.0**-300, rel=1e-9)
@@ -686,7 +737,7 @@ def test_moment_past_an_overflowing_factor_is_taken_in_logs(kind):
 @pytest.mark.parametrize("q", [(1e160, 0.0), (1e200, 0.0), (1e308, 1e308)])
 def test_moment_past_an_overflowing_square_is_infinite(kind, q):
     # b**(-alpha * s) underflowed to 0 while exp(spread) was inf, or s * s - s was inf - inf: NaN
-    model = kind.from_beta(2, 0.8, 0.1)
+    model = kind(2, 0.8, sigma_from_beta(0.1, 2))
     assert model.joint_moment(*q) == math.inf
     assert model.phi(*q) == -math.inf
 
@@ -704,7 +755,7 @@ def test_moment_past_an_overflowing_square_without_spread_is_the_power(kind):
 @pytest.mark.parametrize("kind", [LognormalSigned, Mixed])
 def test_finite_lognormal_moments_keep_their_closed_form_bits(kind):
     # the closed form as each kind writes it, with an overflowing factor taken as inf
-    model = kind.from_beta(3, 0.7, 0.2)
+    model = kind(3, 0.7, sigma_from_beta(0.2, 3))
     for q1, q2 in ((1.3, 0.7), (-0.4, 2.5), (0.0, 0.0), (1e150, 0.0), (-3.0, -1e100)):
         s = q1 + q2
         spread = model.sigma**2 * (s * s - s) / 2.0
