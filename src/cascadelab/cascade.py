@@ -26,10 +26,12 @@ level of at most _WHOLE_LEVEL_CELLS = 2**12 nodes, and every level
 above the chunks, is built whole; then the subtrees of at most
 _CHUNK_CELLS = 2**16 leaves are visited in index order, each one's
 slice of every larger level drawn from the level's stream, multiplied
-out and summed.  The walk multiplies in the signed form of
-WeightModel.sample_pairs: a sign byte per node, XOR-ed down the levels,
-and moduli multiplied alone (floats for the fractional kind, one shared
-array for the lognormal kind; see _next_signed).  Float products are
+out and summed; the leaves are drawn in parts of at most _LEAF_CELLS =
+2**15, each written straight into the chunk's buffer.  The walk
+multiplies in the signed form of WeightModel.sample_pairs: a sign byte
+per node, XOR-ed down the levels, and moduli multiplied alone (floats
+for the fractional kind, one shared array for the lognormal kind; see
+_next_signed).  Float products are
 assembled only at the leaves, bit-identical to signed float products.
 grid_chunks sums each chunk into one reused buffer, so a reader of it
 (grid_min_max, grid_values and estimate.occupation_histogram) peaks at
@@ -64,6 +66,7 @@ from .weights import WeightModel, signed_pairs
 DEFAULT_CELL_BUDGET = 2**26
 _CHUNK_CELLS = 2**16  # leaves of the subtree a grid walk samples and sums at once
 _WHOLE_LEVEL_CELLS = 2**12  # a grid walk builds every level of at most this many nodes whole
+_LEAF_CELLS = 2**15  # leaves of the largest slice of a chunk that a grid walk draws at once
 _FOLD_RUN_MAX = 32  # _fold reduces each run in one call when it is longer
 _WORD_BLOCK = 2**12  # rows of the largest block of words that an export builds at once
 
@@ -237,29 +240,38 @@ def _walk_chunks(real: CascadeRealization, frame: tuple):
     levels down to top, and every level of at most _WHOLE_LEVEL_CELLS
     nodes, are built whole; then each chunk's slices of the larger levels
     are drawn from their streams (see _LevelStream) and multiplied out,
-    slot 0 of the frame is set to the value the previous chunk ended on
-    (0.0 before the first), and the rest to the cumulative sum of its
-    products from there.  The values are bit-identical to one cumsum over
-    a whole-level build.
+    the leaf level's in parts of at most _LEAF_CELLS leaves whose products
+    are written straight into the frame.  Slot 0 of the frame is set to
+    the value the previous chunk ended on (0.0 before the first), and the
+    rest to the cumulative sum of the products from there, in place.  The
+    values are bit-identical to one cumsum over a whole-level build.
     """
     model, seed, depth, b = real.model, real.seed, real.depth, real.base
-    top, _ = _chunk_shape(b, depth)
+    top, width = _chunk_shape(b, depth)
     whole = top
     while whole < depth and b ** (whole + 1) <= _WHOLE_LEVEL_CELLS:
         whole += 1
     q = _signed_level(model, seed, whole)
     span = b ** (whole - top)  # level-whole words under each chunk
     streams = [_LevelStream(seed, m, b**m) for m in range(whole + 1, depth + 1)]
+    leaves = streams.pop() if streams else None  # None: the chunk's leaves are a slice of q
+    part = width if leaves is None else b * max(1, _LEAF_CELLS // b)
     ends = (0.0, 0.0)
     for i in range(b**top):
         c = _slice(q, i * span, (i + 1) * span)
         for k, stream in enumerate(streams, whole - top + 1):
             c = _next_signed(c, model.sample_pairs(stream, b**k), b)
-        for f, c, end in zip(frame, signed_pairs(*c), ends):
+        for lo in range(0, width, part):
+            hi = min(lo + part, width)
+            leaf = c if leaves is None else _next_signed(
+                _slice(c, lo // b, hi // b), model.sample_pairs(leaves, hi - lo), b
+            )
+            signed_pairs(*leaf, out=[f[1 + lo : 1 + hi] for f in frame])
+        for f, end in zip(frame, ends):
             f[0] = end
             if i:  # never on the first chunk: 0.0 + -0.0 would drop a sign bit
-                c[0] += end
-            np.cumsum(c, out=f[1:])
+                f[1] += end
+            np.cumsum(f[1:], out=f[1:])
         ends = (frame[0][-1], frame[1][-1])
         yield i
 

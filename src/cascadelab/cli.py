@@ -15,7 +15,9 @@ import ctypes
 import dataclasses
 import json
 import math
+import os
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -41,9 +43,11 @@ EXIT_RESOURCE = 5
 # free go back to the kernel and are faulted in again, zeroed, by the next
 # one: about 54k minor faults per pass of 24 depth-18 realizations.  main()
 # sets both where that rule ends, so no command's speed depends on what an
-# earlier one freed; no output depends on them.  Parameter numbers from
-# malloc.h.
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+# earlier one freed; no output depends on them.  It also keeps every thread
+# on the one main arena: with an arena per thread, each arena would keep
+# its own high-water mark of the walks that ran in it.  Parameter numbers
+# from malloc.h.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
 _MMAP_THRESHOLD = 32 * 2**20  # DEFAULT_MMAP_THRESHOLD_MAX on 64-bit
 _TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD  # the trim threshold glibc pairs with it
 
@@ -268,12 +272,72 @@ def _estimate_row(seed, label, est, *prediction):
 
 
 def _per_seed(args, model, rows_of) -> list:
-    """The rows ``rows_of(seed, real)`` of a fresh realization per seed."""
-    rows = []
-    for seed in _seeds(args):
-        real = cascade.build(model, seed, args.depth)
-        rows.extend(rows_of(seed, real))
-    return rows
+    """The rows ``rows_of(seed, real)`` of a fresh realization per seed, in seed order.
+
+    The seeds share nothing, and a realization's walk spends most of its
+    time in numpy calls that release the GIL, so they run on one thread
+    per CPU the process may use, up to one per seed (see _thread_map).
+    With one such thread, the seeds run in this thread, one after another.
+    """
+    seeds = _seeds(args)
+    threads = min(len(seeds), _cpus())
+    if threads == 1:
+        rows = []
+        for seed in seeds:
+            real = cascade.build(model, seed, args.depth)
+            rows.extend(rows_of(seed, real))
+        return rows
+    per_seed = _thread_map(lambda seed: rows_of(seed, cascade.build(model, seed, args.depth)), seeds, threads)
+    return [row for rows in per_seed for row in rows]
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on (see ``taskset``)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _thread_map(fn, items, threads: int) -> list:
+    """``[fn(x) for x in items]``, computed on ``threads`` threads, this one included.
+
+    The threads take the items in order, so every item before a failing
+    one has been started by the time it fails.  After a failure no thread
+    starts another item; the running ones finish, and the error of the
+    first failing item is raised: the error a loop in order raises.
+    (concurrent.futures would do the rest, but importing it imports
+    logging: some 7 ms in each process that runs a per-seed command.)
+    """
+    todo = list(reversed(range(len(items))))
+    results, errors = [None] * len(items), {}
+    lock = threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                if not todo:
+                    return
+                i = todo.pop()
+            try:
+                results[i] = fn(items[i])
+            except BaseException as e:  # re-raised below, once every thread is done
+                with lock:
+                    errors[i] = e
+                    todo.clear()
+
+    helpers = [threading.Thread(target=work) for _ in range(threads - 1)]
+    for t in helpers:
+        t.start()
+    try:
+        work()
+    finally:
+        with lock:
+            todo.clear()
+        for t in helpers:
+            t.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def cmd_image_dim(args, model):
@@ -409,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _steady_heap() -> None:
-    """Pin glibc's mmap and trim thresholds (see _MMAP_THRESHOLD), on Linux.
+    """Pin glibc's mmap and trim thresholds and its arena count (see _MMAP_THRESHOLD), on Linux.
 
     Without a C library that has ``mallopt`` (not glibc), the process is
     left as it is.
@@ -420,8 +484,10 @@ def _steady_heap() -> None:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError):
         return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+    mallopt(_M_ARENA_MAX, 1)
 
 
 def main(argv=None) -> int:

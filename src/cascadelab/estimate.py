@@ -29,6 +29,7 @@ from .words import Word, word_from_index
 IMAGE_EXTRA_LEVELS = 4  # refinement below the test-set level
 COARSE_SCALES_DROPPED = 2
 MIN_FIT_POINTS = 4
+_BOX_BLOCK = 2**12  # boxes that _square_counts expands into their squares at once
 
 
 @dataclass(frozen=True)
@@ -137,8 +138,7 @@ def _bounding_boxes(real: CascadeRealization, ts: TestSet, extra_levels: int):
             f"test set level {ts.word_level} exceeds depth - {extra_levels}"
         )
     refine = real.base ** (level - ts.word_level)
-    parents = ts.word_indices()
-    idx = (parents[:, None] * refine + np.arange(refine)[None, :]).ravel()
+    idx = (ts.word_indices()[:, None] * refine + np.arange(refine)[None, :]).ravel()
     (min1, max1), (min2, max2) = cascade.grid_min_max(real, level)
     return min1[idx], max1[idx], min2[idx], max2[idx]
 
@@ -146,28 +146,37 @@ def _bounding_boxes(real: CascadeRealization, ts: TestSet, extra_levels: int):
 def _square_counts(x0, x1, y0, y1, j_lo: int, j_hi: int) -> list[int]:
     """Distinct dyadic squares of side 2**-j meeting any closed box, for j = j_lo .. j_hi.
 
-    The boxes are expanded into their squares once, at j_hi.  Each
-    coarser scale halves the distinct integer indices of the next finer
-    one with ``>> 1`` (exact: floor(floor(2x) / 2) = floor(x), and the
-    arithmetic shift floors negative indices too), so a box's coarse
-    squares are the parents of its fine squares.  The keys are re-encoded
-    at every scale with that scale's own offsets and width: an offset
-    subtracted before halving would change the parents when it is odd.
+    The boxes are expanded into their squares once, at j_hi, in blocks
+    of at most _BOX_BLOCK boxes; each block's distinct keys are kept, and
+    the union of the blocks' keys is the set of squares, so the expansion
+    never exists whole.  Each coarser scale halves the distinct integer
+    indices of the next finer one with ``>> 1`` (exact: floor(floor(2x) /
+    2) = floor(x), and the arithmetic shift floors negative indices too),
+    so a box's coarse squares are the parents of its fine squares.  The
+    keys are re-encoded at every scale with that scale's own offsets and
+    width: an offset subtracted before halving would change the parents
+    when it is odd.
     """
     if j_hi < j_lo:
         return []
     scale = float(2**j_hi)
-    ix0, ix1, iy0, iy1 = (np.floor(v * scale).astype(np.int64) for v in (x0, x1, y0, y1))
-    ox, oy, top = int(ix0.min()), int(iy0.min()), int(iy1.max())
+    # the floor of a min is the min of the floors: scaling by 2**j_hi is exact and monotone
+    ox, oy, top = (math.floor(v * scale) for v in (x0.min(), y0.min(), y1.max()))
     width = top - oy + 1
-    # expand every box into its nx * ny squares, row-major within the box
-    ny = iy1 - iy0 + 1
-    per_box = (ix1 - ix0 + 1) * ny
-    box = np.repeat(np.arange(len(per_box)), per_box)
-    first = np.cumsum(per_box) - per_box
-    dx, dy = np.divmod(np.arange(len(box)) - first[box], ny[box])
-    corner = (ix0 - ox) * width + (iy0 - oy)
-    keys = cascade._distinct(corner[box] + dx * width + dy)
+    blocks = []
+    for lo in range(0, len(x0), _BOX_BLOCK):
+        ix0, ix1, iy0, iy1 = (
+            np.floor(v[lo : lo + _BOX_BLOCK] * scale).astype(np.int64) for v in (x0, x1, y0, y1)
+        )
+        # expand every box into its nx * ny squares, row-major within the box
+        ny = iy1 - iy0 + 1
+        per_box = (ix1 - ix0 + 1) * ny
+        box = np.repeat(np.arange(len(per_box)), per_box)
+        first = np.cumsum(per_box) - per_box
+        dx, dy = np.divmod(np.arange(len(box)) - first[box], ny[box])
+        corner = (ix0 - ox) * width + (iy0 - oy)
+        blocks.append(cascade._distinct(corner[box] + dx * width + dy))
+    keys = cascade._distinct(np.concatenate(blocks))
     counts = [len(keys)]
     for _ in range(j_hi - j_lo):
         ix, iy = np.divmod(keys, width)
@@ -211,7 +220,10 @@ def image_box_dim(
     # interval pieces), not the set.  A high quantile (not the max) sets
     # the guard because heavy-tailed cell oscillations otherwise collapse
     # the scale window to nothing on lognormal-factor models.
-    finest = float(np.quantile(np.maximum(x1 - x0, y1 - y0), 0.9))
+    sizes = x1 - x0
+    np.maximum(sizes, y1 - y0, out=sizes)
+    finest = float(np.quantile(sizes, 0.9, overwrite_input=True))  # partitions sizes in place
+    del sizes  # before the expansion
     if finest <= 0.0:
         raise ZeroOscillationError("degenerate realization: zero finest-cell size")
     j_max = int(math.floor(-math.log2(finest))) if finest < 1.0 else 2

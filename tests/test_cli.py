@@ -1,3 +1,5 @@
+import argparse
+import copy
 import csv
 import ctypes
 import hashlib
@@ -8,6 +10,7 @@ import os
 import platform
 import subprocess
 import sys
+import threading
 import tracemalloc
 import types
 from pathlib import Path
@@ -20,7 +23,7 @@ from hypothesis import strategies as st
 import cascadelab
 from cascadelab import cascade, cli, estimate, modelio
 from cascadelab.cli import _parse_q_list, _parse_testset, _parse_window, _simulate_text, _xi0_grid, main
-from cascadelab.errors import ConfigError
+from cascadelab.errors import ConfigError, DegenerateRangeError, DivergenceError
 from cascadelab.weights import DiscreteTable, Fractional, LognormalSigned, Mixed, sigma_from_beta
 
 FRACTIONAL = "kind fractional\nb 2\nalpha1 0.75\nalpha2 0.75\n"
@@ -647,12 +650,13 @@ def test_repeated_commands_stop_faulting_pages_in(model_file, tmp_path):
     assert len(faults) == 4 and max(faults[2:]) < 300, faults
 
 
-def test_steady_heap_pins_both_thresholds(monkeypatch):
+def test_steady_heap_pins_the_thresholds_and_one_arena(monkeypatch):
     calls = []
     monkeypatch.setattr(sys, "platform", "linux")
     monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=lambda *a: calls.append(a)))
     cli._steady_heap()
-    assert calls == [(-3, 32 * 2**20), (-1, 64 * 2**20)]  # M_MMAP_THRESHOLD, then M_TRIM_THRESHOLD
+    # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD, then M_ARENA_MAX
+    assert calls == [(-3, 32 * 2**20), (-1, 64 * 2**20), (-8, 1)]
 
 
 def _no_c_library(name):
@@ -664,3 +668,147 @@ def test_steady_heap_without_mallopt_leaves_the_process_alone(monkeypatch, cdll)
     monkeypatch.setattr(sys, "platform", "linux")
     monkeypatch.setattr(ctypes, "CDLL", cdll)
     assert cli._steady_heap() is None
+
+
+# ---------------------------------------------------------------------------
+# seeds on the CPUs the process may use
+
+FRACTIONAL_B4 = "kind fractional\nb 4\nalpha1 0.75\nalpha2 0.75\n"
+
+PER_SEED_COMMANDS = {
+    "image-dim": (FRACTIONAL, ["image-dim", "--depth", "16", "--seeds", "4"]),
+    "partition": (TABLE, ["partition", "--depth", "14", "--seeds", "3", "--q", "1,0;0.5,0.5", "--scales", "3:10"]),
+    "uniform-sweep": (FRACTIONAL_B4, ["uniform-sweep", "--depth", "10", "--seeds", "2",
+                                      "--testset", "1:0,3:5", "--testset", "1:0,1,2,3:5"]),
+}
+
+
+def on_cpus(monkeypatch, n):
+    """Let the process see n CPUs, as ``taskset`` would."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def csv_bytes(out):
+    return {path.name: path.read_bytes() for path in sorted(out.glob("*.csv"))}
+
+
+@pytest.mark.parametrize("command", sorted(PER_SEED_COMMANDS))
+def test_per_seed_commands_write_the_same_bytes_on_one_cpu_and_two(model_file, tmp_path, monkeypatch, command):
+    text, argv = PER_SEED_COMMANDS[command]
+    pools = []
+    thread_map = cli._thread_map
+    monkeypatch.setattr(cli, "_thread_map", lambda fn, items, n: pools.append(n) or thread_map(fn, items, n))
+    got = {}
+    for cpus in (1, 2):
+        on_cpus(monkeypatch, cpus)
+        out = tmp_path / str(cpus)
+        assert main([*argv, "--model", model_file(text), "--out", str(out)]) == 0
+        got[cpus] = csv_bytes(out)
+    assert pools == [2]  # one CPU runs the seeds in this thread
+    assert got[1] == got[2] and got[1]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_the_first_failing_seed_sets_the_exit_code_and_message(model_file, tmp_path, monkeypatch, capsys, cpus):
+    # seeds 1 and 2 fail; on two CPUs seed 1 fails only after seed 2 has
+    on_cpus(monkeypatch, cpus)
+    started, second_failed = [], threading.Event()
+    image_box_dim = estimate.image_box_dim
+
+    def fail(real, ts):
+        started.append(real.seed)
+        if real.seed == 2:
+            second_failed.set()
+            raise DegenerateRangeError("seed 2 failed")
+        if real.seed == 1:
+            assert cpus == 1 or second_failed.wait(timeout=60)
+            raise DivergenceError("seed 1 failed")
+        return image_box_dim(real, ts)
+
+    monkeypatch.setattr(estimate, "image_box_dim", fail)
+    argv = ["image-dim", "--model", model_file(FRACTIONAL), "--out", str(tmp_path / "o"),
+            "--depth", "16", "--seeds", "4"]
+    assert main(argv) == cli.EXIT_NUMERIC
+    assert json.loads(capsys.readouterr().err) == {"error": "numeric", "message": "seed 1 failed"}
+    # no seed starts after a failure: seed 3 never runs
+    assert sorted(started) == ([0, 1] if cpus == 1 else [0, 1, 2])
+    assert not (tmp_path / "o" / "image-dim.csv").exists()
+
+
+@pytest.mark.parametrize("model", [
+    DiscreteTable(2, (((0.3, 0.7), 0.25), ((0.7, 0.3), 0.25), ((-0.5, 0.5), 0.5))),
+    Fractional(2, 0.75, 0.75),
+], ids=["table", "fractional"])
+def test_fresh_models_fill_their_draw_caches_inside_the_threads(monkeypatch, model):
+    def tables(seed, real):
+        return [a.tobytes() for pair in cascade.grid_min_max(real, 8) for a in pair]
+
+    args = argparse.Namespace(seed=3, seeds=4, depth=13)
+    rows = {}
+    for cpus in (1, 2):
+        on_cpus(monkeypatch, cpus)
+        fresh = copy.deepcopy(model)
+        caches = vars(fresh) if isinstance(fresh, DiscreteTable) else vars(fresh.sign_joint)
+        assert not {"_draw_table", "_bounds"} & set(caches)  # drawn first inside the walks
+        rows[cpus] = cli._per_seed(args, fresh, tables)
+        assert {"_draw_table", "_bounds"} & set(caches)
+    assert rows[1] == rows[2] and len(rows[1]) == 4 * 4
+
+
+def test_thread_map_runs_each_item_once_in_order_under_fast_switching():
+    # more threads than CPUs, switching every microsecond: a lost update to the shared
+    # queue would run an item twice or not at all
+    ran, result = [], []
+
+    def square(i):
+        ran.append(i)
+        np.sort(np.random.default_rng(i).random(256))  # releases the GIL
+        return i * i
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        caller = threading.Thread(target=lambda: result.append(cli._thread_map(square, list(range(400)), 8)))
+        caller.start()
+        caller.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not caller.is_alive()
+    assert result == [[i * i for i in range(400)]] and sorted(ran) == list(range(400))
+
+
+def test_thread_map_runs_its_items_at_once():
+    # each item waits for the other at a barrier, which only two threads running together pass
+    barrier = threading.Barrier(2, timeout=60)
+
+    def meet(i):
+        barrier.wait()
+        return threading.get_ident()
+
+    assert len(set(cli._thread_map(meet, [0, 1], 2))) == 2
+
+
+def run_main_peak(argv) -> int:
+    """The tracemalloc peak of one main(argv) call, after a first call's one-off allocations."""
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("text,argv,one_seed_mib", [
+    # peaks measured: 2.3 MiB on one CPU and 4.1-4.3 MiB on two; 3.4 MiB on one CPU before
+    # the walk drew the leaf level in parts and the box count expanded the boxes in blocks
+    (FRACTIONAL, ["image-dim", "--depth", "18", "--seeds", "4"], 2.3),
+    # peaks measured: 5.3 MiB on one CPU and 9.0-10.3 MiB on two; 12.5 MiB on one CPU before
+    (FRACTIONAL_B4, ["uniform-sweep", "--depth", "12", "--seeds", "2", "--testset", "1:0,1,2,3:8"], 5.3),
+], ids=["image-dim", "uniform-sweep"])
+def test_each_seed_in_flight_adds_at_most_one_seeds_peak(model_file, tmp_path, monkeypatch, text, argv, one_seed_mib):
+    argv = [*argv, "--model", model_file(text), "--out", str(tmp_path / "o")]
+    for cpus in (1, 2):
+        on_cpus(monkeypatch, cpus)
+        # two seeds' peaks may coincide; a 15% margin over the measured one-CPU peak each
+        assert run_main_peak(argv) < cpus * 1.15 * one_seed_mib * 2**20

@@ -427,6 +427,17 @@ def test_count_squares_matches_set_oracle(boxes, j_lo, span):
     assert estimate._square_counts(*args, j_lo, j_lo + span) == want
 
 
+@pytest.mark.parametrize("block", [1, 7, 2**12])
+def test_square_counts_in_blocks_match_set_oracle(monkeypatch, block):
+    # neighbouring boxes share squares across block boundaries, as consecutive words' boxes do
+    rng = np.random.default_rng(block)
+    x0 = np.cumsum(rng.normal(0.0, 0.01, 3000))
+    y0 = np.cumsum(rng.normal(0.0, 0.01, 3000))
+    args = (x0, x0 + rng.random(3000) * 0.02, y0, y0 + rng.random(3000) * 0.02)
+    monkeypatch.setattr(estimate, "_BOX_BLOCK", block)
+    assert estimate._square_counts(*args, 3, 9) == [count_squares_oracle(*args, j) for j in range(3, 10)]
+
+
 def test_count_squares_box_straddling_many_squares():
     # one box covering a 5 x 3 block of squares plus a point inside it
     x0, x1 = np.array([0.1, 0.3]), np.array([1.2, 0.3])

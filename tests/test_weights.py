@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cascadelab import weights
 from cascadelab.errors import ConfigError, DivergenceError
 from cascadelab.weights import (
     DiscreteTable,
@@ -551,6 +552,31 @@ def test_table_draw_equals_the_former_searchsorted_draw(table):
     vals = np.array([v for v, _ in table.atoms])
     w1, w2 = float_pairs(table, FixedUniforms(u), len(u))
     assert w1.tobytes() == vals[idx, 0].tobytes() and w2.tobytes() == vals[idx, 1].tobytes()
+
+
+@pytest.mark.parametrize("probs", [
+    (0.5, 0.5),
+    (0.25, 0.35, 0.4),
+    (0.7, 0.2, 0.1, 0.0),  # a trailing atom of probability 0: two inf bounds
+    (0.5, 0.5 - 5e-13, -1e-13),  # the last bound below 1, then an inf one
+    (0.0, 0.5, 0.0, 0.5, 0.0),  # equal bounds, then two inf ones
+    (0.5, -1e-13, 0.5 + 1e-13),  # a bound just below the one before it
+    (1.0,),  # no finite bound
+])
+def test_table_draws_the_atoms_the_searchsorted_oracle_finds(probs):
+    table = DiscreteTable(2, tuple(((0.1 * (k + 1), -0.2 * k), p) for k, p in enumerate(probs)))
+    bounds = weights._sorted_bounds(probs)
+    finite = bounds[np.isfinite(bounds)]
+    # every finite bound exactly, and its two float neighbours
+    edges = np.concatenate([finite, np.nextafter(finite, 0.0), np.nextafter(finite, 1.0)])
+    u = np.concatenate([np.random.default_rng(4).random(5000), edges, [0.0, np.nextafter(1.0, 0.0)]])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    assert len(bounds) - len(finite) >= 1 and np.isin(finite, u).all()
+    idx = np.searchsorted(bounds, u, side="right")  # the former lookup
+    _, signs, mag1, mag2 = table._draw_table
+    got = table.sample_pairs(FixedUniforms(u), len(u))
+    for a, want in zip(got, (signs[idx], mag1[idx], mag2[idx])):
+        assert a.dtype == want.dtype and a.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
