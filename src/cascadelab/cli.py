@@ -55,6 +55,11 @@ _TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD  # the trim threshold glibc pairs with it
 # realization values (round-trip exact), and the q / xi0 row labels.
 VALUE, EXACT, LABEL = ".12g", ".17g", ".6g"
 
+# Threads of a per-seed command.  Each seed in flight holds one walk's memory,
+# so a command's peak is at most about this many seeds' peaks, on any host.
+_SEED_THREADS = 2
+_SEED_SWITCH_INTERVAL_S = 1e6  # seconds; see _per_seed
+
 
 def _values(*xs, spec=VALUE) -> list[str]:
     return [format(x, spec) for x in xs]
@@ -275,19 +280,24 @@ def _per_seed(args, model, rows_of) -> list:
     """The rows ``rows_of(seed, real)`` of a fresh realization per seed, in seed order.
 
     The seeds share nothing, and a realization's walk spends most of its
-    time in numpy calls that release the GIL, so they run on one thread
-    per CPU the process may use, up to one per seed (see _thread_map).
-    With one such thread, the seeds run in this thread, one after another.
+    time in numpy calls that release the GIL, so they run on up to
+    _SEED_THREADS threads, one per CPU the process may use and per seed
+    (see _thread_map).
+
+    While they run, the switch interval is raised past any command's
+    length: a thread then gives up the GIL only inside a call that
+    releases it, never between two Python statements, so Python code
+    around cascadelab's functions (a caller's counters, say) sees no other
+    thread between its steps.
     """
     seeds = _seeds(args)
-    threads = min(len(seeds), _cpus())
-    if threads == 1:
-        rows = []
-        for seed in seeds:
-            real = cascade.build(model, seed, args.depth)
-            rows.extend(rows_of(seed, real))
-        return rows
-    per_seed = _thread_map(lambda seed: rows_of(seed, cascade.build(model, seed, args.depth)), seeds, threads)
+    threads = min(len(seeds), _cpus(), _SEED_THREADS)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(_SEED_SWITCH_INTERVAL_S)
+    try:
+        per_seed = _thread_map(lambda seed: rows_of(seed, cascade.build(model, seed, args.depth)), seeds, threads)
+    finally:
+        sys.setswitchinterval(interval)
     return [row for rows in per_seed for row in rows]
 
 

@@ -36,6 +36,9 @@ import numpy as np
 from .errors import ConfigError, DivergenceError
 
 _PROB_TOL = 1e-12
+# A table draw counts u >= bound over at most this many bounds, and binary-searches more:
+# per 2**16 draws the two took equal time at 63 to 79 bounds (0.05 against 0.61 ms at 1 bound).
+_COUNTED_BOUNDS = 64
 
 
 def _pow_abs(v: float, q: float) -> float:
@@ -527,28 +530,31 @@ class DiscreteTable(WeightModel):
             raise ConfigError("negative atom probability")
 
     @functools.cached_property
-    def _draw_table(self) -> tuple[list[float], np.ndarray, np.ndarray, np.ndarray]:
+    def _draw_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The atoms' finite sorted bounds (see _sorted_bounds), their sign bytes and two modulus columns."""
-        bounds = [c for c in _sorted_bounds([p for _, p in self.atoms]).tolist() if c < math.inf]
+        bounds = _sorted_bounds([p for _, p in self.atoms])
         vals = np.array([v for v, _ in self.atoms])
         negative = np.signbit(vals).astype(np.uint8)
         signs = negative[:, 0] | negative[:, 1] << 1
-        return bounds, signs, np.abs(vals[:, 0]), np.abs(vals[:, 1])
+        return bounds[np.isfinite(bounds)], signs, np.abs(vals[:, 0]), np.abs(vals[:, 1])
 
     def sample_pairs(self, rng, size):
         """Each u draws the atom numbered by the count of finite bounds at or below it (see _draw_table).
 
         The bounds are sorted, so this is the first atom whose bound
         exceeds u, the one ``searchsorted(bounds, u, side="right")`` finds:
-        an inf bound is never at or below a u in [0, 1).  A comparison per
-        bound costs far less than the binary search for the few atoms a
-        table has.
+        an inf bound is never at or below a u in [0, 1).  Up to
+        _COUNTED_BOUNDS bounds, one comparison pass per bound is cheaper
+        than the binary search per draw, and past it the search is.
         """
         bounds, signs, mag1, mag2 = self._draw_table
         u = rng.random(size)
-        idx = np.zeros(size, dtype=np.intp)
-        for c in bounds:
-            idx += u >= c
+        if len(bounds) > _COUNTED_BOUNDS:
+            idx = np.searchsorted(bounds, u, side="right")
+        else:
+            idx = np.zeros(size, dtype=np.intp)
+            for c in bounds:
+                idx += u >= c
         return signs[idx], mag1[idx], mag2[idx]
 
     def joint_moment(self, q1, q2):

@@ -562,8 +562,11 @@ def test_table_draw_equals_the_former_searchsorted_draw(table):
     (0.0, 0.5, 0.0, 0.5, 0.0),  # equal bounds, then two inf ones
     (0.5, -1e-13, 0.5 + 1e-13),  # a bound just below the one before it
     (1.0,),  # no finite bound
+    tuple(np.full(100, 0.01)),  # past _COUNTED_BOUNDS: the draw binary-searches
 ])
-def test_table_draws_the_atoms_the_searchsorted_oracle_finds(probs):
+@pytest.mark.parametrize("counted", [weights._COUNTED_BOUNDS, 0], ids=["counted", "searched"])
+def test_table_draws_the_atoms_the_searchsorted_oracle_finds(monkeypatch, probs, counted):
+    monkeypatch.setattr(weights, "_COUNTED_BOUNDS", counted)
     table = DiscreteTable(2, tuple(((0.1 * (k + 1), -0.2 * k), p) for k, p in enumerate(probs)))
     bounds = weights._sorted_bounds(probs)
     finite = bounds[np.isfinite(bounds)]
