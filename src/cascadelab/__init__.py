@@ -27,6 +27,5 @@ from .weights import (
     WeightModel,
     check_assumptions,
 )
-from .words import Word
 
 __version__ = "0.1.0"

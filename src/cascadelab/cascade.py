@@ -41,9 +41,8 @@ grid, 16 * (b**n + 1) bytes, only when asked for level n.  Every
 min/max table comes from one strided fold (see _fold), which turns each
 run of neighbours into one value.
 
-export_level returns one level as columns (see LevelExport): its words,
-built one aligned block of at most _WORD_BLOCK = 2**12 rows at a time
-from the block's prefix and the kept level-k tails (see _Words), so the
+export_level returns one level as columns (see LevelExport): its words'
+text, built one aligned block at a time (see words.LevelWords), so the
 level's b**level strings never exist at once; its products in the
 signed form, taken from the same recurrence built whole (see
 _signed_level); and the grid values at its words' right ends, collected
@@ -62,13 +61,13 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError, ResourceError, as_integer
 from .weights import WeightModel, signed_pairs
+from .words import LevelWords
 
 DEFAULT_CELL_BUDGET = 2**26
 _CHUNK_CELLS = 2**16  # leaves of the subtree a grid walk samples and sums at once
 _WHOLE_LEVEL_CELLS = 2**12  # a grid walk builds every level of at most this many nodes whole
 _LEAF_CELLS = 2**15  # leaves of the largest slice of a chunk that a grid walk draws at once
 _FOLD_RUN_MAX = 32  # _fold reduces each run in one call when it is longer
-_WORD_BLOCK = 2**12  # rows of the largest block of words that an export builds at once
 
 
 def _philox_key(seed: int, level: int) -> np.ndarray:
@@ -396,23 +395,14 @@ def _read_only(tables):
     return tables
 
 
-@dataclass(frozen=True)
-class OscillationTable:
-    """Grid oscillations sup-inf of (F1, F2) over all words of one level."""
-
-    level: int
-    o1: np.ndarray
-    o2: np.ndarray
-
-
-def oscillations(real: CascadeRealization, level: int) -> OscillationTable:
-    """O_k(w) = max - min of the depth-n grid of F_k over closed I_w.
+def oscillations(real: CascadeRealization, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """(O1, O2) at one level: O_k(w) = max - min of the depth-n grid of F_k over closed I_w.
 
     The grid maximum undershoots the true sup of the limit process by at
     most the finest-cell oscillation; estimator tolerances absorb this.
     """
     (min1, max1), (min2, max2) = grid_min_max(real, level)
-    return OscillationTable(level, max1 - min1, max2 - min2)
+    return max1 - min1, max2 - min2
 
 
 class _TiltedTables(tuple):
@@ -513,57 +503,6 @@ def sample_tilted_path(
     return idx
 
 
-def _words(b: int, level: int) -> list[str]:
-    """Every level-``level`` word as ``str(Word)`` writes it, in index order.
-
-    Each level's words are the previous level's with one digit appended,
-    dot-separated for b > 10.
-    """
-    digits = [str(d) for d in range(b)]
-    tails = ["." + d for d in digits] if b > 10 else digits
-    words = digits if level else [""]
-    for _ in range(level - 1):
-        words = [w + t for w in words for t in tails]
-    return words
-
-
-class _Words:
-    """A level's words as ``str(Word)`` writes them, in index order, read one aligned block at a time.
-
-    The level's b**level rows fall in aligned blocks of ``block`` = b**k
-    rows, b**k the largest power of b within _WORD_BLOCK and at least b
-    (b**level at most).  Block p's words are ``_prefix(p) + tail`` for
-    each of the b**k level-k words, in order, and only those tails are
-    kept: never the level's b**level strings.  ``words[lo:hi]`` reads
-    rows lo .. hi - 1 of one block.
-    """
-
-    def __init__(self, b: int, level: int):
-        k = 1
-        while b ** (k + 1) <= _WORD_BLOCK:
-            k += 1
-        k = min(k, level)
-        self._b, self._digits, self._len = b, level - k, b**level
-        self._tails = _words(b, k)
-        self.block = len(self._tails)
-
-    def __len__(self) -> int:
-        return self._len
-
-    def _prefix(self, p: int) -> str:
-        """Block p's prefix: the level-(level - k) word p, and a dot after it for b > 10."""
-        digits = []
-        for _ in range(self._digits):
-            p, d = divmod(p, self._b)
-            digits.append(str(d))
-        sep = "." if self._b > 10 and digits else ""
-        return sep.join(reversed(digits)) + sep
-
-    def __getitem__(self, rows: slice) -> list[str]:
-        p, t = divmod(rows.start, self.block)
-        return list(map(self._prefix(p).__add__, self._tails[t : t + rows.stop - rows.start]))
-
-
 def _distinct(keys: np.ndarray) -> np.ndarray:
     """The sorted distinct values of ``keys``, sorted in place.
 
@@ -591,15 +530,15 @@ class _Positions:
 class LevelExport:
     """One level's export as columns, its arrays read-only; ``len`` gives its number of rows.
 
-    ``words`` holds the words as ``str(Word)`` writes them, built one
-    aligned block of ``words.block`` rows at a time (see _Words);
+    ``words`` holds the words' text, built one aligned block of
+    ``words.block`` rows at a time (see words.LevelWords);
     ``signs`` and ``moduli`` the level's products (Q1, Q2) in the signed
     form of ``WeightModel.sample_pairs`` (a modulus is one float for the
     fractional kind); ``ends`` the grid values (F1, F2) at each word's
     right end.  Row j is (word, Q1, Q2, F1, F2) read at j in each column.
     """
 
-    words: _Words
+    words: LevelWords
     signs: np.ndarray
     moduli: tuple
     ends: tuple
@@ -636,12 +575,12 @@ class LevelExport:
 def export_level(real: CascadeRealization, level: int) -> LevelExport:
     """Rows (word, Q1, Q2, F1 endpoint, F2 endpoint) at one level, as columns.
 
-    Rows come in word-index order; a word is written as ``str(Word)``
-    writes it (digits without separators, or dot-separated for b > 10,
-    so ``parse_word`` reads it back), and its endpoint is the grid value
-    at its interval's right end.  The words keep only one block's tails
-    and build each word from its block's prefix (see _Words), so no list
-    of b**level strings is made.  The level's products are built whole
+    Rows come in word-index order; a word is written as
+    ``words.word_from_index`` writes it (digits without separators, or
+    dot-separated for b > 10, so ``parse_word`` reads it back), and its
+    endpoint is the grid value at its interval's right end.  The words
+    are built a block at a time (see words.LevelWords), so no list of
+    b**level strings is made.  The level's products are built whole
     from the level streams (see _signed_level), bit-identical to the ones
     the grid walk multiplies; the endpoints are the level's grid values
     but the first, collected from one grid walk chunk by chunk (see
@@ -652,4 +591,4 @@ def export_level(real: CascadeRealization, level: int) -> LevelExport:
         raise ConfigError(f"level {level} outside [0, {real.depth}]")
     signs, m1, m2 = _signed_level(real.model, real.seed, level)
     ends = tuple(f[1:] for f in grid_values(real, level))
-    return LevelExport(_Words(real.base, level), signs, (m1, m2), ends)
+    return LevelExport(LevelWords(real.base, level), signs, (m1, m2), ends)

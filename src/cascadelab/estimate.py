@@ -24,7 +24,6 @@ from .errors import (
     as_integer,
 )
 from .weights import Fractional
-from .words import Word, word_from_index
 
 IMAGE_EXTRA_LEVELS = 4  # refinement below the test-set level
 COARSE_SCALES_DROPPED = 2
@@ -313,8 +312,7 @@ def _partition_sum(real: CascadeRealization, q1: float, q2: float, level: int) -
     so the powers and their product are formed in place, with the bits of
     O1**q1 * O2**q2, and freed on return.
     """
-    table = cascade.oscillations(real, level)
-    o1, o2 = table.o1, table.o2
+    o1, o2 = cascade.oscillations(real, level)
     if ((q1 < 0) and (o1 == 0.0).any()) or ((q2 < 0) and (o2 == 0.0).any()):
         return None
     if (q1, q2) == (0.0, 0.0):
@@ -353,8 +351,7 @@ def holder_exponents(
     lb = math.log(real.base)
     for row in reversed(range(len(ms))):  # finest first, so each coarser table derives from the memo
         prefix = idx // real.base ** (level_hi - ms[row])
-        t = cascade.oscillations(real, ms[row])
-        o1, o2 = t.o1[prefix], t.o2[prefix]
+        o1, o2 = (o[prefix] for o in cascade.oscillations(real, ms[row]))
         zero[row] = (o1 == 0.0).any() or (o2 == 0.0).any()
         if not zero[row]:
             logs1[row] = np.log(o1) / lb
@@ -400,8 +397,8 @@ def level_set(
     y: float,
     level: int,
     fit_lo: int = 2,
-) -> tuple[list[Word], DimensionEstimate]:
-    """Crossing intervals of {F_k = y} at one level, plus a dimension fit.
+) -> tuple[np.ndarray, DimensionEstimate]:
+    """The ascending int64 word indices of the crossing intervals of {F_k = y} at one level, and a dimension fit.
 
     An interval w counts as crossing when the refined grid of F_k over
     closed I_w brackets y (min <= y <= max); endpoint sign changes would
@@ -417,19 +414,18 @@ def level_set(
         raise ConfigError(f"bad level window [{fit_lo}, {level}]")
     mm = cascade.grid_min_max(real, level)[k - 1]
     hits = np.nonzero((mm[0] <= y) & (y <= mm[1]))[0]
-    words = [word_from_index(int(j), level, real.base) for j in hits]
     counts = level_crossing_counts(real, k, y, fit_lo, level)
     ms = np.arange(fit_lo, level + 1)
     if len(hits) == 0 or (counts == 0).any():
         est = DimensionEstimate(
             0.0, 0.0, (fit_lo, level), 1.0, tuple(zip(ms.tolist(), counts.tolist())), empty=len(hits) == 0
         )
-        return words, est
+        return hits, est
     slope, stderr, r2 = fit_loglog(ms, np.log(counts) / math.log(real.base))
     est = DimensionEstimate(
         slope, stderr, (fit_lo, level), r2, tuple(zip(ms.tolist(), counts.tolist()))
     )
-    return words, est
+    return hits, est
 
 
 def occupation_histogram(

@@ -166,8 +166,7 @@ def solve_zeta(model: WeightModel, xi0: float, q_max: float = Q_MAX) -> float:
 
 def xi_star(model: WeightModel) -> float:
     """Crossover exponent -log_b max_k E|W_k|; lies in (1/2, 1] under (A1)."""
-    m = max(model.joint_moment(1.0, 0.0), model.joint_moment(0.0, 1.0))
-    value = -math.log(m) / math.log(model.base)
+    value = min(model.phi(1.0, 0.0), model.phi(0.0, 1.0))  # +inf when both moments vanish
     if not 0.5 < value <= 1.0 + 1e-12:
         raise NoRootError(f"xi_star = {value} outside (1/2, 1]; model violates (A1)")
     return min(value, 1.0)

@@ -11,10 +11,10 @@ import warnings
 import numpy as np
 import pytest
 
-from cascadelab import cascade, estimate
+from cascadelab import cascade, estimate, words
 from cascadelab.errors import ConfigError, DivergenceError, ResourceError
 from cascadelab.weights import DiscreteTable, Fractional, LognormalSigned, Mixed, SignJoint, sigma_from_beta, signed_pairs
-from cascadelab.words import Word, parse_word
+from cascadelab.words import parse_word
 
 
 def lognormal_beta(b, alpha, beta):
@@ -33,8 +33,8 @@ def level_weights(model, seed, level):
 def export_rows(export):
     """The export's rows (word, Q1, Q2, F1, F2), built from its columns a block of words at a time."""
     block = export.words.block
-    words = [w for lo in range(0, len(export), block) for w in export.words[lo : lo + block]]
-    return list(zip(words, *(c.tolist() for c in (*export.products(), *export.ends))))
+    texts = [w for lo in range(0, len(export), block) for w in export.words[lo : lo + block]]
+    return list(zip(texts, *(c.tolist() for c in (*export.products(), *export.ends))))
 
 
 IDENTITY = Fractional(2, 1.0, 1.0, SignJoint(1.0, 0.0, 0.0, 0.0))
@@ -74,18 +74,18 @@ def test_prefix_stability_across_depths():
 
 
 def partial_product(real, w):
-    """(Q1(w), Q2(w)), read off the export of w's level."""
-    return export_rows(cascade.export_level(real, len(w)))[w.index][1:3]
+    """(Q1(w), Q2(w)) of the base-2 word with text w, read off the export of w's level."""
+    return export_rows(cascade.export_level(real, len(w)))[parse_word(w, 2)][1:3]
 
 
 def test_root_partial_product():
     real = cascade.build(FRAC, seed=0, depth=6)
-    assert partial_product(real, Word(2)) == (1.0, 1.0)
+    assert partial_product(real, "") == (1.0, 1.0)
 
 
 def test_fractional_partial_product_modulus():
     real = cascade.build(FRAC, seed=0, depth=8)
-    for w in (parse_word("0", 2), parse_word("101", 2), parse_word("11011", 2)):
+    for w in ("0", "101", "11011"):
         q1, q2 = partial_product(real, w)
         assert abs(q1) == pytest.approx(2 ** (-0.75 * len(w)), rel=1e-12)
         assert abs(q2) == pytest.approx(2 ** (-0.75 * len(w)), rel=1e-12)
@@ -94,11 +94,11 @@ def test_fractional_partial_product_modulus():
 def test_partial_product_recomputable_from_level_streams():
     # oracle: regenerate each level's weights independently and multiply
     real = cascade.build(TABLE, seed=77, depth=9)
-    w = parse_word("011010", 2)
+    w = "011010"
     q1, q2 = 1.0, 1.0
     for i in range(1, len(w) + 1):
         lvl1, lvl2 = level_weights(TABLE, 77, i)
-        idx = Word(2, w.digits[:i]).index
+        idx = parse_word(w[:i], 2)
         q1 *= lvl1[idx]
         q2 *= lvl2[idx]
     got = partial_product(real, w)
@@ -108,32 +108,32 @@ def test_partial_product_recomputable_from_level_streams():
 
 def test_multiplicativity():
     real = cascade.build(FRAC, seed=3, depth=8)
-    w = parse_word("0110", 2)
+    w = "0110"
     qp = partial_product(real, w)
     w1, w2 = level_weights(FRAC, 3, 5)
     for j in (0, 1):
-        child = Word(2, w.digits + (j,))
+        child = w + str(j)
         qc = partial_product(real, child)
-        assert qc[0] == pytest.approx(qp[0] * w1[child.index], rel=1e-14)
-        assert qc[1] == pytest.approx(qp[1] * w2[child.index], rel=1e-14)
+        assert qc[0] == pytest.approx(qp[0] * w1[parse_word(child, 2)], rel=1e-14)
+        assert qc[1] == pytest.approx(qp[1] * w2[parse_word(child, 2)], rel=1e-14)
 
 
 def increment(real, w):
-    """The former cascade.increment: the increment of (F1, F2) over I_w, read off the grid."""
-    idx = w.index
+    """The former cascade.increment: the increment of (F1, F2) over I_w, w a base-2 word's text, read off the grid."""
+    idx = parse_word(w, 2)
     step = real.base ** (real.depth - len(w))
     return tuple(float(f[(idx + 1) * step] - f[idx * step]) for f in cascade.grid_values(real))
 
 
 def test_increment_at_full_depth_equals_product():
     real = cascade.build(FRAC, seed=11, depth=9)
-    w = parse_word("010011011", 2)
+    w = "010011011"
     assert increment(real, w) == pytest.approx(partial_product(real, w), rel=1e-10)
 
 
 def test_increment_of_empty_word_is_total_mass():
     real = cascade.build(FRAC, seed=11, depth=9)
-    d1, d2 = increment(real, Word(2))
+    d1, d2 = increment(real, "")
     f1, f2 = cascade.grid_values(real)
     assert d1 == pytest.approx(float(f1[-1]), rel=1e-14)
     assert d2 == pytest.approx(float(f2[-1]), rel=1e-14)
@@ -141,9 +141,9 @@ def test_increment_of_empty_word_is_total_mass():
 
 def test_increments_telescope():
     real = cascade.build(TABLE, seed=21, depth=10)
-    for w in (parse_word("01", 2), parse_word("1101", 2)):
+    for w in ("01", "1101"):
         parent = increment(real, w)
-        kids = [increment(real, Word(2, w.digits + (j,))) for j in range(2)]
+        kids = [increment(real, w + str(j)) for j in range(2)]
         for k in range(2):
             assert parent[k] == pytest.approx(sum(c[k] for c in kids), abs=1e-10)
 
@@ -181,31 +181,31 @@ def test_refinement_is_a_martingale_step():
 def test_identity_oscillations():
     real = cascade.build(IDENTITY, seed=2, depth=10)
     for m in (0, 3, 7):
-        table = cascade.oscillations(real, m)
-        assert np.allclose(table.o1, 2.0**-m, atol=1e-14)
-        assert np.allclose(table.o2, 2.0**-m, atol=1e-14)
+        o1, o2 = cascade.oscillations(real, m)
+        assert np.allclose(o1, 2.0**-m, atol=1e-14)
+        assert np.allclose(o2, 2.0**-m, atol=1e-14)
 
 
 def test_monotone_model_oscillation_equals_increment():
     m = DiscreteTable(2, (((0.3, 0.6), 0.5), ((0.7, 0.4), 0.5)))  # positive weights
     real = cascade.build(m, seed=4, depth=10)
-    table = cascade.oscillations(real, 4)
+    o1, _ = cascade.oscillations(real, 4)
     # monotone grid: oscillation over a closed interval = endpoint increment
     step = 2 ** (10 - 4)
     f1 = cascade.grid_values(real)[0]
     inc1 = f1[step::step] - f1[:-1:step]
-    assert np.allclose(table.o1, inc1, atol=1e-14)
+    assert np.allclose(o1, inc1, atol=1e-14)
 
 
 def test_oscillation_dominates_children_and_increment():
     real = cascade.build(FRAC, seed=8, depth=12)
-    parent = cascade.oscillations(real, 5)
-    child = cascade.oscillations(real, 6)
-    assert np.all(parent.o1 >= np.maximum(child.o1[0::2], child.o1[1::2]) - 1e-15)
+    parent, _ = cascade.oscillations(real, 5)
+    child, _ = cascade.oscillations(real, 6)
+    assert np.all(parent >= np.maximum(child[0::2], child[1::2]) - 1e-15)
     step = 2**7
     f1 = cascade.grid_values(real)[0]
     inc = np.abs(f1[step::step] - f1[:-1:step])
-    assert np.all(parent.o1 >= inc - 1e-15)
+    assert np.all(parent >= inc - 1e-15)
 
 
 def test_rescaled_oscillations_equidistributed_across_levels():
@@ -213,8 +213,8 @@ def test_rescaled_oscillations_equidistributed_across_levels():
     # two-sample KS across disjoint seed sets at the 1% level
     def rescaled(seed, level, n=13):
         real = cascade.build(FRAC, seed=seed, depth=n)
-        o = cascade.oscillations(real, level).o1[0]
-        q = abs(partial_product(real, parse_word("0" * level, 2))[0])
+        o = cascade.oscillations(real, level)[0][0]
+        q = abs(partial_product(real, "0" * level)[0])
         return o / q
 
     a = np.sort([rescaled(s, 3) for s in range(80)])
@@ -236,8 +236,8 @@ def test_oscillation_moment_scaling_table_model():
     for s in range(seeds):
         real = cascade.build(TABLE, seed=s, depth=n)
         for i, m in enumerate(levels):
-            t = cascade.oscillations(real, int(m))
-            acc[i] += (t.o1**q1 * t.o2**q2).mean()
+            o1, o2 = cascade.oscillations(real, int(m))
+            acc[i] += (o1**q1 * o2**q2).mean()
     logs = np.log2(acc / seeds)
     slope = np.polyfit(levels, logs, 1)[0]
     assert slope == pytest.approx(-TABLE.phi(q1, q2), abs=0.05)
@@ -250,7 +250,7 @@ def test_moment_of_total_oscillation_stable_in_depth():
     means = []
     for n in (7, 10):
         vals = [
-            cascade.oscillations(cascade.build(FRAC, seed=s, depth=n), 0).o1[0] ** q
+            cascade.oscillations(cascade.build(FRAC, seed=s, depth=n), 0)[0][0] ** q
             for s in range(150)
         ]
         means.append(np.mean(vals))
@@ -733,8 +733,8 @@ def test_partition_function_peak_is_two_oscillation_arrays(q):
     assert peak <= 2.25 * 8 * 2**16  # two level-16 arrays, plus a bool array and slack
     # the in-place powers give the bits of the out-of-place ones
     for m, log in est.counts_per_scale:
-        t = cascade.oscillations(real, m)
-        assert log == math.log(float((t.o1 ** q[0] * t.o2 ** q[1]).sum())) / math.log(2)
+        o1, o2 = cascade.oscillations(real, m)
+        assert log == math.log(float((o1 ** q[0] * o2 ** q[1]).sum())) / math.log(2)
 
 
 def test_walk_descends_only_through_levels_above_the_whole_level_limit(monkeypatch):
@@ -816,7 +816,7 @@ def export_level_oracle(real, level):
         for _ in range(level):
             v, d = divmod(v, b)
             digits.append(d)
-        word = str(Word(b, tuple(reversed(digits))))
+        word = ("." if b > 10 else "").join(str(d) for d in reversed(digits))
         rows.append((word, q1[j], q2[j], f1[(j + 1) * step], f2[(j + 1) * step]))
     return rows
 
@@ -1027,26 +1027,26 @@ def test_non_finite_tilt_is_a_config_error(q):
 
 def test_export_words_above_base_ten_are_distinct_and_parse_back():
     real = cascade.build(Fractional(11, 0.75, 0.75), seed=1, depth=3)
-    words = [row[0] for row in export_rows(cascade.export_level(real, 3))]
-    assert len(set(words)) == len(words) == 11**3
-    assert [parse_word(w, 11).index for w in words] == list(range(11**3))
-    assert words[1 * 121 + 0 * 11 + 10] == "1.0.10" and words[10 * 121 + 1 * 11 + 0] == "10.1.0"
+    texts = [row[0] for row in export_rows(cascade.export_level(real, 3))]
+    assert len(set(texts)) == len(texts) == 11**3
+    assert [parse_word(w, 11) for w in texts] == list(range(11**3))
+    assert texts[1 * 121 + 0 * 11 + 10] == "1.0.10" and texts[10 * 121 + 1 * 11 + 0] == "10.1.0"
 
 
-@pytest.mark.parametrize("word_block", [cascade._WORD_BLOCK, 16], ids=["default-blocks", "small-blocks"])
+@pytest.mark.parametrize("word_block", [words._WORD_BLOCK, 16], ids=["default-blocks", "small-blocks"])
 @pytest.mark.parametrize("b,level", [(2, 6), (3, 6), (12, 4)])
 def test_exported_words_are_the_level_words_in_every_access_form(monkeypatch, word_block, b, level):
     # a level of 12**6 words would take about 200 MB as a list; 12**4 already spans 12 blocks of 12**3
-    monkeypatch.setattr(cascade, "_WORD_BLOCK", word_block)
-    words = cascade.export_level(cascade.build(Fractional(b, 0.75, 0.75), seed=1, depth=level), level).words
-    want = list(cascade._words(b, level))
+    monkeypatch.setattr(words, "_WORD_BLOCK", word_block)
+    texts = cascade.export_level(cascade.build(Fractional(b, 0.75, 0.75), seed=1, depth=level), level).words
+    want = words.level_words(b, level)
     n = len(want)
-    assert len(words) == n and n % words.block == 0 and b <= words.block <= max(word_block, b)
-    block = words.block
-    assert [w for lo in range(0, n, block) for w in words[lo : lo + block]] == want
+    assert len(texts) == n and n % texts.block == 0 and b <= texts.block <= max(word_block, b)
+    block = texts.block
+    assert [w for lo in range(0, n, block) for w in texts[lo : lo + block]] == want
     for lo in {0, block % n, n - block}:  # a slice within one block
         for t, u in itertools.combinations((0, 1, block // 2, block - 1, block), 2):
-            assert words[lo + t : lo + u] == want[lo + t : lo + u]
+            assert texts[lo + t : lo + u] == want[lo + t : lo + u]
 
 
 NOT_INTEGERS = [1.5, 2.0, True, np.float64(3.0), "2", None]

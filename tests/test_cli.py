@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cascadelab
-from cascadelab import cascade, cli, estimate, modelio
+from cascadelab import cascade, cli, estimate, modelio, words
 from cascadelab.cli import _parse_q_list, _parse_testset, _parse_window, _simulate_text, _xi0_grid, main
 from cascadelab.errors import ConfigError, DegenerateRangeError, DivergenceError
 from cascadelab.weights import DiscreteTable, Fractional, LognormalSigned, Mixed, sigma_from_beta
@@ -46,8 +46,8 @@ def model_file(tmp_path):
 def export_rows(export):
     """The export's rows (word, Q1, Q2, F1, F2), built from its columns a block of words at a time."""
     block = export.words.block
-    words = [w for lo in range(0, len(export), block) for w in export.words[lo : lo + block]]
-    return list(zip(words, *(c.tolist() for c in (*export.products(), *export.ends))))
+    texts = [w for lo in range(0, len(export), block) for w in export.words[lo : lo + block]]
+    return list(zip(texts, *(c.tolist() for c in (*export.products(), *export.ends))))
 
 
 def read_csv(path):
@@ -215,18 +215,18 @@ def test_simulate_csv_of_a_multi_block_level_is_the_csv_writer_rendering(
     assert level.words.block == rows_per_block and len(level) > rows_per_block
     want = csv_writer_bytes(level)
     assert (out / "simulate.csv").read_bytes() == want
-    monkeypatch.setattr(cascade, "_WORD_BLOCK", 16)  # blocks of b**k rows, b**k <= 16 but at least b
+    monkeypatch.setattr(words, "_WORD_BLOCK", 16)  # blocks of b**k rows, b**k <= 16 but at least b
     small = cascade.export_level(cascade.build(model, 3, depth), depth)
     assert small.words.block == {2: 16, 3: 9, 12: 12}[model.base]
     assert rendered_bytes(small) == want
 
 
 def test_distinct_end_texts_keep_each_zero_sign(monkeypatch):
-    monkeypatch.setattr(cascade, "_WORD_BLOCK", 8)  # 4 blocks of 8 rows
+    monkeypatch.setattr(words, "_WORD_BLOCK", 8)  # 4 blocks of 8 rows
     f1 = np.array([0.0, -0.0, 0.5, 0.0, -0.0, 0.5, -0.5, -0.0] * 4)
     f2 = np.array([-0.0, -0.0, 0.0, 1e-300, 0.0, -1e-300, 0.0, -0.0] * 4)
     signs = np.arange(32, dtype=np.uint8) % 4
-    level = cascade.LevelExport(cascade._Words(2, 5), signs, (0.25, 0.5), (f1, f2))
+    level = cascade.LevelExport(words.LevelWords(2, 5), signs, (0.25, 0.5), (f1, f2))
     assert [len(values) for values, _ in level.distinct_ends()] == [4, 4]  # 0.0 and -0.0 apart
     rows = list(csv.reader(io.StringIO("".join(_simulate_text(level)), newline="")))
     assert [r[3] for r in rows] == ["0", "-0", "0.5", "0", "-0", "0.5", "-0.5", "-0"] * 4
@@ -408,6 +408,13 @@ def test_numeric_error_exit_code(model_file, tmp_path):
         ]
     )
     assert rc == 4
+
+
+def test_vanishing_first_moments_are_a_numeric_error(model_file, tmp_path, capsys):
+    # E|W1| = E|W2| = 0 once raised "math domain error" in xi_star: exit 1, a traceback
+    argv = ["predict", "--model", model_file("kind table\nb 2\natom 0 0 1\n"), "--out", str(tmp_path / "o"), "--force"]
+    assert main(argv) == 4
+    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "numeric"
 
 
 def test_resource_error_exit_code(model_file, tmp_path):

@@ -45,8 +45,8 @@ def test_block_cantor_set_on_binary_base():
     # digit blocks of every survivor are 00 or 11
     for j in idx:
         w = word_from_index(int(j), ts.word_level, 2)
-        pairs = [w.digits[i : i + 2] for i in range(0, 6, 2)]
-        assert all(p in ((0, 0), (1, 1)) for p in pairs)
+        pairs = [w[i : i + 2] for i in range(0, 6, 2)]
+        assert all(p in ("00", "11") for p in pairs)
 
 
 def test_full_alphabet_test_set_is_the_unit_interval():
@@ -187,7 +187,7 @@ def test_partition_function_negative_q_with_zero_oscillation():
 
 
 def coarsest_zero_level(real, lo, hi):
-    levels = [m for m in range(lo, hi + 1) if (cascade.oscillations(real, m).o1 == 0.0).any()]
+    levels = [m for m in range(lo, hi + 1) if (cascade.oscillations(real, m)[0] == 0.0).any()]
     assert levels and levels[0] < hi  # a finest-first report would name another level
     return levels[0]
 
@@ -208,7 +208,7 @@ def test_zero_oscillation_reports_the_coarsest_level():
 
 def test_identity_holder_exponent_is_one():
     real = cascade.build(IDENTITY2, seed=0, depth=12)
-    (h1,), (h2,) = estimate.holder_exponents(real, [parse_word("0110101101", 2).index], 2, 10)
+    (h1,), (h2,) = estimate.holder_exponents(real, [parse_word("0110101101", 2)], 2, 10)
     assert h1 == pytest.approx(1.0, abs=1e-10)
     assert h2 == pytest.approx(1.0, abs=1e-10)
 
@@ -249,18 +249,18 @@ def test_holder_word_index_that_is_not_an_int64_is_a_config_error(index):
 
 def test_identity_level_set_single_interval_per_level():
     real = cascade.build(IDENTITY2, seed=0, depth=12)
-    words, est = estimate.level_set(real, 1, 0.3, 8)
-    assert len(words) == 1
-    iv = words[0]
-    assert float(iv.index) / 2**8 <= 0.3 <= float(iv.index + 1) / 2**8
+    hits, est = estimate.level_set(real, 1, 0.3, 8)
+    assert len(hits) == 1
+    j = int(hits[0])
+    assert float(j) / 2**8 <= 0.3 <= float(j + 1) / 2**8
     assert est.value == pytest.approx(0.0, abs=1e-12)
     assert not est.empty
 
 
 def test_empty_level_set_convention():
     real = cascade.build(IDENTITY2, seed=0, depth=10)
-    words, est = estimate.level_set(real, 1, 2.0, 6)
-    assert words == []
+    hits, est = estimate.level_set(real, 1, 2.0, 6)
+    assert hits.tolist() == []
     assert est.empty and est.value == 0.0
 
 
