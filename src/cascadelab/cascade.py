@@ -182,12 +182,7 @@ class _LevelStream:
         return normals.standard_normal
 
 
-def build(
-    model: WeightModel,
-    seed: int,
-    depth: int,
-    cell_budget: int = DEFAULT_CELL_BUDGET,
-) -> CascadeRealization:
+def build(model: WeightModel, seed: int, depth: int) -> CascadeRealization:
     """The depth-n approximant of the cascade at a fixed seed.
 
     Checks the depth, the cell budget (see check_size) and the seed, and
@@ -195,13 +190,13 @@ def build(
     and tables are regenerated from the level streams by the first
     reader that asks for them (see CascadeRealization).
     """
-    depth = check_size(model.base, depth, cell_budget)
+    depth = check_size(model.base, depth)
     _philox_key(seed, 0)  # the seed check every level's stream makes
     return CascadeRealization(model, int(seed), depth)
 
 
-def check_size(base: int, depth: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> int:
-    """``depth`` as an int, once it is at least 1 and b**(depth+1) fits the cell budget.
+def check_size(base: int, depth: int) -> int:
+    """``depth`` as an int, once it is at least 1 and b**(depth+1) fits DEFAULT_CELL_BUDGET.
 
     A depth that is not an integer or below 1 raises ConfigError, one
     over the budget ResourceError.  Since b >= 2, b**(depth+1) is over
@@ -213,8 +208,8 @@ def check_size(base: int, depth: int, cell_budget: int = DEFAULT_CELL_BUDGET) ->
     depth = as_integer(depth, "depth")
     if depth < 1:
         raise ConfigError(f"depth must be >= 1, got {depth}")
-    if depth + 1 > cell_budget.bit_length() or base ** (depth + 1) > cell_budget:
-        raise ResourceError(f"b**(depth+1) = {base}**{depth + 1} exceeds cell budget {cell_budget}")
+    if depth + 1 > DEFAULT_CELL_BUDGET.bit_length() or base ** (depth + 1) > DEFAULT_CELL_BUDGET:
+        raise ResourceError(f"b**(depth+1) = {base}**{depth + 1} exceeds cell budget {DEFAULT_CELL_BUDGET}")
     return depth
 
 

@@ -172,6 +172,16 @@ def _write_manifest(out: Path, command: str, args, model, seeds, t0) -> None:
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
+def _out_dir(path) -> Path:
+    """The ``--out`` directory, created with its parents where missing."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot create output directory {path}: {e}") from e
+    return out
+
+
 def _run(args) -> int:
     """Run one table-writing command: load and gate the model, create
     ``--out``, write each ``(name, header, rows)`` table the command yields
@@ -187,8 +197,7 @@ def _run(args) -> int:
             f"model fails assumptions (a0={report.a0_ok}, a1={report.a1_ok}, "
             f"a2={report.a2_ok}); use --force to override. {report.notes}"
         )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     for name, header, rows in args.func(args, model):
         _write_csv(out / f"{name}.csv", header, rows)
     _write_manifest(out, args.command, args, model, _seeds(args), t0)
@@ -204,8 +213,7 @@ def cmd_check_model(args) -> int:
     payload["identical_weights"] = model.identical_weights()
     print(json.dumps(payload, indent=2, sort_keys=True))
     if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        out = _out_dir(args.out)
         with open(out / "check-model.json", "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
         _write_manifest(out, "check-model", args, model, [], t0)

@@ -54,7 +54,8 @@ class TestSet:
         if self.base < 2:
             raise ConfigError(f"base must be >= 2, got {self.base}")
         if self.block < 1 or self.generations < 0:
-            raise ConfigError("block and generations must be positive")
+            raise ConfigError(f"test set needs block >= 1 and generations >= 0, got block {self.block}, "
+                              f"generations {self.generations}")
         if self.block >= 63 / math.log2(self.base):
             raise ConfigError(f"block {self.block} too large: base**block must stay below 2**63")
         big = self.base**self.block
@@ -127,14 +128,14 @@ def fit_loglog(xs, ys) -> tuple[float, float, float]:
 # image box counting
 
 
-def _bounding_boxes(real: CascadeRealization, ts: TestSet, extra_levels: int):
-    """Per-interval bounding boxes of F over the refined surviving words."""
+def _bounding_boxes(real: CascadeRealization, ts: TestSet):
+    """Per-interval bounding boxes of F over the surviving words refined IMAGE_EXTRA_LEVELS levels."""
     if ts.base != real.base:
         raise ConfigError(f"test set base {ts.base} != model base {real.base}")
-    level = real.depth - extra_levels
+    level = real.depth - IMAGE_EXTRA_LEVELS
     if ts.word_level > level:
         raise ConfigError(
-            f"test set level {ts.word_level} exceeds depth - {extra_levels}"
+            f"test set level {ts.word_level} exceeds depth - {IMAGE_EXTRA_LEVELS}"
         )
     refine = real.base ** (level - ts.word_level)
     idx = (ts.word_indices()[:, None] * refine + np.arange(refine)[None, :]).ravel()
@@ -194,11 +195,7 @@ def _square_counts(x0, x1, y0, y1, j_lo: int, j_hi: int) -> list[int]:
     return counts[::-1]
 
 
-def image_box_dim(
-    real: CascadeRealization,
-    ts: TestSet,
-    extra_levels: int = IMAGE_EXTRA_LEVELS,
-) -> DimensionEstimate:
+def image_box_dim(real: CascadeRealization, ts: TestSet) -> DimensionEstimate:
     """Box-counting dimension of F(K) for a Cantor-type K.
 
     Covers the image by per-interval bounding boxes (conservative: the
@@ -213,7 +210,7 @@ def image_box_dim(
     the distinct parents (indices halved by ``>> 1``) of the next finer
     scale's (see _square_counts).
     """
-    x0, x1, y0, y1 = _bounding_boxes(real, ts, extra_levels)
+    x0, x1, y0, y1 = _bounding_boxes(real, ts)
     # resolvability guard: never count below the size of the covering
     # boxes themselves, or the regression sees the boxes (dimension-1
     # interval pieces), not the set.  A high quantile (not the max) sets

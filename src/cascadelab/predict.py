@@ -9,8 +9,8 @@ with smallest-root semantics (bisection over the index of a fixed
 grid, exact because the moment curves are log-convex, then bisection
 of the bracketing grid cell), the crossover exponent xi_star, the
 image-dimension law (min(xi, zeta) when the two components can differ,
-min(xi, 1) when they are almost surely equal), the signed
-lognormal and mixed-kind KPZ curves in closed form, the restricted
+min(xi, 1) when they are almost surely equal), the KPZ curve of the
+sign-and-modulus kinds in closed form, the restricted
 spectrum points xi0 + q . grad_phi(q) - phi(q), and the level-set
 dimension 1 - alpha_k of fractional cascades.
 
@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, DivergenceError, NoRootError
-from .weights import Fractional, LognormalSigned, Mixed, WeightModel
+from .weights import Fractional, SignedModulus, WeightModel
 
 SCAN_STEP = 1.0 / 512.0
 Q_MAX = 4.0
@@ -186,31 +186,39 @@ def predicted_image_dim(model: WeightModel, xi0: float) -> tuple[float, str]:
     return (xi, "xi") if xi <= zeta else (zeta, "zeta")
 
 
-def closed_form_image_dim(model: WeightModel, xi0: float) -> float | None:
-    """Closed-form KPZ root for the lognormal-factor kinds; None otherwise.
+def _smallest_quadratic_root(beta: float, bcoef: float, ccoef: float) -> float | None:
+    """Smallest root of beta*x**2 - bcoef*x + ccoef = 0, for beta >= 0, bcoef > 0; None if none is real.
 
-    LognormalSigned: xi0 - alpha*xi = beta*xi*(1 - xi) on all of [0, 1].
-    Mixed: the same up to xi0 = alpha, then
-    xi0 - xi = beta*xi*(1 - xi) + alpha - 1 (phase transition at alpha).
+    Taken as 2*ccoef / (bcoef + sqrt(disc)), which is ccoef / bcoef for
+    beta = 0 and, unlike (bcoef - sqrt(disc)) / (2*beta), does not
+    cancel to 0 where 4*beta*ccoef is below the rounding of bcoef**2.
+    """
+    disc = bcoef * bcoef - 4.0 * beta * ccoef
+    if disc < 0:
+        return None
+    return 2.0 * ccoef / (bcoef + math.sqrt(disc))
+
+
+def closed_form_image_dim(model: WeightModel, xi0: float) -> float | None:
+    """Closed-form KPZ root min(xi, zeta) for the sign-and-modulus kinds; None for a table.
+
+    With a, A the smaller and larger exponent and beta = sigma**2 / (2 ln b),
+    xi is the smallest root of beta*x**2 - (a + beta)*x + xi0 and zeta
+    that of beta*x**2 - (A + beta)*x + xi0 + (A - a): xi0/a and
+    1 + (xi0 - a)/A for beta = 0.  The two meet at the phase transition
+    xi0 = a.  A quadratic without a real root drops out of the min.
     """
     _check_xi0(xi0)
-
-    def quad_root(bcoef, ccoef, beta):
-        # smallest root of beta*x**2 - bcoef*x + ccoef = 0
-        if beta == 0.0:
-            return ccoef / bcoef
-        disc = bcoef * bcoef - 4.0 * beta * ccoef
-        if disc < 0:
-            raise NoRootError("closed-form discriminant negative")
-        return (bcoef - math.sqrt(disc)) / (2.0 * beta)
-
-    if isinstance(model, LognormalSigned):
-        return quad_root(model.alpha + model.beta, xi0, model.beta)
-    if isinstance(model, Mixed):
-        if xi0 <= model.alpha:
-            return quad_root(model.alpha + model.beta, xi0, model.beta)
-        return quad_root(1.0 + model.beta, xi0 + 1.0 - model.alpha, model.beta)
-    return None
+    if not isinstance(model, SignedModulus):
+        return None
+    a_min, a_max = sorted(model.exponents)
+    beta = model.beta
+    xi = _smallest_quadratic_root(beta, a_min + beta, xi0)
+    zeta = _smallest_quadratic_root(beta, a_max + beta, xi0 + (a_max - a_min))
+    roots = [r for r in (xi, zeta) if r is not None]
+    if not roots:
+        raise NoRootError(f"closed-form discriminants negative at xi0={xi0}")
+    return min(roots)
 
 
 @dataclass(frozen=True)
@@ -227,8 +235,9 @@ class PredictionRow:
 def kpz_curve(model: WeightModel, xi0_grid) -> list[PredictionRow]:
     """Predicted image dimension along a grid of source dimensions.
 
-    For the lognormal-factor kinds the solver root is cross-checked
-    against the closed-form root; disagreement beyond 1e-8 is an error.
+    For the sign-and-modulus kinds the solver root is cross-checked
+    against the closed-form root off the capped branch; disagreement
+    beyond 1e-8 is an error.
     """
     xs = xi_star(model)
     rows = []

@@ -7,7 +7,8 @@ Four model kinds are supported:
 * ``LognormalSigned`` -- W_k = X_k * exp(sigma*Y - sigma**2/2) with a
   single shared standard normal Y and X_k = +-b**-alpha;
 * ``Mixed`` -- W1 is signed lognormal, W2 = b**-1 * exp(sigma*Y - sigma**2/2)
-  is almost surely positive (the random-metric example);
+  is almost surely positive (the random-metric example), one law
+  (``SignedModulus``) with the two above;
 * ``DiscreteTable`` -- an arbitrary finite-support law, used as an exact
   moment oracle.
 
@@ -277,70 +278,6 @@ def _validate_sigma(sigma: float) -> None:
         raise ConfigError(f"sigma must be finite and >= 0, got {sigma}")
 
 
-@dataclass(frozen=True)
-class Fractional(WeightModel):
-    """|W_k| = b**-alpha_k almost surely, signs from ``sign_joint``.
-
-    The sign marginals must reproduce E(W_k) = b**-1 exactly; the default
-    joint is independent signs with those marginals.
-    """
-
-    base: int
-    alpha1: float
-    alpha2: float
-    sign_joint: SignJoint = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        _validate_base(self.base)
-        _validate_alpha(self.alpha1, 0.5)
-        _validate_alpha(self.alpha2, 0.5)
-        if self.sign_joint is None:
-            sj = SignJoint.independent(
-                default_sign_plus(self.base, self.alpha1),
-                default_sign_plus(self.base, self.alpha2),
-            )
-            object.__setattr__(self, "sign_joint", sj)
-        for k, plus, alpha in (
-            (1, self.sign_joint.plus1, self.alpha1),
-            (2, self.sign_joint.plus2, self.alpha2),
-        ):
-            want = default_sign_plus(self.base, alpha)
-            if abs(plus - want) > 1e-9:
-                raise ConfigError(
-                    f"sign marginal {plus} for W{k} does not give E(W{k})=1/b "
-                    f"(need {want})"
-                )
-
-    def sample_pairs(self, rng, size):
-        signs = self.sign_joint.signs(rng.random(size))
-        return signs, self.base**-self.alpha1, self.base**-self.alpha2
-
-    def joint_moment(self, q1, q2):
-        try:
-            return float(self.base ** -(q1 * self.alpha1 + q2 * self.alpha2))
-        except OverflowError:
-            return math.inf
-
-    def mean(self, k):
-        plus = self.sign_joint.plus1 if k == 1 else self.sign_joint.plus2
-        alpha = self.alpha1 if k == 1 else self.alpha2
-        return self.base**-alpha * (2.0 * plus - 1.0)
-
-    def identical_weights(self):
-        return self.alpha1 == self.alpha2 and self.sign_joint.diagonal >= 1.0 - _PROB_TOL
-
-    def grad_phi(self, q1, q2):
-        return (self.alpha1, self.alpha2)
-
-    def describe(self):
-        sj = self.sign_joint
-        return (
-            f"kind fractional\nb {self.base}\nalpha1 {self.alpha1!r}\n"
-            f"alpha2 {self.alpha2!r}\nsign ++ {sj.pp!r}\nsign +- {sj.pm!r}\n"
-            f"sign -+ {sj.mp!r}\nsign -- {sj.mm!r}\n"
-        )
-
-
 def _lognormal_factor(g: np.ndarray, sigma: float) -> np.ndarray:
     """exp(sigma * g - sigma**2 / 2), computed in place over the normals ``g``."""
     g *= sigma
@@ -356,31 +293,121 @@ def sigma_from_beta(beta: float, base: int) -> float:
     return math.sqrt(2.0 * beta * math.log(base))
 
 
-class _LognormalFactor:
-    """The beta parametrization of the kinds whose moduli carry exp(sigma*Y - sigma**2/2)."""
+class SignedModulus(WeightModel):
+    """W_k = s_k * b**-a_k * exp(sigma*Y - sigma**2/2), signs (s1, s2) from ``sign_joint``, one normal Y.
+
+    A kind gives its ``exponents`` (a1, a2), ``sigma`` and ``sign_joint``;
+    the rest of the law is written once here, and ``check_assumptions``
+    and ``predict.closed_form_image_dim`` read it from the exponents.
+    """
+
+    exponents: tuple[float, float]  # (a1, a2)
+    sigma: float
+    sign_joint: SignJoint
+    _alpha_floor = 0.0  # each exponent lies in (_alpha_floor, 1]
+
+    def __post_init__(self):
+        _validate_base(self.base)
+        for a in self.exponents:
+            _validate_alpha(a, self._alpha_floor)
+        _validate_sigma(self.sigma)
+        self._settle_signs()
 
     @property
     def beta(self) -> float:
         """sigma**2 / (2 ln b)."""
         return self.sigma**2 / (2.0 * math.log(self.base))
 
-    def _moment_in_scaled_logs(self, q1, q2, a1, a2):
-        """b**-(a1*q1 + a2*q2) * exp(sigma**2 * (s*s - s) / 2), s = q1 + q2, taken in logs.
+    def _settle_signs(self) -> None:
+        """Default to independent signs, and check that the marginals make E(W_k) = b**-1 exact."""
+        want = [default_sign_plus(self.base, a) for a in self.exponents]
+        if self.sign_joint is None:
+            object.__setattr__(self, "sign_joint", SignJoint.independent(*want))
+        for k, plus, need in zip((1, 2), (self.sign_joint.plus1, self.sign_joint.plus2), want):
+            if abs(plus - need) > 1e-9:
+                raise ConfigError(
+                    f"sign marginal {plus} for W{k} does not give E(W{k})=1/b (need {need})"
+                )
 
-        For the q where s * s or s itself overflows (|s| past about
-        1.3e154), so that the closed form reads 0 * inf or inf - inf.
-        The log is taken with q scaled by 2**-600, which keeps every term
-        finite: the moment is +inf, or 0.0 for sigma = 0 and a positive
-        exponent.
+    def _sign_rows(self) -> str:
+        sj = self.sign_joint
+        return f"sign ++ {sj.pp!r}\nsign +- {sj.pm!r}\nsign -+ {sj.mp!r}\nsign -- {sj.mm!r}\n"
+
+    def _lognormal_moment(self, q1, q2, e):
+        """b**-e * exp(sigma**2 * (s*s - s) / 2), s = q1 + q2, for the kind's exponent e = a1*q1 + a2*q2.
+
+        Where s * s or s itself overflows (|s| past about 1.3e154), so
+        that this reads 0 * inf or inf - inf, the log is taken with q
+        scaled by 2**-600, which keeps every term finite: the moment is
+        +inf, or 0.0 for sigma = 0 and a positive exponent.
         """
-        k = 2.0**-600
-        p1, p2 = q1 * k, q2 * k
-        spread = self.sigma**2 * ((p1 + p2) ** 2 - (p1 + p2) * k) / 2.0
-        return _exp((spread - (a1 * p1 + a2 * p2) * k * math.log(self.base)) / k / k)
+        s = q1 + q2
+        spread = self.sigma**2 * (s * s - s) / 2.0
+        try:
+            m = float(self.base**-e * math.exp(spread))
+        except OverflowError:  # one factor overflows: the product, in logs
+            m = _exp(spread - e * math.log(self.base))
+        if m != m:  # NaN: 0 * inf or inf - inf, past an overflowing square
+            a1, a2 = self.exponents
+            k = 2.0**-600
+            p1, p2 = q1 * k, q2 * k
+            spread = self.sigma**2 * ((p1 + p2) ** 2 - (p1 + p2) * k) / 2.0
+            return _exp((spread - (a1 * p1 + a2 * p2) * k * math.log(self.base)) / k / k)
+        return m
+
+    def mean(self, k):
+        plus = self.sign_joint.plus1 if k == 1 else self.sign_joint.plus2
+        return self.base ** -self.exponents[k - 1] * (2.0 * plus - 1.0)
+
+    def identical_weights(self):
+        a1, a2 = self.exponents
+        return a1 == a2 and self.sign_joint.diagonal >= 1.0 - _PROB_TOL
+
+    def grad_phi(self, q1, q2):
+        a1, a2 = self.exponents
+        beta = self.beta
+        corr = beta * (2.0 * (q1 + q2) - 1.0) if beta else 0.0  # never 0 * inf where q1 + q2 overflows
+        return (a1 - corr, a2 - corr)
 
 
 @dataclass(frozen=True)
-class LognormalSigned(_LognormalFactor, WeightModel):
+class Fractional(SignedModulus):
+    """|W_k| = b**-alpha_k almost surely (sigma = 0), signs from ``sign_joint``.
+
+    The sign marginals must reproduce E(W_k) = b**-1 exactly; the default
+    joint is independent signs with those marginals.
+    """
+
+    base: int
+    alpha1: float
+    alpha2: float
+    sign_joint: SignJoint = None  # type: ignore[assignment]
+    sigma = 0.0
+    _alpha_floor = 0.5
+
+    @property
+    def exponents(self):
+        return (self.alpha1, self.alpha2)
+
+    def sample_pairs(self, rng, size):
+        signs = self.sign_joint.signs(rng.random(size))
+        return signs, self.base**-self.alpha1, self.base**-self.alpha2
+
+    def joint_moment(self, q1, q2):
+        try:
+            return float(self.base ** -(q1 * self.alpha1 + q2 * self.alpha2))
+        except OverflowError:
+            return math.inf
+
+    def describe(self):
+        return (
+            f"kind fractional\nb {self.base}\nalpha1 {self.alpha1!r}\n"
+            f"alpha2 {self.alpha2!r}\n{self._sign_rows()}"
+        )
+
+
+@dataclass(frozen=True)
+class LognormalSigned(SignedModulus):
     """W_k = X_k * exp(sigma*Y - sigma**2/2), one shared normal Y per draw.
 
     X_k = +-b**-alpha with marginals making E(W_k) = b**-1.  The shared
@@ -393,19 +420,9 @@ class LognormalSigned(_LognormalFactor, WeightModel):
     sigma: float
     sign_joint: SignJoint = None  # type: ignore[assignment]
 
-    def __post_init__(self):
-        _validate_base(self.base)
-        _validate_alpha(self.alpha)
-        _validate_sigma(self.sigma)
-        if self.sign_joint is None:
-            p = default_sign_plus(self.base, self.alpha)
-            object.__setattr__(self, "sign_joint", SignJoint.independent(p, p))
-        want = default_sign_plus(self.base, self.alpha)
-        for plus in (self.sign_joint.plus1, self.sign_joint.plus2):
-            if abs(plus - want) > 1e-9:
-                raise ConfigError(
-                    f"sign marginal {plus} does not give E(W_k)=1/b (need {want})"
-                )
+    @property
+    def exponents(self):
+        return (self.alpha, self.alpha)
 
     def sample_pairs(self, rng, size):
         signs = self.sign_joint.signs(rng.random(size))
@@ -414,39 +431,17 @@ class LognormalSigned(_LognormalFactor, WeightModel):
         return signs, mag, mag
 
     def joint_moment(self, q1, q2):
-        s = q1 + q2
-        spread = self.sigma**2 * (s * s - s) / 2.0
-        try:
-            m = float(self.base ** (-self.alpha * s) * math.exp(spread))
-        except OverflowError:  # one factor overflows: the product, in logs
-            m = _exp(spread - self.alpha * s * math.log(self.base))
-        if m != m:  # NaN: 0 * inf or inf - inf, past an overflowing square
-            return self._moment_in_scaled_logs(q1, q2, self.alpha, self.alpha)
-        return m
-
-    def mean(self, k):
-        plus = self.sign_joint.plus1 if k == 1 else self.sign_joint.plus2
-        return self.base**-self.alpha * (2.0 * plus - 1.0)
-
-    def identical_weights(self):
-        return self.sign_joint.diagonal >= 1.0 - _PROB_TOL
-
-    def grad_phi(self, q1, q2):
-        s = q1 + q2
-        d = self.alpha - self.beta * (2.0 * s - 1.0)
-        return (d, d)
+        return self._lognormal_moment(q1, q2, self.alpha * (q1 + q2))
 
     def describe(self):
-        sj = self.sign_joint
         return (
             f"kind lognormal\nb {self.base}\nalpha {self.alpha!r}\n"
-            f"sigma {self.sigma!r}\nsign ++ {sj.pp!r}\nsign +- {sj.pm!r}\n"
-            f"sign -+ {sj.mp!r}\nsign -- {sj.mm!r}\n"
+            f"sigma {self.sigma!r}\n{self._sign_rows()}"
         )
 
 
 @dataclass(frozen=True)
-class Mixed(_LognormalFactor, WeightModel):
+class Mixed(SignedModulus):
     """W1 signed lognormal, W2 = b**-1 * exp(sigma*Y - sigma**2/2) > 0.
 
     The second coordinate is almost surely positive, so F2 is increasing
@@ -458,48 +453,31 @@ class Mixed(_LognormalFactor, WeightModel):
     sigma: float
     sign_plus: float = None  # type: ignore[assignment]
 
-    def __post_init__(self):
-        _validate_base(self.base)
-        _validate_alpha(self.alpha)
-        _validate_sigma(self.sigma)
+    def _settle_signs(self):
+        """Default to the sign_plus making E(W1) = b**-1; a given one need only be a probability."""
         if self.sign_plus is None:
-            object.__setattr__(
-                self, "sign_plus", default_sign_plus(self.base, self.alpha)
-            )
+            object.__setattr__(self, "sign_plus", default_sign_plus(self.base, self.alpha))
         if not 0.0 <= self.sign_plus <= 1.0:
             raise ConfigError(f"sign_plus must be a probability, got {self.sign_plus}")
 
+    @property
+    def exponents(self):
+        return (self.alpha, 1.0)
+
+    @functools.cached_property
+    def sign_joint(self) -> SignJoint:
+        """(p, 0, 1 - p, 0) for p = sign_plus: W2 is never negative."""
+        return SignJoint(self.sign_plus, 0.0, 1.0 - self.sign_plus, 0.0)
+
     def sample_pairs(self, rng, size):
-        signs = (rng.random(size) >= self.sign_plus).view(np.uint8)
+        signs = self.sign_joint.signs(rng.random(size))
         factor = _lognormal_factor(rng.standard_normal(size), self.sigma)
         mag1 = factor * self.base**-self.alpha
         factor /= self.base
         return signs, mag1, factor
 
     def joint_moment(self, q1, q2):
-        s = q1 + q2
-        spread = self.sigma**2 * (s * s - s) / 2.0
-        try:
-            m = float(self.base ** -(self.alpha * q1 + q2) * math.exp(spread))
-        except OverflowError:  # one factor overflows: the product, in logs
-            m = _exp(spread - (self.alpha * q1 + q2) * math.log(self.base))
-        if m != m:  # NaN: 0 * inf or inf - inf, past an overflowing square
-            return self._moment_in_scaled_logs(q1, q2, self.alpha, 1.0)
-        return m
-
-    def mean(self, k):
-        if k == 1:
-            return self.base**-self.alpha * (2.0 * self.sign_plus - 1.0)
-        return 1.0 / self.base
-
-    def identical_weights(self):
-        # W1 == W2 a.s. requires X1 deterministic and equal to b**-1.
-        return self.alpha == 1.0 and self.sign_plus >= 1.0 - _PROB_TOL
-
-    def grad_phi(self, q1, q2):
-        s = q1 + q2
-        corr = self.beta * (2.0 * s - 1.0)
-        return (self.alpha - corr, 1.0 - corr)
+        return self._lognormal_moment(q1, q2, self.alpha * q1 + q2)
 
     def describe(self):
         return (
@@ -600,7 +578,7 @@ class DiscreteTable(WeightModel):
 
 
 def _a1_condition_closed_form(alpha: float, beta: float) -> bool:
-    """Closed-form admissibility for the lognormal-factor kinds."""
+    """Closed-form (A1) for the sign-and-modulus kinds, alpha the smaller exponent."""
     if beta >= 1.0 or alpha > 1.0:
         return False
     if beta >= 0.25:
@@ -608,15 +586,18 @@ def _a1_condition_closed_form(alpha: float, beta: float) -> bool:
     return beta + 0.5 < alpha
 
 
-def check_assumptions(model: WeightModel, grid_points: int = 512) -> AssumptionReport:
+_A1_GRID_POINTS = 512  # points of the (A1) scan over q in (1, 2]
+
+
+def check_assumptions(model: WeightModel) -> AssumptionReport:
     """Verify (A0)-(A2) for a model.
 
     (A0) is checked against the analytic means; (A1) by scanning
     E|W_k|**q over q in (1, 2] and refining the best candidate by
-    trisection; (A2) analytically (the lognormal and fractional kinds
-    have all negative moments, a table fails iff it carries a zero
-    atom).  For the lognormal-factor kinds the scan answer is
-    cross-checked against the closed-form admissibility condition.
+    trisection; (A2) analytically (the sign-and-modulus kinds have all
+    negative moments, a table fails iff it carries a zero atom).  For the
+    sign-and-modulus kinds the scan answer is cross-checked against the
+    closed-form admissibility condition.
     """
     b = model.base
     notes = []
@@ -628,6 +609,7 @@ def check_assumptions(model: WeightModel, grid_points: int = 512) -> AssumptionR
     def worst(q):
         return max(model.joint_moment(q, 0.0), model.joint_moment(0.0, q))
 
+    grid_points = _A1_GRID_POINTS
     qs = 1.0 + np.arange(1, grid_points + 1) / grid_points
     vals = np.array([worst(q) for q in qs])
     i = int(np.argmin(vals))
@@ -644,8 +626,8 @@ def check_assumptions(model: WeightModel, grid_points: int = 512) -> AssumptionR
     a1_ok = worst(q_best) < 1.0 / b
     a1_witness = q_best if a1_ok else None
 
-    if isinstance(model, _LognormalFactor):
-        closed = _a1_condition_closed_form(model.alpha, model.beta)
+    if isinstance(model, SignedModulus):
+        closed = _a1_condition_closed_form(min(model.exponents), model.beta)
         if closed != a1_ok:
             notes.append(
                 f"A1 scan ({a1_ok}) disagrees with closed form ({closed}); "

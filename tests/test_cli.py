@@ -377,6 +377,16 @@ def test_missing_out_is_config_error(model_file):
     assert main(["predict", "--model", model_file(FRACTIONAL)]) == 2
 
 
+@pytest.mark.parametrize("command", ["predict", "check-model"])
+def test_out_that_is_a_file_is_config_error(model_file, tmp_path, capsys, command):
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    assert main([command, "--model", model_file(FRACTIONAL), "--out", str(afile)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and "cannot create output directory" in err["message"]
+    assert afile.read_text() == "kept\n"
+
+
 def test_bad_model_file_is_config_error(model_file, tmp_path):
     bad = model_file("kind nosuch\n", "bad.txt")
     assert main(["predict", "--model", bad, "--out", str(tmp_path / "o")]) == 2

@@ -64,6 +64,14 @@ def test_invalid_test_sets():
         cantor_set(2, (0, 0), 3)
 
 
+def test_test_set_rule_message_names_the_rule_and_the_values():
+    assert cantor_set(2, (0,), 0).word_indices().tolist() == [0]  # 0 generations is valid
+    with pytest.raises(ConfigError, match=r"block >= 1 and generations >= 0, got block 1, generations -1"):
+        cantor_set(2, (0,), -1)
+    with pytest.raises(ConfigError, match=r"got block 0, generations 2"):
+        cantor_set(2, (0,), 2, block=0)
+
+
 @pytest.mark.parametrize(
     "args",
     [

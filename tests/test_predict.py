@@ -6,7 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cascadelab import predict
@@ -17,6 +17,7 @@ from cascadelab.weights import (
     LognormalSigned,
     Mixed,
     SignJoint,
+    check_assumptions,
     sigma_from_beta,
 )
 
@@ -180,8 +181,42 @@ def test_mixed_beta_zero_degenerates_to_affine_law():
     assert dim == pytest.approx(1.2, abs=1e-8)
 
 
-def test_closed_form_is_none_off_the_lognormal_kinds():
-    assert predict.closed_form_image_dim(FRAC_EQ, 0.5) is None
+def test_closed_form_is_none_for_a_table():
+    table = DiscreteTable(2, (((0.3, 0.7), 0.5), ((0.7, 0.3), 0.5)))
+    assert predict.closed_form_image_dim(table, 0.5) is None
+    assert all(row.closed_form is None for row in predict.kpz_curve(table, [0.25, 0.5]))
+
+
+def test_fractional_closed_form_across_its_transition():
+    # xi0 / 0.6 up to the transition at xi0 = alpha1 = 0.6, then 1 + (xi0 - 0.6) / 0.9
+    m = Fractional(2, 0.6, 0.9)
+    assert f"{predict.closed_form_image_dim(m, 0.5):.12g}" == "0.833333333333"  # as predict.csv prints it
+    assert predict.closed_form_image_dim(m, 0.6) == pytest.approx(1.0, abs=1e-15)
+    assert predict.closed_form_image_dim(m, 0.9) == pytest.approx(4.0 / 3.0, abs=1e-15)
+    for xi0, branch in ((0.3, "xi"), (0.59, "xi"), (0.61, "zeta"), (0.9, "zeta"), (1.0, "zeta")):
+        dim, got = predict.predicted_image_dim(m, xi0)
+        assert got == branch
+        assert dim == pytest.approx(predict.closed_form_image_dim(m, xi0), abs=1e-10)
+    rows = predict.kpz_curve(m, np.linspace(0.0, 1.0, 17))  # cross-checks each row
+    assert all(row.closed_form is not None for row in rows)
+
+
+def test_closed_form_drops_a_quadratic_without_a_real_root():
+    # mixed, alpha 0.8, xi0 1: the xi quadratic has no real root for beta in (0.306, 0.42), neither has at beta 1
+    m = mixed_beta(2, 0.8, 0.35)
+    beta = m.beta
+    assert (0.8 + beta) ** 2 - 4.0 * beta < 0
+    want = 2.0 * 1.2 / (1.0 + beta + math.sqrt((1.0 + beta) ** 2 - 4.0 * beta * 1.2))
+    assert predict.closed_form_image_dim(m, 1.0) == pytest.approx(want, rel=1e-14)
+    with pytest.raises(NoRootError):
+        predict.closed_form_image_dim(mixed_beta(2, 0.8, 1.0), 1.0)
+
+
+def test_closed_form_of_a_tiny_beta_does_not_cancel_to_zero():
+    # beta about 8e-122: (bcoef - sqrt(disc)) / (2 beta) read 0.0 here
+    m = LognormalSigned(2, 1.0, 3.419906795019016e-61, SignJoint(1.0, 0.0, 0.0, 0.0))
+    assert predict.closed_form_image_dim(m, 1.0) == 1.0
+    assert predict.closed_form_image_dim(m, 0.5) == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +296,29 @@ def test_fractional_xi_closed_form_property(a1, a2, xi0):
     if want > predict.Q_MAX:
         return
     assert predict.solve_xi(m, xi0) == pytest.approx(want, abs=1e-9)
+
+
+@st.composite
+def signed_modulus_models(draw):
+    """A fractional, signed lognormal or mixed model that passes the assumption check."""
+    kind = draw(st.sampled_from(["fractional", "lognormal", "mixed"]))
+    b = draw(st.sampled_from([2, 3, 7]))
+    alpha = draw(st.floats(0.51, 1.0))
+    if kind == "fractional":
+        model = Fractional(b, alpha, draw(st.floats(0.51, 1.0)))
+    else:
+        beta = draw(st.floats(0.0, 0.45))
+        model = (lognormal_beta if kind == "lognormal" else mixed_beta)(b, alpha, beta)
+    assume(check_assumptions(model).all_ok)
+    return model
+
+
+@settings(max_examples=60, deadline=None)
+@given(signed_modulus_models(), st.floats(0.0, 1.0))
+def test_closed_form_equals_the_solver_off_the_capped_branch(model, xi0):
+    dim, branch = predict.predicted_image_dim(model, xi0)
+    assume(branch != "capped")
+    assert abs(predict.closed_form_image_dim(model, xi0) - dim) <= 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -179,6 +179,17 @@ def test_lognormal_gradient_closed_form():
     assert g[1] == pytest.approx(0.75, abs=1e-12)
 
 
+@pytest.mark.parametrize("model, want", [
+    (Fractional(2, 0.6, 0.8), (0.6, 0.8)),
+    (LognormalSigned(2, 0.8, 0.0), (0.8, 0.8)),
+    (Mixed(2, 0.8, 0.0), (0.8, 1.0)),
+])
+def test_gradient_without_spread_is_the_exponents_at_any_finite_q(model, want):
+    # beta = 0: the correction beta * (2(q1 + q2) - 1) is 0, never 0 * inf = NaN where q1 + q2 overflows
+    for q in ((0.3, 1.7), (1e308, 1e308), (-1e308, -1e308)):
+        assert model.grad_phi(*q) == want
+
+
 def test_single_atom_gradient():
     m = DiscreteTable(2, (((0.3, 0.4), 1.0),))
     g = m.grad_phi(0.7, 0.2)
@@ -224,6 +235,16 @@ def test_table_with_zero_atom_fails_a2():
     m = DiscreteTable(2, (((0.0, 0.5), 0.5), ((1.0, 0.5), 0.5)))
     rep = check_assumptions(m)
     assert not rep.a2_ok
+
+
+@pytest.mark.parametrize("base", [2, 3, 7])
+def test_fractional_a1_closed_form_equals_the_scan(base):
+    # the scan alone: the cross-check would overwrite a disagreeing scan with the closed form
+    for a1 in (0.5 + 1e-15, 0.5 + 1e-9, 0.501, 0.6, 0.75, 1.0):
+        for a2 in (0.5 + 1e-15, 0.7, 1.0):
+            rep = check_assumptions(Fractional(base, a1, a2))
+            assert rep.notes == "" and rep.a1_ok
+            assert weights._a1_condition_closed_form(min(a1, a2), 0.0) == rep.a1_ok
 
 
 def test_mixed_assumptions_follow_condition_six():
@@ -485,6 +506,17 @@ def test_mixed_sampling_matches_the_former_where_formula():
     s1 = np.where(u < model.sign_plus, 1.0, -1.0)
     assert w1.tobytes() == (s1 * 2**-model.alpha * factor).tobytes()
     assert w2.tobytes() == (factor / 2).tobytes()
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.8, 1.0])
+def test_mixed_signs_from_its_sign_table_are_the_former_u_at_or_past_sign_plus(p):
+    model = Mixed(3, 0.8, 0.1, p)
+    assert model.sign_joint == SignJoint(p, 0.0, 1.0 - p, 0.0)
+    u = np.random.default_rng(3).random(4096)
+    u[:4] = (0.0, p, np.nextafter(p, 0.0), np.nextafter(1.0, 0.0)) if p < 1.0 else (0.0, 0.5, 0.9, 0.99)
+    assert model.sign_joint.signs(u).tobytes() == (u >= p).view(np.uint8).tobytes()
+    signs, _, _ = model.sample_pairs(np.random.default_rng(4), 4096)
+    assert signs.tobytes() == (np.random.default_rng(4).random(4096) >= p).view(np.uint8).tobytes()
 
 
 # ---------------------------------------------------------------------------
