@@ -21,17 +21,16 @@ order: build(model, seed, n) and build(model, seed, n+1) agree
 bit-exactly on all levels up to n, and a level regenerated from its
 stream is bit-identical to every other draw of it.
 
-The grid is walked in cache-sized chunks (see _walk_chunks): every
+The grid is walked in cache-sized chunks (see grid_chunks): every
 level of at most _WHOLE_LEVEL_CELLS = 2**12 nodes, and every level
 above the chunks, is built whole; then the subtrees of at most
 _CHUNK_CELLS = 2**16 leaves are visited in index order, each one's
-slice of every larger level drawn from the level's stream, multiplied
-out and summed; the leaves are drawn in parts of at most _LEAF_CELLS =
-2**15, each written straight into the chunk's buffer.  The walk
-multiplies in the signed form of WeightModel.sample_pairs: a sign byte
-per node, XOR-ed down the levels, and moduli multiplied alone (floats
-for the fractional kind, one shared array for the lognormal kind; see
-_next_signed).  Float products are
+slice of every larger level drawn from the level's stream, one draw
+per level, multiplied out and summed, the leaves written straight into
+the chunk's buffer.  The walk multiplies in the signed form of
+WeightModel.sample_pairs: a sign byte per node, XOR-ed down the levels,
+and moduli multiplied alone (floats for the fractional kind, one shared
+array for the lognormal kind; see _next_signed).  Float products are
 assembled only at the leaves, bit-identical to signed float products.
 grid_chunks sums each chunk into one reused buffer, so a reader of it
 (grid_min_max, grid_values and estimate.occupation_histogram) peaks at
@@ -66,7 +65,6 @@ from .words import LevelWords
 DEFAULT_CELL_BUDGET = 2**26
 _CHUNK_CELLS = 2**16  # leaves of the subtree a grid walk samples and sums at once
 _WHOLE_LEVEL_CELLS = 2**12  # a grid walk builds every level of at most this many nodes whole
-_LEAF_CELLS = 2**15  # leaves of the largest slice of a chunk that a grid walk draws at once
 _FOLD_RUN_MAX = 32  # _fold reduces each run in one call when it is longer
 
 
@@ -213,6 +211,14 @@ def check_size(base: int, depth: int) -> int:
     return depth
 
 
+def _check_level(real: CascadeRealization, level: int) -> int:
+    """``level`` as an int, once it is an integer in [0, depth]; else ConfigError."""
+    level = as_integer(level, "level")
+    if not 0 <= level <= real.depth:
+        raise ConfigError(f"level {level} outside [0, {real.depth}]")
+    return level
+
+
 def _chunk_shape(b: int, depth: int) -> tuple[int, int]:
     """(top, width): the chunks are the b**top level-top subtrees of width leaves.
 
@@ -225,20 +231,18 @@ def _chunk_shape(b: int, depth: int) -> tuple[int, int]:
     return depth - s, b**s
 
 
-def _walk_chunks(real: CascadeRealization, frame: tuple):
-    """Sum each chunk's leaf products into ``frame``, then yield the chunk's index i, in index order.
+def grid_chunks(real: CascadeRealization):
+    """Yield (F1, F2) over each chunk's closed interval, in index order, in one reused buffer.
 
-    ``frame`` is two arrays of width + 1 values (see _chunk_shape); when
-    i is yielded they hold (F1, F2) at the leaf points i * width .. (i +
-    1) * width of chunk i, until the next chunk overwrites them.  The
-    levels down to top, and every level of at most _WHOLE_LEVEL_CELLS
-    nodes, are built whole; then each chunk's slices of the larger levels
-    are drawn from their streams (see _LevelStream) and multiplied out,
-    the leaf level's in parts of at most _LEAF_CELLS leaves whose products
-    are written straight into the frame.  Slot 0 of the frame is set to
-    the value the previous chunk ended on (0.0 before the first), and the
-    rest to the cumulative sum of the products from there, in place.  The
-    values are bit-identical to one cumsum over a whole-level build.
+    Chunk i holds the grid values at the points i * width .. (i + 1) *
+    width (see _chunk_shape): the chunks' values without their last one
+    cover the grid but its right end exactly once.  The next chunk
+    overwrites the buffer, so a reader keeps what it needs of each one
+    before it asks for the next.  Each chunk's slice of a level below
+    the whole ones is one draw from the level's stream (see
+    _LevelStream); the leaf products are written into the buffer and
+    summed there in place, from the previous chunk's last value on,
+    bit-identical to one cumsum over a whole-level build.
     """
     model, seed, depth, b = real.model, real.seed, real.depth, real.base
     top, width = _chunk_shape(b, depth)
@@ -248,40 +252,19 @@ def _walk_chunks(real: CascadeRealization, frame: tuple):
     q = _signed_level(model, seed, whole)
     span = b ** (whole - top)  # level-whole words under each chunk
     streams = [_LevelStream(seed, m, b**m) for m in range(whole + 1, depth + 1)]
-    leaves = streams.pop() if streams else None  # None: the chunk's leaves are a slice of q
-    part = width if leaves is None else b * max(1, _LEAF_CELLS // b)
+    buffer = (np.empty(width + 1), np.empty(width + 1))
     ends = (0.0, 0.0)
     for i in range(b**top):
         c = _slice(q, i * span, (i + 1) * span)
         for k, stream in enumerate(streams, whole - top + 1):
             c = _next_signed(c, model.sample_pairs(stream, b**k), b)
-        for lo in range(0, width, part):
-            hi = min(lo + part, width)
-            leaf = c if leaves is None else _next_signed(
-                _slice(c, lo // b, hi // b), model.sample_pairs(leaves, hi - lo), b
-            )
-            signed_pairs(*leaf, out=[f[1 + lo : 1 + hi] for f in frame])
-        for f, end in zip(frame, ends):
+        signed_pairs(*c, out=[f[1:] for f in buffer])
+        for f, end in zip(buffer, ends):
             f[0] = end
             if i:  # never on the first chunk: 0.0 + -0.0 would drop a sign bit
                 f[1] += end
             np.cumsum(f[1:], out=f[1:])
-        ends = (frame[0][-1], frame[1][-1])
-        yield i
-
-
-def grid_chunks(real: CascadeRealization):
-    """Yield (F1, F2) over each chunk's closed interval, in index order, in one reused buffer.
-
-    Chunk i holds the grid values at the points i * width .. (i + 1) *
-    width (see _chunk_shape): the chunks' values without their last one
-    cover the grid but its right end exactly once.  The next chunk
-    overwrites the buffer, so a reader keeps what it needs of each one
-    before it asks for the next.
-    """
-    _, width = _chunk_shape(real.base, real.depth)
-    buffer = (np.empty(width + 1), np.empty(width + 1))
-    for _ in _walk_chunks(real, buffer):
+        ends = (buffer[0][-1], buffer[1][-1])
         yield buffer
 
 
@@ -294,10 +277,11 @@ def grid_values(real: CascadeRealization, level: int | None = None) -> tuple:
     chunk; a coarser level's are every run-th point of the top level's.
     The result is two new arrays of b**level + 1 values that the
     realization does not keep, and the peak is those arrays plus the
-    walk's arrays of one chunk's size, whatever the depth.
+    walk's arrays of one chunk's size, whatever the depth.  A level that
+    is not an integer in [0, n] raises ConfigError.
     """
     b, depth = real.base, real.depth
-    level = depth if level is None else level
+    level = depth if level is None else _check_level(real, level)
     top, _ = _chunk_shape(b, depth)
     finer = max(level, top)
     rows, step = b ** (finer - top), b ** (depth - finer)
@@ -364,9 +348,7 @@ def grid_min_max(real: CascadeRealization, level: int):
     _chunked_min_max), and a coarser level is derived from the top
     level's tables.
     """
-    level = as_integer(level, "level")
-    if not 0 <= level <= real.depth:
-        raise ConfigError(f"level {level} outside [0, {real.depth}]")
+    level = _check_level(real, level)
     cache = real._min_max
     if level in cache:
         return cache[level]
@@ -581,9 +563,7 @@ def export_level(real: CascadeRealization, level: int) -> LevelExport:
     but the first, collected from one grid walk chunk by chunk (see
     grid_values).  Nothing is kept on ``real``.
     """
-    level = as_integer(level, "level")
-    if not 0 <= level <= real.depth:
-        raise ConfigError(f"level {level} outside [0, {real.depth}]")
+    level = _check_level(real, level)
     signs, m1, m2 = _signed_level(real.model, real.seed, level)
     ends = tuple(f[1:] for f in grid_values(real, level))
     return LevelExport(LevelWords(real.base, level), signs, (m1, m2), ends)

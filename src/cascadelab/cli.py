@@ -120,8 +120,22 @@ def _parse_window(text: str) -> tuple[int, int]:
     return _number(int, parts[0], "scale"), _number(int, parts[1], "scale")
 
 
-def _window(args) -> tuple[int, int]:
-    return _parse_window(args.scales) if args.scales else (2, args.depth - 4)
+def _window(args, least: int) -> tuple[int, int]:
+    if args.scales:
+        return _parse_window(args.scales)
+    return 2, _below_depth(args, least, "top scale", "--scales")
+
+
+def _below_depth(args, least: int, what: str, option: str) -> int:
+    """depth - 4, the default ``what`` that ``option`` overrides.
+
+    Below ``least`` it raises ConfigError naming --depth; a depth below 1
+    is left to the depth check, whose message it keeps.
+    """
+    if 0 < args.depth < least + 4:
+        raise ConfigError(f"--depth {args.depth} gives {args.depth - 4} as the default {what}, which needs "
+                          f"--depth >= {least + 4}; give a larger --depth or {option}")
+    return args.depth - 4
 
 
 def _xi0_grid(spec: str) -> list[float]:
@@ -363,7 +377,9 @@ def cmd_image_dim(args, model):
     ts = (
         _parse_testset(args.testset, model.base)
         if args.testset is not None
-        else estimate.cantor_set(model.base, range(model.base), args.depth - 4)
+        else estimate.cantor_set(
+            model.base, range(model.base), _below_depth(args, 0, "test-set generations", "--testset")
+        )
     )
     label = format(ts.dimension, LABEL)
     rows = _per_seed(
@@ -374,7 +390,7 @@ def cmd_image_dim(args, model):
 
 def cmd_partition(args, model):
     qs = _parse_q_list(args.q)
-    lo, hi = _window(args)
+    lo, hi = _window(args, 2)  # partition_function's window may be one level
     rows = _per_seed(args, model, lambda seed, real: [
         _estimate_row(seed, _q_label(q), estimate.partition_function(real, q, lo, hi), 1.0 - model.phi(*q))
         for q in qs
@@ -396,7 +412,7 @@ def cmd_holder(args, model):
     if len(qs) != 1:
         raise ConfigError(f"holder takes one q pair, got {len(qs)}")
     q = qs[0]
-    lo, hi = _window(args)
+    lo, hi = _window(args, 3)  # holder_exponents' window needs two levels
     paths = _at_least_one(args.paths, "--paths")
     real = cascade.build(model, args.seed, args.depth)
     rng = np.random.default_rng(args.seed + 1)
@@ -415,7 +431,7 @@ def cmd_levelset(args, model):
     ys = None if args.y is None else [_finite(args.y, "--y")]
     _at_least_one(args.y_count, "--y-count")
     real = cascade.build(model, args.seed, args.depth)
-    level = args.level if args.level is not None else args.depth - 4
+    level = args.level if args.level is not None else _below_depth(args, 2, "level", "--level")
     if ys is None:
         # level_set's table first: the histogram's range derives from it, so there are two walks, not three
         cascade.grid_min_max(real, level)

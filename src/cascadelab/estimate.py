@@ -216,10 +216,7 @@ def image_box_dim(real: CascadeRealization, ts: TestSet) -> DimensionEstimate:
     # interval pieces), not the set.  A high quantile (not the max) sets
     # the guard because heavy-tailed cell oscillations otherwise collapse
     # the scale window to nothing on lognormal-factor models.
-    sizes = x1 - x0
-    np.maximum(sizes, y1 - y0, out=sizes)
-    finest = float(np.quantile(sizes, 0.9, overwrite_input=True))  # partitions sizes in place
-    del sizes  # before the expansion
+    finest = float(np.quantile(np.maximum(x1 - x0, y1 - y0), 0.9))
     if finest <= 0.0:
         raise ZeroOscillationError("degenerate realization: zero finest-cell size")
     j_max = int(math.floor(-math.log2(finest))) if finest < 1.0 else 2

@@ -216,7 +216,7 @@ class WeightModel:
         the i-th uniform and the i-th normal alone, so n pairs drawn in
         consecutive slices, from a reader that continues each of the two
         sequences where the previous slice stopped, equal n pairs drawn
-        at once.  The grid walk (``cascade._walk_chunks``) reads the
+        at once.  The grid walk (``cascade.grid_chunks``) reads the
         level streams in such slices.
 
         ``signs`` is a uint8 array with bit 0 set where W1 < 0 and bit 1

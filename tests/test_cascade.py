@@ -744,11 +744,11 @@ def test_walk_descends_only_through_levels_above_the_whole_level_limit(monkeypat
     real = cascade.build(FRAC, seed=2, depth=19)
     grid = cascade.grid_values(real)
     top, width = cascade._chunk_shape(2, 19)
-    assert (top, width) == (3, 2**16) and 2**12 == cascade._WHOLE_LEVEL_CELLS and 2**15 == cascade._LEAF_CELLS
-    # levels 1..12 whole, once each; then each of the 8 chunks through levels 13..18,
-    # and its 2**16 leaves of level 19 in two parts
+    assert (top, width) == (3, 2**16) and 2**12 == cascade._WHOLE_LEVEL_CELLS
+    # levels 1..12 whole, once each; then each of the 8 chunks through levels 13..19,
+    # its 2**16 leaves of level 19 in one step
     assert calls[:12] == [2**m for m in range(1, 13)]
-    assert calls[12:] == 8 * ([2**m for m in range(10, 16)] + [2**15] * 2)
+    assert calls[12:] == 8 * [2**m for m in range(10, 17)]
     assert_same_bytes(grid, eager_build.__wrapped__(FRAC, 2, 19)[2])
 
 
@@ -771,7 +771,7 @@ def test_fractional_walk_carries_float_moduli(monkeypatch):
     steps, times = record_level_steps(monkeypatch)
     real = cascade.build(FRAC, seed=2, depth=17)
     tables = cascade.grid_min_max(real, 13)
-    assert len(steps) == 12 + 2 * 6  # each chunk's leaves in two parts
+    assert len(steps) == 12 + 2 * 5  # the whole levels, then levels 13..17 of each chunk
     assert all(type(m1) is float and type(m2) is float for m1, m2 in steps)
     assert times == [0] * 2 * len(steps)  # every modulus product is a float product
     level_moduli = list(itertools.accumulate([2**-0.75] * 17, operator.mul))
@@ -1068,6 +1068,22 @@ def test_seeds_depths_levels_and_target_depths_must_be_integers(bad):
     ):
         with pytest.raises(ConfigError, match="must be an integer"):
             call()
+
+
+@pytest.mark.parametrize("bad,message", [
+    (-1, r"level -1 outside \[0, 6\]"),
+    (7, r"level 7 outside \[0, 6\]"),
+    (2.5, "level must be an integer, got 2.5"),
+    (True, "level must be an integer, got True"),
+], ids=repr)
+def test_level_readers_check_the_level_alike(bad, message):
+    # grid_values once returned a one-point grid at -1, raised TypeError at 7 and 2.5,
+    # and read True as level 1
+    real = cascade.build(FRAC, seed=0, depth=6)
+    for read in (cascade.grid_min_max, cascade.grid_values, cascade.export_level):
+        with pytest.raises(ConfigError, match=message):
+            read(real, bad)
+    assert real._min_max == {}
 
 
 def test_a_float_seed_does_not_read_another_seeds_streams():

@@ -347,8 +347,8 @@ def test_levelset_walks_the_grid_twice(model_file, tmp_path, monkeypatch):
     # one walk for the level table that level_set reads, and the histogram's range derived from
     # it; one walk for the histogram
     walks = []
-    walk = cascade._walk_chunks
-    monkeypatch.setattr(cascade, "_walk_chunks", lambda real, frame: walks.append(real) or walk(real, frame))
+    walk = cascade.grid_chunks
+    monkeypatch.setattr(cascade, "grid_chunks", lambda real: walks.append(real) or walk(real))
     args = ["levelset", "--model", model_file(FRACTIONAL), "--depth", "12", "--y-count", "4"]
     assert main([*args, "--out", str(tmp_path / "sampled")]) == 0
     assert len(walks) == 2
@@ -495,6 +495,20 @@ def test_bad_cli_text_is_config_error(model_file, tmp_path, capsys, argv):
     assert main(argv) == 2
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "config"
+
+
+@pytest.mark.parametrize("argv,default,option", [
+    (["image-dim", "--depth", "3"], "-1 as the default test-set generations", "--testset"),
+    (["levelset", "--depth", "1"], "-3 as the default level", "--level"),
+    (["partition", "--depth", "5", "--q", "1,1"], "1 as the default top scale", "--scales"),
+    (["holder", "--depth", "5", "--q", "1,1"], "1 as the default top scale", "--scales"),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_a_default_derived_from_the_depth_names_the_depth(model_file, tmp_path, capsys, argv, default, option):
+    argv = [*argv, "--model", model_file(FRACTIONAL), "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config"
+    assert f"--depth {argv[2]} gives {default}," in err["message"] and err["message"].endswith(option)
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
@@ -848,10 +862,12 @@ def run_main_peak(argv) -> int:
 
 
 @pytest.mark.parametrize("text,argv,one_seed_mib", [
-    # peaks measured: 2.2-2.3 MiB on one CPU and 3.9-4.3 MiB on two or four; 3.4 MiB on one
-    # CPU before the walk drew the leaf level in parts and the box count expanded the boxes in blocks
+    # peaks measured: 2.5 MiB on one CPU and 4.7 MiB on two or four, with each chunk's leaf level
+    # drawn in one step; 2.2 MiB on one CPU with it drawn in parts of 2**15, and 3.4 MiB before
+    # those parts and before the box count expanded the boxes in blocks
     (FRACTIONAL, ["image-dim", "--depth", "18", "--seeds", "4"], 2.3),
-    # peaks measured: 5.3 MiB on one CPU and 9.0-10.3 MiB on two; 12.5 MiB on one CPU before
+    # peaks measured: 5.6 MiB on one CPU and 10.1 MiB on two or four; 5.3 MiB on one CPU with the
+    # leaf parts, and 12.5 MiB before the leaf parts and the box blocks
     (FRACTIONAL_B4, ["uniform-sweep", "--depth", "12", "--seeds", "2", "--testset", "1:0,1,2,3:8"], 5.3),
 ], ids=["image-dim", "uniform-sweep"])
 def test_each_seed_in_flight_adds_at_most_one_seeds_peak(model_file, tmp_path, monkeypatch, text, argv, one_seed_mib):
