@@ -364,6 +364,24 @@ def grid_min_max(real: CascadeRealization, level: int):
     return cache[level]
 
 
+def _forgetter(real: CascadeRealization):
+    """``forget(level)``: drop the memoized min/max tables finer than ``level`` that ``real`` did not hold before.
+
+    A reader that walks its levels finest first calls it as soon as each
+    level's tables exist, so that of the tables it memoized it keeps only
+    those of the level it reads; ``forget(-1)`` drops every one of them.
+    The tables ``real`` held when ``_forgetter`` was called stay.
+    """
+    cache = real._min_max
+    held = set(cache)
+
+    def forget(level: int) -> None:
+        for m in [m for m in cache if m > level and m not in held]:
+            del cache[m]
+
+    return forget
+
+
 def _read_only(tables):
     """The ((min1, max1), (min2, max2)) tables, each array made read-only."""
     for pair in tables:

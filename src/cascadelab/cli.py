@@ -120,10 +120,11 @@ def _parse_window(text: str) -> tuple[int, int]:
     return _number(int, parts[0], "scale"), _number(int, parts[1], "scale")
 
 
-def _window(args, least: int) -> tuple[int, int]:
+def _window(args) -> tuple[int, int]:
+    """``--scales``, or levels 2 .. depth - 4: a fit needs two levels, so the default needs --depth >= 7."""
     if args.scales:
         return _parse_window(args.scales)
-    return 2, _below_depth(args, least, "top scale", "--scales")
+    return 2, _below_depth(args, 3, "top scale", "--scales")
 
 
 def _below_depth(args, least: int, what: str, option: str) -> int:
@@ -390,10 +391,10 @@ def cmd_image_dim(args, model):
 
 def cmd_partition(args, model):
     qs = _parse_q_list(args.q)
-    lo, hi = _window(args, 2)  # partition_function's window may be one level
+    lo, hi = _window(args)
     rows = _per_seed(args, model, lambda seed, real: [
-        _estimate_row(seed, _q_label(q), estimate.partition_function(real, q, lo, hi), 1.0 - model.phi(*q))
-        for q in qs
+        _estimate_row(seed, _q_label(q), est, 1.0 - model.phi(*q))
+        for q, est in zip(qs, estimate.partition_function(real, qs, lo, hi))
     ])
     yield "partition", ["seed", "q", "slope", "stderr", "r2", "m_min", "m_max", "expected"], rows
 
@@ -412,7 +413,7 @@ def cmd_holder(args, model):
     if len(qs) != 1:
         raise ConfigError(f"holder takes one q pair, got {len(qs)}")
     q = qs[0]
-    lo, hi = _window(args, 3)  # holder_exponents' window needs two levels
+    lo, hi = _window(args)
     paths = _at_least_one(args.paths, "--paths")
     real = cascade.build(model, args.seed, args.depth)
     rng = np.random.default_rng(args.seed + 1)
@@ -431,7 +432,7 @@ def cmd_levelset(args, model):
     ys = None if args.y is None else [_finite(args.y, "--y")]
     _at_least_one(args.y_count, "--y-count")
     real = cascade.build(model, args.seed, args.depth)
-    level = args.level if args.level is not None else _below_depth(args, 2, "level", "--level")
+    level = args.level if args.level is not None else _below_depth(args, 3, "level", "--level")
     if ys is None:
         # level_set's table first: the histogram's range derives from it, so there are two walks, not three
         cascade.grid_min_max(real, level)

@@ -265,48 +265,64 @@ def _component(k) -> int:
 
 
 def partition_function(
-    real: CascadeRealization, q: tuple[float, float], level_lo: int, level_hi: int
-) -> DimensionEstimate:
-    """Scaling exponent of S_m = sum_w O1(w)**q1 * O2(w)**q2 across levels.
+    real: CascadeRealization, qs, level_lo: int, level_hi: int
+) -> list[DimensionEstimate]:
+    """Scaling exponent of S_m(q) = sum_w O1(w)**q1 * O2(w)**q2 across levels, one estimate per q in ``qs``.
 
     The fitted slope of log_b S_m against m is expected to equal
     1 - phi(q) (counting factor b**m times the moment decay b**-m*phi).
-    A q that is not finite raises ConfigError, and a sum that overflows
-    a double raises DivergenceError.  The min/max tables are memoized on
-    the realization (see cascade.grid_min_max); beyond them, one level's
-    two oscillation arrays are alive at a time (see _partition_sum).
+    The window needs two levels, 1 <= level_lo < level_hi <= depth, and
+    a q that is not finite raises ConfigError; a sum that overflows a
+    double raises DivergenceError.  Of several failing q's, the first in
+    ``qs`` is raised, at its coarsest failing level: the error that one
+    call per q raises.
+
+    The window is walked once, finest level first.  At each level every
+    q reads the level's min/max tables (see cascade.grid_min_max) and
+    forms its sum (see _partition_sum).  Each level's tables derive from
+    the next finer level's, and once they exist the walk forgets the
+    finer tables that it memoized itself (see cascade._forgetter); at
+    the end it forgets its coarsest too.  Tables memoized before the
+    call stay.  Beyond those, the peak is the finest level's tables plus
+    the larger of one level's oscillations and the next coarser level's
+    tables: 1.5 times the finest level's tables.  (A window that ends
+    above the chunks' top level first memoizes the top level's tables,
+    see cascade.grid_min_max: those are then the finest.)
     """
-    q1, q2 = q
-    if not (math.isfinite(q1) and math.isfinite(q2)):
-        raise ConfigError(f"q must be finite, got {q}")
+    qs = list(qs)
+    finite = [math.isfinite(q1) and math.isfinite(q2) for q1, q2 in qs]
+    if qs and not finite[0]:
+        raise ConfigError(f"q must be finite, got {qs[0]}")
     level_lo, level_hi = _int_levels(level_lo, level_hi)
-    if not 1 <= level_lo <= level_hi <= real.depth:
-        raise ConfigError(f"bad level window [{level_lo}, {level_hi}]")
+    if not 1 <= level_lo < level_hi <= real.depth:
+        raise ConfigError(f"bad level window [{level_lo}, {level_hi}]: a fit needs two levels in [1, {real.depth}]")
+    # the q's before the first one that is not finite: a call per q fits them before it raises
+    walked = qs[: finite.index(False) if False in finite else len(qs)]
     ms = list(range(level_lo, level_hi + 1))
-    # finest first, so each coarser table derives from the memo
-    sums = {m: _partition_sum(real, q1, q2, m) for m in reversed(ms)}
-    logs = []
-    for m in ms:  # the coarsest failing level is the one reported
-        s = sums[m]
-        if s is None:
-            raise ZeroOscillationError(f"zero oscillation at level {m} with negative q")
-        if not s < math.inf:  # +inf, or NaN from an overflowed power times an underflowed one
-            raise DivergenceError(f"partition sum at level {m} overflows at q={q}")
-        if s <= 0.0:
-            raise ZeroOscillationError(f"partition sum vanished at level {m}")
-        logs.append(math.log(s) / math.log(real.base))
-    slope, stderr, r2 = fit_loglog(ms, logs)
-    return DimensionEstimate(slope, stderr, (level_lo, level_hi), r2, tuple(zip(ms, logs)))
+    sums = [{} for _ in walked]
+    forget = cascade._forgetter(real)
+    for m in reversed(ms):  # finest first, so each coarser table derives from the memo
+        for i, (q1, q2) in enumerate(walked):
+            tables = cascade.grid_min_max(real, m)
+            if i == 0:
+                forget(m)
+            sums[i][m] = _partition_sum(tables, q1, q2)
+    forget(-1)
+    estimates = [_partition_fit(real.base, q, ms, s) for q, s in zip(walked, sums)]
+    if len(walked) < len(qs):
+        raise ConfigError(f"q must be finite, got {qs[len(walked)]}")
+    return estimates
 
 
-def _partition_sum(real: CascadeRealization, q1: float, q2: float, level: int) -> float | None:
-    """S_m(q) at one level, or None for a zero oscillation under a negative q.
+def _partition_sum(tables, q1: float, q2: float) -> float | None:
+    """S_m(q) from one level's min/max tables, or None for a zero oscillation under a negative q.
 
-    The level's oscillations are fresh arrays (see cascade.oscillations),
-    so the powers and their product are formed in place, with the bits of
-    O1**q1 * O2**q2, and freed on return.
+    The oscillations O_k = max - min (see cascade.oscillations) are
+    fresh arrays, so the powers and their product are formed in place,
+    with the bits of O1**q1 * O2**q2, and freed on return.
     """
-    o1, o2 = cascade.oscillations(real, level)
+    (min1, max1), (min2, max2) = tables
+    o1, o2 = max1 - min1, max2 - min2
     if ((q1 < 0) and (o1 == 0.0).any()) or ((q2 < 0) and (o2 == 0.0).any()):
         return None
     if (q1, q2) == (0.0, 0.0):
@@ -316,6 +332,22 @@ def _partition_sum(real: CascadeRealization, q1: float, q2: float, level: int) -
         o2 **= q2
         o1 *= o2
     return float(o1.sum())
+
+
+def _partition_fit(base: int, q, ms: list[int], sums: dict) -> DimensionEstimate:
+    """The fit of log_b S_m(q) against m, from each level's sum; the coarsest failing level is the one reported."""
+    logs = []
+    for m in ms:
+        s = sums[m]
+        if s is None:
+            raise ZeroOscillationError(f"zero oscillation at level {m} with negative q")
+        if not s < math.inf:  # +inf, or NaN from an overflowed power times an underflowed one
+            raise DivergenceError(f"partition sum at level {m} overflows at q={q}")
+        if s <= 0.0:
+            raise ZeroOscillationError(f"partition sum vanished at level {m}")
+        logs.append(math.log(s) / math.log(base))
+    slope, stderr, r2 = fit_loglog(ms, logs)
+    return DimensionEstimate(slope, stderr, (ms[0], ms[-1]), r2, tuple(zip(ms, logs)))
 
 
 def holder_exponents(
@@ -397,15 +429,16 @@ def level_set(
     An interval w counts as crossing when the refined grid of F_k over
     closed I_w brackets y (min <= y <= max); endpoint sign changes would
     miss double crossings.  The dimension is the slope of log_b(count)
-    against the level over [fit_lo, level].  An empty level set is a
+    against the level over [fit_lo, level], which needs two levels:
+    1 <= fit_lo < level <= depth, else ConfigError.  An empty level set is a
     valid outcome, reported as dimension 0 with the ``empty`` flag; a y
     that is not finite raises ConfigError.
     """
     k = _component(k)
     _check_finite_level(y)
     fit_lo, level = _int_levels(fit_lo, level)
-    if not 1 <= fit_lo <= level <= real.depth:
-        raise ConfigError(f"bad level window [{fit_lo}, {level}]")
+    if not 1 <= fit_lo < level <= real.depth:
+        raise ConfigError(f"bad level window [{fit_lo}, {level}]: a fit needs two levels in [1, {real.depth}]")
     mm = cascade.grid_min_max(real, level)[k - 1]
     hits = np.nonzero((mm[0] <= y) & (y <= mm[1]))[0]
     counts = level_crossing_counts(real, k, y, fit_lo, level)

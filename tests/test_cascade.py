@@ -574,7 +574,7 @@ def test_grid_readers_regenerate_no_weights():
     real = cascade.build(FRAC, seed=4, depth=16)
     y = float(cascade.grid_values(cascade.build(FRAC, seed=4, depth=16))[0][2**15])
     estimate.image_box_dim(real, estimate.cantor_set(2, (0, 1), 4))
-    estimate.partition_function(real, (1.0, 1.0), 2, 8)
+    estimate.partition_function(real, [(1.0, 1.0)], 2, 8)
     estimate.holder_exponents(real, [0, 5, 2**12 - 1], 3, 12)
     estimate.level_set(real, 1, y, 8)
     assert set(vars(real)) == FIELDS and real._tilted == {}
@@ -729,12 +729,68 @@ def test_partition_function_peak_is_two_oscillation_arrays(q):
     real = cascade.build(model, seed=1, depth=20)
     for m in range(16, 1, -1):
         cascade.grid_min_max(real, m)
-    est, peak = peak_bytes(estimate.partition_function, real, q, 2, 16)
+    (est,), peak = peak_bytes(estimate.partition_function, real, [q], 2, 16)
     assert peak <= 2.25 * 8 * 2**16  # two level-16 arrays, plus a bool array and slack
     # the in-place powers give the bits of the out-of-place ones
     for m, log in est.counts_per_scale:
         o1, o2 = cascade.oscillations(real, m)
         assert log == math.log(float((o1 ** q[0] * o2 ** q[1]).sum())) / math.log(2)
+
+
+PARTITION_QS = [(1.0, 1.0), (0.5, 0.5), (-0.5, 2.0), (1.5, -1.0)]
+
+
+@pytest.mark.parametrize("hi", [16, 18])
+def test_cold_partition_function_peaks_at_one_and_a_half_finest_tables(hi):
+    # the walk keeps a level's tables and the next finer level's only until the level's first read
+    model = lognormal_beta(2, 0.8, 0.1)
+    estimate.partition_function(cascade.build(model, seed=1, depth=6), PARTITION_QS, 2, 4)  # one-off allocations
+    _, walk = peak_bytes(cascade.grid_min_max, cascade.build(model, seed=1, depth=20), hi)
+    real = cascade.build(model, seed=1, depth=20)
+    ests, peak = peak_bytes(estimate.partition_function, real, PARTITION_QS, 2, hi)
+    tables = 4 * 8 * 2**hi  # the finest level's ((min1, max1), (min2, max2))
+    assert peak <= 1.5 * tables + 6 * 16 * cascade._CHUNK_CELLS  # the slack of the streamed histogram's bound
+    # at most the cold walk of the finest level, or 1.5 of its tables and a bool array of its words
+    # (at hi = 18 the tables outweigh the walk's chunk arrays, and holding every level's would reach 2 tables)
+    assert peak <= max(walk, 1.5 * tables) + 2 * 2**hi
+    fresh = cascade.build(model, seed=1, depth=20)
+    for q, est in zip(PARTITION_QS, ests):
+        for m, log in est.counts_per_scale:  # the in-place powers give the bits of the out-of-place ones
+            o1, o2 = cascade.oscillations(fresh, m)
+            assert log == math.log(float((o1 ** q[0] * o2 ** q[1]).sum())) / math.log(2)
+        assert [est] == estimate.partition_function(fresh, [q], 2, hi)
+
+
+@pytest.mark.parametrize("held, lo, hi", [
+    ((), 2, 16),
+    ((18, 9), 2, 16),
+    ((), 2, 3),  # below the chunks' top level 4, whose tables the first read memoizes too
+    ((16, 3), 2, 3),
+])
+def test_partition_function_forgets_only_the_tables_it_memoized(held, lo, hi, monkeypatch):
+    model = lognormal_beta(2, 0.8, 0.1)
+    real = cascade.build(model, seed=3, depth=20)
+    for m in held:
+        cascade.grid_min_max(real, m)
+    before = dict(real._min_max)
+    added = []
+    grid_min_max = cascade.grid_min_max
+
+    def read(r, m):
+        added.append((m, set(r._min_max) - set(before)))
+        return grid_min_max(r, m)
+
+    monkeypatch.setattr(cascade, "grid_min_max", read)
+    ests = estimate.partition_function(real, PARTITION_QS, lo, hi)
+    monkeypatch.undo()
+    assert real._min_max.keys() == before.keys()
+    assert all(real._min_max[m] is tables for m, tables in before.items())
+    # one read per q and level, finest first; a level's first read finds at most the next finer
+    # level's tables that the call memoized, and each later read only the level's own
+    assert [m for m, _ in added] == [m for m in range(hi, lo - 1, -1) for _ in PARTITION_QS]
+    for i, (m, memo) in enumerate(added):
+        assert memo <= ({m + 1} if i % len(PARTITION_QS) == 0 else {m})
+    assert ests == estimate.partition_function(cascade.build(model, seed=3, depth=20), PARTITION_QS, lo, hi)
 
 
 def test_walk_descends_only_through_levels_above_the_whole_level_limit(monkeypatch):

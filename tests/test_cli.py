@@ -511,6 +511,19 @@ def test_a_default_derived_from_the_depth_names_the_depth(model_file, tmp_path, 
     assert f"--depth {argv[2]} gives {default}," in err["message"] and err["message"].endswith(option)
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["partition", "--depth", "6", "--q", "1,1"], "--depth 6 gives 2 as the default top scale, which needs --depth >= 7"),
+    (["partition", "--depth", "10", "--q", "1,1", "--scales", "4:4"], "bad level window [4, 4]: a fit needs two levels"),
+    (["levelset", "--depth", "6"], "--depth 6 gives 2 as the default level, which needs --depth >= 7"),
+    (["levelset", "--depth", "10", "--level", "2"], "bad level window [2, 2]: a fit needs two levels"),
+], ids=["partition-default", "partition-scales", "levelset-default", "levelset-level"])
+def test_a_one_level_window_is_a_config_error(model_file, tmp_path, capsys, argv, message):
+    # each once fitted a single point and exited 4: "need >= 2 points to fit, got 1"
+    assert main([*argv, "--model", model_file(FRACTIONAL), "--out", str(tmp_path / "o")]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config" and message in err["message"]
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
 def test_seed_outside_uint64_is_config_error(model_file, tmp_path, seed):
     argv = ["simulate", "--model", model_file(FRACTIONAL), "--out", str(tmp_path / "o"),

@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cascadelab import cascade, estimate
-from cascadelab.errors import ConfigError, DegenerateRangeError, DivergenceError, ZeroOscillationError
+from cascadelab.errors import (
+    CascadeLabError,
+    ConfigError,
+    DegenerateRangeError,
+    DivergenceError,
+    ZeroOscillationError,
+)
 from cascadelab.estimate import TestSet as CantorSet
 from cascadelab.estimate import cantor_set, fit_loglog
 from cascadelab.weights import DiscreteTable, Fractional, LognormalSigned, SignJoint, sigma_from_beta
@@ -169,21 +175,21 @@ def test_image_box_dim_guards():
 def test_identity_partition_function_is_exact():
     real = cascade.build(IDENTITY2, seed=0, depth=12)
     for q in ((1.0, 0.0), (1.0, 1.0), (0.5, 0.5)):
-        est = estimate.partition_function(real, q, 2, 10)
+        (est,) = estimate.partition_function(real, [q], 2, 10)
         assert est.value == pytest.approx(1.0 - (q[0] + q[1]), abs=1e-10)
         assert est.r_squared == pytest.approx(1.0, abs=1e-12)
 
 
 def test_zero_q_partition_function_counts_cells():
     real = cascade.build(FRAC, seed=1, depth=10)
-    est = estimate.partition_function(real, (0.0, 0.0), 2, 8)
+    (est,) = estimate.partition_function(real, [(0.0, 0.0)], 2, 8)
     assert est.value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_partition_function_tracks_one_minus_phi():
     real = cascade.build(FRAC, seed=7, depth=14)
     q = (1.0, 1.0)
-    est = estimate.partition_function(real, q, 3, 10)
+    (est,) = estimate.partition_function(real, [q], 3, 10)
     assert est.value == pytest.approx(1.0 - FRAC.phi(*q), abs=0.1)
 
 
@@ -191,7 +197,7 @@ def test_partition_function_negative_q_with_zero_oscillation():
     zero_atom = DiscreteTable(2, (((0.0, 0.5), 0.5), ((1.0, 0.5), 0.5)))
     real = cascade.build(zero_atom, seed=2, depth=10)
     with pytest.raises(ZeroOscillationError):
-        estimate.partition_function(real, (-0.5, 0.0), 3, 8)
+        estimate.partition_function(real, [(-0.5, 0.0)], 3, 8)
 
 
 def coarsest_zero_level(real, lo, hi):
@@ -205,9 +211,50 @@ def test_zero_oscillation_reports_the_coarsest_level():
     real = cascade.build(zero_atom, seed=2, depth=10)
     m0 = coarsest_zero_level(real, 3, 8)
     with pytest.raises(ZeroOscillationError, match=rf"level {m0} with negative q"):
-        estimate.partition_function(real, (-0.5, 0.0), 3, 8)
+        estimate.partition_function(real, [(-0.5, 0.0)], 3, 8)
     with pytest.raises(ZeroOscillationError, match=rf"level {m0}$"):
         estimate.holder_exponents(real, np.arange(2**8), 3, 8)
+
+
+ZERO_ATOM = DiscreteTable(2, (((0.0, 0.5), 0.5), ((1.0, 0.5), 0.5)))
+LOGNORMAL = LognormalSigned(2, 0.8, sigma_from_beta(0.1, 2))
+
+
+def raised(call):
+    """The type and message of the CascadeLabError that ``call()`` raises."""
+    with pytest.raises(CascadeLabError) as e:
+        call()
+    return type(e.value), str(e.value)
+
+
+@pytest.mark.parametrize("model, seed, qs, lo, hi", [
+    (ZERO_ATOM, 2, [(1.0, 1.0), (-0.5, 0.0)], 3, 8),
+    (ZERO_ATOM, 2, [(1.0, 1.0), (-0.5, 0.0), (0.0, -0.5)], 3, 8),
+    (LOGNORMAL, 0, [(1.0, 1.0), (-200.0, -200.0)], 2, 6),
+    (LOGNORMAL, 0, [(-200.0, 200.0), (-200.0, -200.0)], 2, 6),  # the first fails at level 4, the second at 3
+    (LOGNORMAL, 0, [(1.0, 1.0), (math.nan, 0.0), (-200.0, -200.0)], 2, 6),
+    (LOGNORMAL, 0, [(-200.0, -200.0), (1.0, math.inf)], 2, 6),
+    (LOGNORMAL, 0, [(math.inf, 1.0), (-200.0, -200.0)], 2, 6),
+    (LOGNORMAL, 0, [(1.0, 1.0), (math.nan, 0.0)], 6, 6),  # a one-level window, then a q that is not finite
+    (LOGNORMAL, 0, [(math.nan, 0.0), (1.0, 1.0)], 6, 6),
+], ids=str)
+def test_several_q_raise_what_a_call_per_q_raises(model, seed, qs, lo, hi):
+    real = cascade.build(model, seed=seed, depth=10)
+    expected = raised(lambda: [estimate.partition_function(real, [q], lo, hi) for q in qs])
+    assert raised(lambda: estimate.partition_function(real, qs, lo, hi)) == expected
+    assert real._min_max == {}
+
+
+def test_one_level_windows_are_config_errors_before_any_walk():
+    real = cascade.build(FRAC, seed=1, depth=10)
+    for lo, hi in ((4, 4), (1, 1), (10, 10)):
+        with pytest.raises(ConfigError, match=rf"bad level window \[{lo}, {hi}\]: a fit needs two levels"):
+            estimate.partition_function(real, [(1.0, 1.0)], lo, hi)
+        with pytest.raises(ConfigError, match=rf"bad level window \[{lo}, {hi}\]: a fit needs two levels"):
+            estimate.level_set(real, 1, 0.5, hi, lo)
+    assert real._min_max == {}
+    assert estimate.level_set(real, 1, 0.5, 5, 4)[1].scale_range == (4, 5)
+    assert estimate.partition_function(real, [(1.0, 1.0)], 4, 5)[0].scale_range == (4, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +525,7 @@ def test_image_box_dim_without_scales_is_a_degenerate_range():
 @pytest.mark.parametrize("q", [(math.nan, 0.0), (1.0, math.inf), (-math.inf, 1.0)])
 def test_non_finite_partition_q_is_a_config_error(q):
     with pytest.raises(ConfigError):
-        estimate.partition_function(cascade.build(FRAC, seed=1, depth=8), q, 2, 6)
+        estimate.partition_function(cascade.build(FRAC, seed=1, depth=8), [q], 2, 6)
 
 
 @pytest.mark.parametrize("q", [(-200.0, -200.0), (-200.0, 200.0)])
@@ -486,18 +533,18 @@ def test_overflowing_partition_sum_is_a_divergence_error(q):
     # the level sums read +inf, or NaN where an overflowed power meets an underflowed one
     real = cascade.build(LognormalSigned(2, 0.8, sigma_from_beta(0.1, 2)), seed=0, depth=10)
     with pytest.raises(DivergenceError, match="overflows"):
-        estimate.partition_function(real, q, 2, 6)
+        estimate.partition_function(real, [q], 2, 6)
 
 
 @pytest.mark.parametrize("lo, hi", [(2.0, 6), (2, 6.5), (True, 6), (np.float64(2), 6)])
 def test_level_windows_must_be_integers(lo, hi):
     real = cascade.build(FRAC, seed=1, depth=8)
     for call in (
-        lambda: estimate.partition_function(real, (1.0, 1.0), lo, hi),
+        lambda: estimate.partition_function(real, [(1.0, 1.0)], lo, hi),
         lambda: estimate.holder_exponents(real, [0, 3], lo, hi),
         lambda: estimate.level_crossing_counts(real, 1, 0.5, lo, hi),
         lambda: estimate.level_set(real, 1, 0.5, hi, lo),
     ):
         with pytest.raises(ConfigError, match="must be an integer"):
             call()
-    assert estimate.partition_function(real, (1.0, 1.0), np.int64(2), np.int32(6)).scale_range == (2, 6)
+    assert estimate.partition_function(real, [(1.0, 1.0)], np.int64(2), np.int32(6))[0].scale_range == (2, 6)
