@@ -44,9 +44,10 @@ export_level returns one level as columns (see LevelExport): its words'
 text, built one aligned block at a time (see words.LevelWords), so the
 level's b**level strings never exist at once; its products in the
 signed form, taken from the same recurrence built whole (see
-_signed_level); and the grid values at its words' right ends, collected
-chunk by chunk (see grid_values), whose distinct values a renderer can
-format once each (see LevelExport.distinct_ends).
+_signed_level); and the grid values at its words' right ends: at the
+depth the running sums of those products, above it collected chunk by
+chunk (see grid_values).  A renderer can format each distinct value
+once (see LevelExport.distinct_ends).
 """
 
 from __future__ import annotations
@@ -577,11 +578,17 @@ def export_level(real: CascadeRealization, level: int) -> LevelExport:
     are built a block at a time (see words.LevelWords), so no list of
     b**level strings is made.  The level's products are built whole
     from the level streams (see _signed_level), bit-identical to the ones
-    the grid walk multiplies; the endpoints are the level's grid values
-    but the first, collected from one grid walk chunk by chunk (see
+    the grid walk multiplies.  The endpoints are the level's grid values
+    but the first.  At the depth n they are the running sums of those
+    products, one cumsum each, bit-identical to the chunked sums of the
+    grid walk (see grid_chunks), so every level is drawn once; above it
+    they are collected from one grid walk chunk by chunk (see
     grid_values).  Nothing is kept on ``real``.
     """
     level = _check_level(real, level)
     signs, m1, m2 = _signed_level(real.model, real.seed, level)
-    ends = tuple(f[1:] for f in grid_values(real, level))
+    if level == real.depth:
+        ends = tuple(np.cumsum(w, out=w) for w in signed_pairs(signs, m1, m2))
+    else:
+        ends = tuple(f[1:] for f in grid_values(real, level))
     return LevelExport(LevelWords(real.base, level), signs, (m1, m2), ends)

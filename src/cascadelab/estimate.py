@@ -360,6 +360,15 @@ def holder_exponents(
 
     The estimate for component k is minus the least-squares slope of
     log_b O_k(I_m(x)) against m over the window.
+
+    The window is walked finest level first, each level's tables derived
+    from the next finer level's, and as soon as a level's oscillations
+    exist the walk forgets the finer tables that it memoized itself (see
+    cascade._forgetter); at the end it forgets the rest of its own.
+    Tables memoized before the call stay.  Beyond those and the finest
+    level's own walk, the call holds at most the finest level's tables,
+    the next coarser level's and that level's oscillations: 1.75 times
+    the finest level's tables.
     """
     level_lo, level_hi = _int_levels(level_lo, level_hi)
     if not 1 <= level_lo < level_hi <= real.depth:
@@ -375,13 +384,16 @@ def holder_exponents(
     logs2 = np.empty((len(ms), len(idx)))
     zero = np.zeros(len(ms), dtype=bool)
     lb = math.log(real.base)
+    forget = cascade._forgetter(real)
     for row in reversed(range(len(ms))):  # finest first, so each coarser table derives from the memo
         prefix = idx // real.base ** (level_hi - ms[row])
         o1, o2 = (o[prefix] for o in cascade.oscillations(real, ms[row]))
+        forget(ms[row])
         zero[row] = (o1 == 0.0).any() or (o2 == 0.0).any()
         if not zero[row]:
             logs1[row] = np.log(o1) / lb
             logs2[row] = np.log(o2) / lb
+    forget(-1)
     if zero.any():  # the coarsest failing level is the one reported
         raise ZeroOscillationError(f"zero oscillation at level {ms[zero.argmax()]}")
     mc = ms - ms.mean()

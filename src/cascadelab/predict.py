@@ -20,6 +20,14 @@ roots per (target, upper end), so a KPZ sweep evaluates each grid point
 of a curve once and a repeated solve is a lookup.  The memo lives in
 the model's own __dict__ and holds only floats, so it is freed with the
 model.
+
+A curve is handed to the solver as its moment branches, the two
+arguments of the max.  Where the law's two branches are the same float
+(``WeightModel.symmetric_moments``) it is one branch.  The cell
+bisection asks only whether the curve is <= the target, so each step
+evaluates branches until one lies above it (see _smallest_root).  Both
+rules are exact, because ``joint_moment`` never returns NaN: the roots
+are the ones the max of both branches gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -36,16 +44,25 @@ ROOT_TOL = 1e-12
 
 
 def _smallest_root(
-    f, target: float, hi: float, step: float = SCAN_STEP, values=None, finite_at: float = 0.0
+    branches, target: float, hi: float, step: float = SCAN_STEP, values=None, finite_at: float = 0.0
 ) -> float:
-    """Smallest x in [0, hi] with f(x) = target.
+    """Smallest x in [0, hi] with f(x) = target, for the curve f = max(branches).
 
-    f(0) >= target is assumed (it holds for the two moment curves, which
-    start at 1 >= b**-xi0).  The first grid point x_i = i * step with
-    f(x_i) <= target is found by bisection over the grid index, then the
-    root is bisected on [x_{i-1}, x_i].  ``values`` holds f at grid
+    ``branches`` holds one or two functions; the curve is their pointwise
+    max.  f(0) >= target is assumed (it holds for the two moment curves,
+    which start at 1 >= b**-xi0).  The first grid point x_i = i * step
+    with f(x_i) <= target is found by bisection over the grid index, then
+    the root is bisected on [x_{i-1}, x_i].  ``values`` holds f at grid
     indices: one dict passed to every search of a curve on the same grid
     evaluates each grid point once across all of them.
+
+    The grid bisection compares values of f, so a grid point evaluates
+    every branch.  Each step of the cell bisection asks only whether
+    f(mid) <= target, which holds exactly when every branch is <= target
+    (no branch returns NaN; ``WeightModel.joint_moment`` never does).  A
+    step therefore stops at the first branch above the target, and tries
+    that branch first on the next step: near the root, the branch that
+    decided the last step mostly decides the next.
 
     The grid bisection rests on log-convexity.  Every moment curve
     x -> E|W1|**a(x) |W2|**c(x) with affine exponents is log-convex
@@ -68,7 +85,8 @@ def _smallest_root(
     def at(i):
         v = values.get(i)
         if v is None:
-            v = values[i] = f(i * step)
+            x = i * step
+            v = values[i] = max([g(x) for g in branches])
         return v
 
     f0 = at(0)
@@ -93,29 +111,35 @@ def _smallest_root(
     if n_steps < 1 or at(lo) > target:
         raise NoRootError(f"no root in [0, {hi}] (curve stays above {target})")
     lo_b, hi_b = (lo - 1) * step, lo * step
+    g, h = branches[0], branches[-1]  # one branch: h is g, and is never called
     for _ in range(100):
         mid = 0.5 * (lo_b + hi_b)
-        if f(mid) <= target:
-            hi_b = mid
-        else:
+        if g(mid) > target:
             lo_b = mid
+        elif h is not g and h(mid) > target:
+            lo_b = mid
+            g, h = h, g
+        else:
+            hi_b = mid
         if hi_b - lo_b <= ROOT_TOL:
             break
     return 0.5 * (lo_b + hi_b)
 
 
 def _psi(model: WeightModel):
-    """The xi curve x -> max_k E|W_k|**x."""
-    return lambda x: max(model.joint_moment(x, 0.0), model.joint_moment(0.0, x))
+    """The xi curve x -> max_k E|W_k|**x, as its branches: one where the two moments are the same float."""
+    branches = (lambda x: model.joint_moment(x, 0.0), lambda x: model.joint_moment(0.0, x))
+    return branches[:1] if model.symmetric_moments() else branches
 
 
 def _psi_tilde(model: WeightModel):
-    """The zeta curve z -> max(E|W1|**(z-1) |W2|, E|W1| |W2|**(z-1))."""
-    return lambda z: max(model.joint_moment(z - 1.0, 1.0), model.joint_moment(1.0, z - 1.0))
+    """The zeta curve z -> max(E|W1|**(z-1) |W2|, E|W1| |W2|**(z-1)), as its branches (see _psi)."""
+    branches = (lambda z: model.joint_moment(z - 1.0, 1.0), lambda z: model.joint_moment(1.0, z - 1.0))
+    return branches[:1] if model.symmetric_moments() else branches
 
 
 def _solve(model: WeightModel, curve, target: float, hi: float, finite_at: float = 0.0) -> float:
-    """``_smallest_root`` of ``curve(model)`` on [0, hi], through the model's memo of that curve.
+    """``_smallest_root`` of ``curve(model)``'s branches on [0, hi], through the model's memo of that curve.
 
     ``finite_at`` is a point where the curve is known to be finite (see
     _smallest_root).
@@ -124,8 +148,8 @@ def _solve(model: WeightModel, curve, target: float, hi: float, finite_at: float
     curve's name: the curve at grid indices, at most hi / SCAN_STEP + 1
     of them for the widest hi, and each root found, keyed by
     (target, hi).  A search that raises NoRootError keeps the values it
-    read and no root.  The curve is built afresh on each search, so the
-    memo holds floats only and no reference back to the model.
+    read and no root.  The branches are built afresh on each search, so
+    the memo holds floats only and no reference back to the model.
     """
     values, roots = vars(model).setdefault(f"{curve.__name__}_memo", ({}, {}))
     root = roots.get((target, hi))
@@ -165,8 +189,13 @@ def solve_zeta(model: WeightModel, xi0: float, q_max: float = Q_MAX) -> float:
 
 
 def xi_star(model: WeightModel) -> float:
-    """Crossover exponent -log_b max_k E|W_k|; lies in (1/2, 1] under (A1)."""
-    value = min(model.phi(1.0, 0.0), model.phi(0.0, 1.0))  # +inf when both moments vanish
+    """Crossover exponent -log_b max_k E|W_k|; lies in (1/2, 1] under (A1).
+
+    One moment where the two are the same float (see _psi).
+    """
+    value = model.phi(1.0, 0.0)  # +inf when both moments vanish
+    if not model.symmetric_moments():
+        value = min(value, model.phi(0.0, 1.0))
     if not 0.5 < value <= 1.0 + 1e-12:
         raise NoRootError(f"xi_star = {value} outside (1/2, 1]; model violates (A1)")
     return min(value, 1.0)

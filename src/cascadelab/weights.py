@@ -242,6 +242,14 @@ class WeightModel:
         """Whether P(W1 = W2) = 1 (certified from the parameters)."""
         raise NotImplementedError
 
+    def symmetric_moments(self) -> bool:
+        """Whether joint_moment(a, c) and joint_moment(c, a) are the same float for every a, c.
+
+        False unless a kind certifies it: then the moment curves' two
+        branches are one (see predict._psi and check_assumptions).
+        """
+        return False
+
     def phi(self, q1: float, q2: float) -> float:
         m = self.joint_moment(q1, q2)
         if math.isinf(m):
@@ -362,6 +370,11 @@ class SignedModulus(WeightModel):
     def identical_weights(self):
         a1, a2 = self.exponents
         return a1 == a2 and self.sign_joint.diagonal >= 1.0 - _PROB_TOL
+
+    def symmetric_moments(self):
+        """a1 == a2: the moment's exponent a1*q1 + a2*q2 and s = q1 + q2 are then commutative sums."""
+        a1, a2 = self.exponents
+        return a1 == a2
 
     def grad_phi(self, q1, q2):
         a1, a2 = self.exponents
@@ -598,6 +611,11 @@ def check_assumptions(model: WeightModel) -> AssumptionReport:
     negative moments, a table fails iff it carries a zero atom).  For the
     sign-and-modulus kinds the scan answer is cross-checked against the
     closed-form admissibility condition.
+
+    The scan's curve max_k E|W_k|**q is one branch, E|W1|**q, for a law
+    with ``symmetric_moments``: there E|W2|**q is the same float, so the
+    report is the one the max of both gives.  Else every point evaluates
+    both branches, since the argmin and the trisection compare values.
     """
     b = model.base
     notes = []
@@ -606,8 +624,11 @@ def check_assumptions(model: WeightModel) -> AssumptionReport:
     if not a0_ok:
         notes.append(f"means ({model.mean(1)}, {model.mean(2)}) != 1/b")
 
+    symmetric = model.symmetric_moments()
+
     def worst(q):
-        return max(model.joint_moment(q, 0.0), model.joint_moment(0.0, q))
+        m = model.joint_moment(q, 0.0)
+        return m if symmetric else max(m, model.joint_moment(0.0, q))
 
     grid_points = _A1_GRID_POINTS
     qs = 1.0 + np.arange(1, grid_points + 1) / grid_points

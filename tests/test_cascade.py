@@ -793,6 +793,36 @@ def test_partition_function_forgets_only_the_tables_it_memoized(held, lo, hi, mo
     assert ests == estimate.partition_function(cascade.build(model, seed=3, depth=20), PARTITION_QS, lo, hi)
 
 
+@pytest.mark.parametrize("held, lo, hi", [
+    ((), 3, 16),
+    ((18, 9), 3, 16),
+    ((), 2, 3),  # below the chunks' top level 4, whose tables the first read memoizes too
+    ((16, 3), 2, 3),
+])
+def test_holder_exponents_forgets_only_the_tables_it_memoized(held, lo, hi):
+    model = lognormal_beta(2, 0.8, 0.1)
+    real = cascade.build(model, seed=3, depth=20)
+    for m in held:
+        cascade.grid_min_max(real, m)
+    before = dict(real._min_max)
+    idx = [0, 5, 2**hi - 1]
+    got = estimate.holder_exponents(real, idx, lo, hi)
+    assert real._min_max.keys() == before.keys()
+    assert all(real._min_max[m] is tables for m, tables in before.items())
+    assert_same_bytes(got, estimate.holder_exponents(cascade.build(model, seed=3, depth=20), idx, lo, hi))
+
+
+def test_cold_holder_exponents_peaks_at_one_and_three_quarter_finest_tables():
+    # a level's oscillations are taken while the next finer level's tables are still held;
+    # keeping every level of the window would reach 2 tables
+    model = lognormal_beta(2, 0.8, 0.1)
+    estimate.holder_exponents(cascade.build(model, seed=1, depth=6), [0, 3], 2, 4)  # one-off allocations
+    _, walk = peak_bytes(cascade.grid_min_max, cascade.build(model, seed=1, depth=20), 18)
+    _, peak = peak_bytes(estimate.holder_exponents, cascade.build(model, seed=1, depth=20), [0, 5, 2**18 - 1], 3, 18)
+    tables = 4 * 8 * 2**18  # the finest level's ((min1, max1), (min2, max2))
+    assert peak <= max(walk, 1.75 * tables) + 2**16  # the slack of the per-path arrays
+
+
 def test_walk_descends_only_through_levels_above_the_whole_level_limit(monkeypatch):
     calls = []
     next_signed = cascade._next_signed

@@ -16,6 +16,7 @@ from cascadelab.weights import (
     Fractional,
     LognormalSigned,
     Mixed,
+    SignedModulus,
     SignJoint,
     check_assumptions,
     sigma_from_beta,
@@ -405,9 +406,9 @@ def test_curve_with_no_crossing_raises_like_the_scan():
 
     for hi in (0.5, 4.0):
         with pytest.raises(NoRootError):
-            predict._smallest_root(f, 0.5, hi)
+            predict._smallest_root((f,), 0.5, hi)
         assert outcome(linear_scan_root, f, 0.5, hi) is NoRootError
-    assert predict._smallest_root(f, 0.7, 4.0) == linear_scan_root(f, 0.7, 4.0)
+    assert predict._smallest_root((f,), 0.7, 4.0) == linear_scan_root(f, 0.7, 4.0)
 
 
 def cached_bisection_calls(f, target, hi, step=predict.SCAN_STEP):
@@ -452,7 +453,7 @@ def test_grid_bisection_evaluates_each_point_once_in_the_former_order(model):
             calls.append(x)
             return curve(x)
 
-        outcome(predict._smallest_root, f, target, predict.Q_MAX)
+        outcome(predict._smallest_root, (f,), target, predict.Q_MAX)
         grid = cached_bisection_calls(curve, target, predict.Q_MAX)
         assert calls[1 : len(grid) + 1] == grid  # after f(0), before the cell bisection
         assert len(set(grid)) == len(grid)
@@ -476,9 +477,9 @@ def test_curve_that_overflows_past_its_minimum_keeps_its_root():
         return 0.6 * math.exp((x - 1.0) ** 2) if (x - 1.0) ** 2 < 709.0 else math.inf
 
     for hi in (4.0, 100.0, 1000.0):
-        assert predict._smallest_root(f, 0.7, hi) == linear_scan_root(f, 0.7, hi)
+        assert predict._smallest_root((f,), 0.7, hi) == linear_scan_root(f, 0.7, hi)
         with pytest.raises(NoRootError):
-            predict._smallest_root(f, 0.5, hi)
+            predict._smallest_root((f,), 0.5, hi)
 
 
 def test_finite_point_tells_a_leading_infinite_stretch_from_an_overflow():
@@ -486,9 +487,9 @@ def test_finite_point_tells_a_leading_infinite_stretch_from_an_overflow():
         return 0.6 * math.exp((x - 1.0) ** 2) if 0.5 <= x and (x - 1.0) ** 2 < 709.0 else math.inf
 
     for hi in (4.0, 100.0, 1000.0):
-        assert predict._smallest_root(f, 0.7, hi, finite_at=1.0) == linear_scan_root(f, 0.7, hi)
+        assert predict._smallest_root((f,), 0.7, hi, finite_at=1.0) == linear_scan_root(f, 0.7, hi)
         with pytest.raises(NoRootError):
-            predict._smallest_root(f, 0.5, hi, finite_at=1.0)
+            predict._smallest_root((f,), 0.5, hi, finite_at=1.0)
 
 
 @pytest.mark.parametrize("q_max", [4.0, 2000.0, 2100.0, 3000.0])
@@ -522,6 +523,48 @@ def oracle_rows(model, grid):
             dim, branch = (xi, "xi") if xi <= zeta else (zeta, "zeta")
         rows.append(predict.PredictionRow(xi0, xi, zeta, xs, dim, branch, predict.closed_form_image_dim(model, xi0)))
     return rows
+
+
+@pytest.mark.parametrize("model", ORACLE_MODELS, ids=lambda m: f"{type(m).__name__}-b{m.base}")
+def test_assumption_report_equals_the_two_branch_scan(model, monkeypatch):
+    got = check_assumptions(model)
+    monkeypatch.setattr(SignedModulus, "symmetric_moments", lambda self: False)
+    assert repr(got) == repr(check_assumptions(model))
+
+
+def max_of_branches(curve):
+    """``curve`` as the one branch that is the max of its branches: every point evaluates all of them."""
+
+    def one_branch(model):
+        branches = curve(model)
+        return (lambda x: max(g(x) for g in branches),)
+
+    one_branch.__name__ = curve.__name__
+    return one_branch
+
+
+@pytest.mark.parametrize("model, ratio", [
+    (lognormal_beta(2, 0.8, 0.1), 0.5),  # one branch
+    (mixed_beta(2, 0.8, 0.1), 0.8),  # two branches, each cell step stopping at the first above the target
+], ids=["lognormal", "mixed"])
+def test_kpz_curve_evaluates_only_the_deciding_branches(model, ratio, monkeypatch):
+    grid = [i / 256 for i in range(257)]
+    calls = [0]
+    moment = type(model).joint_moment
+
+    def counted(self, q1, q2):
+        calls[0] += 1
+        return moment(self, q1, q2)
+
+    monkeypatch.setattr(type(model), "joint_moment", counted)
+    rows = predict.kpz_curve(dataclasses.replace(model), grid)
+    branch_wise = calls[0]
+    calls[0] = 0
+    monkeypatch.setattr(SignedModulus, "symmetric_moments", lambda self: False)
+    for name in ("_psi", "_psi_tilde"):
+        monkeypatch.setattr(predict, name, max_of_branches(getattr(predict, name)))
+    assert repr(predict.kpz_curve(dataclasses.replace(model), grid)) == repr(rows)
+    assert branch_wise <= ratio * calls[0]
 
 
 def memo_sizes(model):

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -312,6 +313,42 @@ def test_identical_weights_certification():
     assert not Fractional(2, 0.75, 0.75).identical_weights()
     assert not SYMMETRIC_TABLE.identical_weights()
     assert DiscreteTable(2, (((0.5, 0.5), 1.0),)).identical_weights()
+
+
+@st.composite
+def symmetric_moment_models(draw):
+    """A fractional law with alpha1 = alpha2, a signed lognormal one, or a mixed one with alpha = 1."""
+    kind = draw(st.sampled_from(["fractional", "lognormal", "mixed"]))
+    b = draw(st.sampled_from([2, 3, 7, 10**6]))
+    sigma = draw(st.floats(0.0, 5.0))
+    if kind == "fractional":
+        alpha = draw(st.floats(0.5, 1.0, exclude_min=True))
+        return Fractional(b, alpha, alpha)
+    if kind == "lognormal":
+        return LognormalSigned(b, draw(st.floats(0.0, 1.0, exclude_min=True)), sigma)
+    return Mixed(b, 1.0, sigma)
+
+
+MOMENT_ORDERS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e300, -1e300]), st.floats(-1e300, 1e300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_moment_models(), MOMENT_ORDERS, MOMENT_ORDERS)
+def test_symmetric_moments_are_one_float_both_ways(model, a, c):
+    # the moment curves' two branches are then one (see predict._psi), so a search evaluates one
+    assert model.symmetric_moments()
+    m = model.joint_moment(a, c)
+    assert not math.isnan(m)
+    assert struct.pack("<d", m) == struct.pack("<d", model.joint_moment(c, a))
+
+
+def test_symmetric_moments_needs_equal_exponents_and_no_table():
+    for model in (Fractional(2, 0.75, 0.8), Fractional(3, 0.7, 0.9), mixed_beta(2, 0.8, 0.1), Mixed(2, 0.999, 0.0)):
+        assert not model.symmetric_moments()
+    tables = [m for m in MODELS if isinstance(m, DiscreteTable)]
+    tables += [DiscreteTable(2, (((0.5, 0.5), 1.0),)), _gauss_hermite_table(2, 0.8, 0.3)]
+    for table in tables:
+        assert not table.symmetric_moments()
 
 
 def test_invalid_models_rejected():
