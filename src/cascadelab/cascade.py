@@ -339,15 +339,16 @@ def _chunked_min_max(real: CascadeRealization, level: int):
 def grid_min_max(real: CascadeRealization, level: int):
     """Per-word (min, max) of each grid component over closed intervals.
 
-    Returns ((min1, max1), (min2, max2)) arrays of length base**level.
-    The tables are memoized on the realization and read-only.  A level
-    is derived from the nearest finer level already held when there is
-    one, by folding each word's b**(finer - level) descendants (see
-    _fold): a closed word interval is the union of its children's closed
-    intervals, so this is exact.  Else a level at or above the chunks' top level is
-    reduced chunk by chunk from one grid walk that holds no grid (see
-    _chunked_min_max), and a coarser level is derived from the top
-    level's tables.
+    Returns ((min1, max1), (min2, max2)) arrays of length base**level;
+    max - min is the oscillation O_k(w), which undershoots the limit
+    process's by at most the finest cell's.  The tables are memoized on
+    the realization and read-only.  A level is derived from the nearest
+    finer level already held when there is one, by folding each word's
+    b**(finer - level) descendants (see _fold): a closed word interval is
+    the union of its children's closed intervals, so this is exact.  Else
+    a level at or above the chunks' top level is reduced chunk by chunk
+    from one grid walk that holds no grid (see _chunked_min_max), and a
+    coarser level is derived from the top level's tables.
     """
     level = _check_level(real, level)
     cache = real._min_max
@@ -389,16 +390,6 @@ def _read_only(tables):
         for a in pair:
             a.flags.writeable = False
     return tables
-
-
-def oscillations(real: CascadeRealization, level: int) -> tuple[np.ndarray, np.ndarray]:
-    """(O1, O2) at one level: O_k(w) = max - min of the depth-n grid of F_k over closed I_w.
-
-    The grid maximum undershoots the true sup of the limit process by at
-    most the finest-cell oscillation; estimator tolerances absorb this.
-    """
-    (min1, max1), (min2, max2) = grid_min_max(real, level)
-    return max1 - min1, max2 - min2
 
 
 class _TiltedTables(tuple):
@@ -573,7 +564,7 @@ def export_level(real: CascadeRealization, level: int) -> LevelExport:
 
     Rows come in word-index order; a word is written as
     ``words.word_from_index`` writes it (digits without separators, or
-    dot-separated for b > 10, so ``parse_word`` reads it back), and its
+    dot-separated for b > 10), and its
     endpoint is the grid value at its interval's right end.  The words
     are built a block at a time (see words.LevelWords), so no list of
     b**level strings is made.  The level's products are built whole

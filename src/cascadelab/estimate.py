@@ -256,6 +256,14 @@ def _int_levels(*levels) -> tuple[int, ...]:
     return tuple(as_integer(m, "level") for m in levels)
 
 
+def _fit_window(real: CascadeRealization, lo, hi) -> tuple[int, int]:
+    """The levels of a fit window as ints, once 1 <= lo < hi <= depth: a slope needs two levels."""
+    lo, hi = _int_levels(lo, hi)
+    if not 1 <= lo < hi <= real.depth:
+        raise ConfigError(f"bad level window [{lo}, {hi}]: a fit needs two levels in [1, {real.depth}]")
+    return lo, hi
+
+
 def _component(k) -> int:
     """The component k as an int, once it is 1 or 2 (see errors.as_integer)."""
     k = as_integer(k, "component k")
@@ -293,9 +301,7 @@ def partition_function(
     finite = [math.isfinite(q1) and math.isfinite(q2) for q1, q2 in qs]
     if qs and not finite[0]:
         raise ConfigError(f"q must be finite, got {qs[0]}")
-    level_lo, level_hi = _int_levels(level_lo, level_hi)
-    if not 1 <= level_lo < level_hi <= real.depth:
-        raise ConfigError(f"bad level window [{level_lo}, {level_hi}]: a fit needs two levels in [1, {real.depth}]")
+    level_lo, level_hi = _fit_window(real, level_lo, level_hi)
     # the q's before the first one that is not finite: a call per q fits them before it raises
     walked = qs[: finite.index(False) if False in finite else len(qs)]
     ms = list(range(level_lo, level_hi + 1))
@@ -317,9 +323,9 @@ def partition_function(
 def _partition_sum(tables, q1: float, q2: float) -> float | None:
     """S_m(q) from one level's min/max tables, or None for a zero oscillation under a negative q.
 
-    The oscillations O_k = max - min (see cascade.oscillations) are
-    fresh arrays, so the powers and their product are formed in place,
-    with the bits of O1**q1 * O2**q2, and freed on return.
+    The oscillations O_k = max - min are fresh arrays, so the powers and
+    their product are formed in place, with the bits of O1**q1 * O2**q2,
+    and freed on return.
     """
     (min1, max1), (min2, max2) = tables
     o1, o2 = max1 - min1, max2 - min2
@@ -359,20 +365,20 @@ def holder_exponents(
     """Estimated Holder pair for each depth-``level_hi`` word index.
 
     The estimate for component k is minus the least-squares slope of
-    log_b O_k(I_m(x)) against m over the window.
+    log_b O_k(I_m(x)) against m over the window, O_k = max - min of the
+    min/max tables (see cascade.grid_min_max) at each path's prefix.
 
     The window is walked finest level first, each level's tables derived
-    from the next finer level's, and as soon as a level's oscillations
-    exist the walk forgets the finer tables that it memoized itself (see
+    from the next finer level's, and as soon as a level's tables exist
+    the walk forgets the finer tables that it memoized itself (see
     cascade._forgetter); at the end it forgets the rest of its own.
-    Tables memoized before the call stay.  Beyond those and the finest
-    level's own walk, the call holds at most the finest level's tables,
-    the next coarser level's and that level's oscillations: 1.75 times
-    the finest level's tables.
+    Tables memoized before the call stay.  Only the paths' rows are
+    subtracted, so beyond those tables and the finest level's own walk
+    the call holds at most the finest level's tables and the next
+    coarser level's: 1.5 times the finest level's tables, plus a few
+    arrays per path.
     """
-    level_lo, level_hi = _int_levels(level_lo, level_hi)
-    if not 1 <= level_lo < level_hi <= real.depth:
-        raise ConfigError(f"bad level window [{level_lo}, {level_hi}]")
+    level_lo, level_hi = _fit_window(real, level_lo, level_hi)
     idx = np.asarray(word_indices)
     if idx.size and idx.dtype.kind not in "iu":  # floats, NaN, or ints beyond 64 bits
         raise ConfigError(f"word indices must be integers that fit in int64, got dtype {idx.dtype}")
@@ -380,26 +386,23 @@ def holder_exponents(
         raise ConfigError(f"word index outside [0, {real.base**level_hi}) at level {level_hi}")
     idx = idx.astype(np.int64)
     ms = np.arange(level_lo, level_hi + 1)
-    logs1 = np.empty((len(ms), len(idx)))
-    logs2 = np.empty((len(ms), len(idx)))
+    logs = np.empty((2, len(ms), len(idx)))  # log_b O_k per component, level and path
     zero = np.zeros(len(ms), dtype=bool)
     lb = math.log(real.base)
     forget = cascade._forgetter(real)
     for row in reversed(range(len(ms))):  # finest first, so each coarser table derives from the memo
-        prefix = idx // real.base ** (level_hi - ms[row])
-        o1, o2 = (o[prefix] for o in cascade.oscillations(real, ms[row]))
+        tables = cascade.grid_min_max(real, ms[row])
         forget(ms[row])
-        zero[row] = (o1 == 0.0).any() or (o2 == 0.0).any()
+        prefix = idx // real.base ** (level_hi - ms[row])
+        osc = [hi[prefix] - lo[prefix] for lo, hi in tables]
+        zero[row] = any((o == 0.0).any() for o in osc)
         if not zero[row]:
-            logs1[row] = np.log(o1) / lb
-            logs2[row] = np.log(o2) / lb
+            logs[:, row] = np.log(osc) / lb
     forget(-1)
     if zero.any():  # the coarsest failing level is the one reported
         raise ZeroOscillationError(f"zero oscillation at level {ms[zero.argmax()]}")
     mc = ms - ms.mean()
-    sxx = (mc**2).sum()
-    h1 = -(mc[:, None] * (logs1 - logs1.mean(axis=0))).sum(axis=0) / sxx
-    h2 = -(mc[:, None] * (logs2 - logs2.mean(axis=0))).sum(axis=0) / sxx
+    h1, h2 = -(mc[:, None] * (logs - logs.mean(axis=1, keepdims=True))).sum(axis=1) / (mc**2).sum()
     return h1, h2
 
 
@@ -448,9 +451,7 @@ def level_set(
     """
     k = _component(k)
     _check_finite_level(y)
-    fit_lo, level = _int_levels(fit_lo, level)
-    if not 1 <= fit_lo < level <= real.depth:
-        raise ConfigError(f"bad level window [{fit_lo}, {level}]: a fit needs two levels in [1, {real.depth}]")
+    fit_lo, level = _fit_window(real, fit_lo, level)
     mm = cascade.grid_min_max(real, level)[k - 1]
     hits = np.nonzero((mm[0] <= y) & (y <= mm[1]))[0]
     counts = level_crossing_counts(real, k, y, fit_lo, level)

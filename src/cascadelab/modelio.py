@@ -121,7 +121,7 @@ def parse_model(text: str) -> WeightModel:
 
 def load_model(path) -> WeightModel:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # a leading byte-order mark is not text
             text = fh.read()
     except OSError as e:
         raise ConfigError(f"cannot read model file {path}: {e}") from e

@@ -6,8 +6,8 @@ n with digits d_1 ... d_n addresses the interval ``I_w = [j * b**-n,
 values are flat arrays indexed by j, and the library hands out and reads
 words as that index alone.  This module owns the text ``simulate.csv``
 holds: the digits without separators, or dot-separated for b > 10
-(``word_from_index`` writes it, ``parse_word`` reads it back, and
-``LevelWords`` writes a whole level of it one block at a time).
+(``word_from_index`` writes it, and ``LevelWords`` writes a whole level
+of it one block at a time).
 """
 
 from __future__ import annotations
@@ -26,28 +26,6 @@ def word_from_index(index: int, length: int, base: int) -> str:
         index, d = divmod(index, base)
         digits.append(str(d))
     return ("." if base > 10 else "").join(reversed(digits))
-
-
-def parse_word(text: str, base: int) -> int:
-    """The index of the word that ``word_from_index`` writes as ``text``.
-
-    Digits are ASCII decimal numerals below ``base``, one character each
-    up to base 10 and dot-separated above; the empty text is the empty
-    word.  Any other text raises ConfigError.
-    """
-    digits = text.split(".") if base > 10 and text else list(text)
-    if not all(d.isascii() and d.isdigit() for d in digits):
-        raise ConfigError(f"not a base-{base} word: {text!r}")
-    index = 0
-    for d in digits:
-        try:
-            d = int(d)
-        except ValueError:  # a digit too long for int()
-            raise ConfigError(f"not a base-{base} word: {text!r}") from None
-        if d >= base:
-            raise ConfigError(f"digit {d} out of range for base {base}")
-        index = index * base + d
-    return index
 
 
 def level_words(b: int, level: int) -> list[str]:

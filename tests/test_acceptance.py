@@ -14,6 +14,7 @@ import numpy as np
 from cascadelab import cascade, estimate, predict
 from cascadelab.estimate import cantor_set
 from cascadelab.weights import DiscreteTable, Fractional, LognormalSigned, Mixed, sigma_from_beta
+from helpers import oscillations
 
 FRAC75 = Fractional(2, 0.75, 0.75)
 
@@ -119,7 +120,7 @@ def test_acceptance_06_oscillation_moment_scaling():
     for s in range(n_seeds):
         real = cascade.build(FRAC75, seed=s, depth=depth)
         for i, m in enumerate(levels):
-            o1, o2 = cascade.oscillations(real, int(m))
+            o1, o2 = oscillations(real, int(m))
             for q in qs:
                 sums[q][i] += float((o1 ** q[0] * o2 ** q[1]).mean())
     msgs = []

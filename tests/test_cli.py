@@ -93,6 +93,17 @@ def test_parse_errors():
         modelio.load_model("/nonexistent/model.txt")
 
 
+@pytest.mark.parametrize("text", [FRACTIONAL, LOGNORMAL, TABLE], ids=["fractional", "lognormal", "table"])
+def test_model_file_with_a_byte_order_mark_reads_as_without(tmp_path, capsys, text):
+    # editors on some platforms save UTF-8 with a leading U+FEFF; it is not part of the first key
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert modelio.load_model(marked).digest() == modelio.load_model(plain).digest()
+    assert main(["check-model", "--model", str(marked)]) == 0
+    assert json.loads(capsys.readouterr().out)["a1_ok"]
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 

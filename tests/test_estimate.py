@@ -16,7 +16,8 @@ from cascadelab.errors import (
 from cascadelab.estimate import TestSet as CantorSet
 from cascadelab.estimate import cantor_set, fit_loglog
 from cascadelab.weights import DiscreteTable, Fractional, LognormalSigned, SignJoint, sigma_from_beta
-from cascadelab.words import parse_word, word_from_index
+from cascadelab.words import word_from_index
+from helpers import oscillations, word_index
 
 IDENTITY2 = Fractional(2, 1.0, 1.0, SignJoint(1.0, 0.0, 0.0, 0.0))
 IDENTITY3 = Fractional(3, 1.0, 1.0, SignJoint(1.0, 0.0, 0.0, 0.0))
@@ -201,7 +202,7 @@ def test_partition_function_negative_q_with_zero_oscillation():
 
 
 def coarsest_zero_level(real, lo, hi):
-    levels = [m for m in range(lo, hi + 1) if (cascade.oscillations(real, m)[0] == 0.0).any()]
+    levels = [m for m in range(lo, hi + 1) if (oscillations(real, m)[0] == 0.0).any()]
     assert levels and levels[0] < hi  # a finest-first report would name another level
     return levels[0]
 
@@ -252,9 +253,12 @@ def test_one_level_windows_are_config_errors_before_any_walk():
             estimate.partition_function(real, [(1.0, 1.0)], lo, hi)
         with pytest.raises(ConfigError, match=rf"bad level window \[{lo}, {hi}\]: a fit needs two levels"):
             estimate.level_set(real, 1, 0.5, hi, lo)
+        with pytest.raises(ConfigError, match=rf"bad level window \[{lo}, {hi}\]: a fit needs two levels"):
+            estimate.holder_exponents(real, [0], lo, hi)
     assert real._min_max == {}
     assert estimate.level_set(real, 1, 0.5, 5, 4)[1].scale_range == (4, 5)
     assert estimate.partition_function(real, [(1.0, 1.0)], 4, 5)[0].scale_range == (4, 5)
+    assert [h.shape for h in estimate.holder_exponents(real, [0], 4, 5)] == [(1,), (1,)]
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +267,7 @@ def test_one_level_windows_are_config_errors_before_any_walk():
 
 def test_identity_holder_exponent_is_one():
     real = cascade.build(IDENTITY2, seed=0, depth=12)
-    (h1,), (h2,) = estimate.holder_exponents(real, [parse_word("0110101101", 2)], 2, 10)
+    (h1,), (h2,) = estimate.holder_exponents(real, [word_index("0110101101", 2)], 2, 10)
     assert h1 == pytest.approx(1.0, abs=1e-10)
     assert h2 == pytest.approx(1.0, abs=1e-10)
 

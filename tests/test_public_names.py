@@ -16,11 +16,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "cascadelab").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
 
-# public names whose callers are planned (ROADMAP items 3 and 6), and the reader of simulate.csv words
+# public names whose callers ROADMAP.md plans: restricted image dimensions and the levelset.csv prediction
 ALLOWED = {
     "predict.restricted_image_dim",
     "predict.predicted_levelset_dim",
-    "words.parse_word",
 }
 
 
