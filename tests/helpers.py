@@ -1,7 +1,5 @@
 """Test helpers: forms the tests read that the library has no use for."""
 
-import re
-
 from cascadelab import cascade
 from cascadelab.errors import ConfigError
 from cascadelab.weights import Fractional, SignJoint
@@ -20,15 +18,18 @@ def word_index(text, base):
     up to base 10 and dot-separated above; the empty text is the empty
     word.  Any other text raises ConfigError.
     """
-    digit = r"[0-9]" if base <= 10 else r"[0-9]+"
-    sep = "" if base <= 10 else r"\."
-    if not re.fullmatch(rf"(?:{digit}(?:{sep}{digit})*)?", text, re.ASCII):
+    digits = text.split(".") if base > 10 and text else list(text)
+    if not all(d.isascii() and d.isdigit() for d in digits):
         raise ConfigError(f"not a base-{base} word: {text!r}")
     index = 0
-    for d in text.split(".") if sep and text else text:
-        if len(d) > len(str(base)) or int(d) >= base:
-            raise ConfigError(f"digit {d[:20]} out of range for base {base}")
-        index = index * base + int(d)
+    for d in digits:
+        try:
+            d = int(d)
+        except ValueError:  # a digit too long for int()
+            raise ConfigError(f"not a base-{base} word: {text!r}") from None
+        if d >= base:
+            raise ConfigError(f"digit {d} out of range for base {base}")
+        index = index * base + d
     return index
 
 
