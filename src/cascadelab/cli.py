@@ -458,21 +458,25 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, **kw)
         p.add_argument("--model", required=True, help="model specification file")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--force", action="store_true", help="skip the assumption gate")
         p.set_defaults(func=func)
         return p
 
-    p = add("check-model", cmd_check_model, help="print the assumption report")
+    def add_table(name, func, **kw):  # a command that _run gates on the assumptions
+        p = add(name, func, **kw)
+        p.add_argument("--force", action="store_true", help="skip the assumption gate")
+        return p
 
-    p = add("predict", cmd_predict, help="xi/zeta/KPZ prediction table")
+    add("check-model", cmd_check_model, help="print the assumption report")
+
+    p = add_table("predict", cmd_predict, help="xi/zeta/KPZ prediction table")
     p.add_argument("--xi0-grid", default="65", help="point count or comma list")
 
-    p = add("spectrum-predict", cmd_spectrum_predict, help="restricted spectrum points")
+    p = add_table("spectrum-predict", cmd_spectrum_predict, help="restricted spectrum points")
     p.add_argument("--q", required=True, help="q pairs 'q1,q2;q1,q2;...'")
     p.add_argument("--xi0", type=float, default=1.0)
 
     def add_sim(name, func, **kw):
-        p = add(name, func, **kw)
+        p = add_table(name, func, **kw)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--depth", type=int, required=True)
         return p

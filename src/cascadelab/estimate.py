@@ -251,14 +251,9 @@ def image_box_dim(real: CascadeRealization, ts: TestSet) -> DimensionEstimate:
 # partition function / Holder exponents
 
 
-def _int_levels(*levels) -> tuple[int, ...]:
-    """The levels of a window as ints (see errors.as_integer)."""
-    return tuple(as_integer(m, "level") for m in levels)
-
-
 def _fit_window(real: CascadeRealization, lo, hi) -> tuple[int, int]:
-    """The levels of a fit window as ints, once 1 <= lo < hi <= depth: a slope needs two levels."""
-    lo, hi = _int_levels(lo, hi)
+    """The window's levels as ints (see errors.as_integer), once 1 <= lo < hi <= depth: a slope needs two levels."""
+    lo, hi = (as_integer(m, "level") for m in (lo, hi))
     if not 1 <= lo < hi <= real.depth:
         raise ConfigError(f"bad level window [{lo}, {hi}]: a fit needs two levels in [1, {real.depth}]")
     return lo, hi
@@ -410,28 +405,6 @@ def holder_exponents(
 # level sets and occupation measure
 
 
-def _check_finite_level(y) -> None:
-    """NaN and +-inf bracket nothing, so a level y that is not finite raises ConfigError."""
-    if not math.isfinite(y):
-        raise ConfigError(f"level y must be finite, got {y}")
-
-
-def level_crossing_counts(
-    real: CascadeRealization, k: int, y: float, level_lo: int, level_hi: int
-) -> np.ndarray:
-    """Number of level-m intervals whose refined grid brackets y, per m."""
-    k = _component(k)
-    _check_finite_level(y)
-    level_lo, level_hi = _int_levels(level_lo, level_hi)
-    if not 0 <= level_lo <= level_hi <= real.depth:
-        raise ConfigError(f"bad level window [{level_lo}, {level_hi}]")
-    counts = []
-    for m in range(level_hi, level_lo - 1, -1):  # finest first, so each coarser table derives from the memo
-        mm = cascade.grid_min_max(real, m)[k - 1]
-        counts.append(int(((mm[0] <= y) & (y <= mm[1])).sum()))
-    return np.array(counts[::-1], dtype=np.int64)
-
-
 def level_set(
     real: CascadeRealization,
     k: int,
@@ -447,25 +420,32 @@ def level_set(
     against the level over [fit_lo, level], which needs two levels:
     1 <= fit_lo < level <= depth, else ConfigError.  An empty level set is a
     valid outcome, reported as dimension 0 with the ``empty`` flag; a y
-    that is not finite raises ConfigError.
+    that is not finite (NaN and +-inf bracket nothing) raises ConfigError.
+
+    The window is walked once, finest level first: each level's min/max
+    tables are read once (see cascade.grid_min_max), the finest level's
+    crossings are the indices and every level's count is a point of the
+    fit.  Each coarser table derives from the memo, and every table stays
+    memoized for the next y.  A coarser closed word contains the crossing
+    words below it, so no count is 0 unless the finest is.
     """
     k = _component(k)
-    _check_finite_level(y)
+    if not math.isfinite(y):
+        raise ConfigError(f"level y must be finite, got {y}")
     fit_lo, level = _fit_window(real, fit_lo, level)
-    mm = cascade.grid_min_max(real, level)[k - 1]
-    hits = np.nonzero((mm[0] <= y) & (y <= mm[1]))[0]
-    counts = level_crossing_counts(real, k, y, fit_lo, level)
-    ms = np.arange(fit_lo, level + 1)
-    if len(hits) == 0 or (counts == 0).any():
-        est = DimensionEstimate(
-            0.0, 0.0, (fit_lo, level), 1.0, tuple(zip(ms.tolist(), counts.tolist())), empty=len(hits) == 0
-        )
-        return hits, est
+    ms = list(range(fit_lo, level + 1))
+    counts = []
+    for m in reversed(ms):  # finest first, so each coarser table derives from the memo
+        lo, hi = cascade.grid_min_max(real, m)[k - 1]
+        crossing = (lo <= y) & (y <= hi)
+        if m == level:
+            hits = np.nonzero(crossing)[0]
+        counts.insert(0, int(crossing.sum()))
+    scales = tuple(zip(ms, counts))
+    if len(hits) == 0:
+        return hits, DimensionEstimate(0.0, 0.0, (fit_lo, level), 1.0, scales, empty=True)
     slope, stderr, r2 = fit_loglog(ms, np.log(counts) / math.log(real.base))
-    est = DimensionEstimate(
-        slope, stderr, (fit_lo, level), r2, tuple(zip(ms.tolist(), counts.tolist()))
-    )
-    return hits, est
+    return hits, DimensionEstimate(slope, stderr, (fit_lo, level), r2, scales)
 
 
 def occupation_histogram(

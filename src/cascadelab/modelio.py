@@ -9,14 +9,16 @@ whitespace separated; an optional ``=`` between them is accepted and
     alpha       (lognormal, mixed)
     alpha1      (fractional)
     alpha2      (fractional)
-    sigma       lognormal volatility; alternatively
-    beta        sigma**2 / (2 ln b)
-    sign XY p   one row of the 2x2 sign table, XY in {++, +-, -+, --}
+    sigma       (lognormal, mixed) volatility; alternatively
+    beta        (lognormal, mixed) sigma**2 / (2 ln b)
+    sign XY p   (fractional, lognormal) one row of the 2x2 sign table,
+                XY in {++, +-, -+, --}
     signplus p  (mixed) marginal P(sign of W1 = +)
     atom w1 w2 p  (table) one support atom
 
 Each key and each sign row may appear once; ``atom`` rows repeat.  Any
-malformed text raises ConfigError.
+malformed text raises ConfigError, as does a key that the model's kind
+does not read.
 
 Omitted sign tables default to independent signs with the marginals
 that make E(W_k) = 1/b.
@@ -36,6 +38,13 @@ from .weights import (
 )
 
 _SIGN_KEYS = ("++", "+-", "-+", "--")
+# the keys each kind reads besides kind and b; "sign" and "atom" stand for their rows
+_READS = {
+    "fractional": {"alpha1", "alpha2", "sign"},
+    "lognormal": {"alpha", "sigma", "beta", "sign"},
+    "mixed": {"alpha", "sigma", "beta", "signplus"},
+    "table": {"atom"},
+}
 
 
 def _number(text: str, what: str) -> float:
@@ -82,6 +91,11 @@ def parse_model(text: str) -> WeightModel:
         base = int(kv.get("b", "2"))
     except ValueError as e:
         raise ConfigError(f"bad base: {kv.get('b')!r}") from e
+    if kind in _READS:
+        given = set(kv) | {row for row, rows in (("sign", signs), ("atom", atoms)) if rows}
+        unread = sorted(given - _READS[kind] - {"kind", "b"})
+        if unread:
+            raise ConfigError(f"model kind {kind!r} does not read {', '.join(map(repr, unread))}")
 
     sign_joint = None
     if signs:

@@ -43,14 +43,12 @@ Q_MAX = 4.0
 ROOT_TOL = 1e-12
 
 
-def _smallest_root(
-    branches, target: float, hi: float, step: float = SCAN_STEP, values=None, finite_at: float = 0.0
-) -> float:
+def _smallest_root(branches, target: float, hi: float, values=None, finite_at: float = 0.0) -> float:
     """Smallest x in [0, hi] with f(x) = target, for the curve f = max(branches).
 
     ``branches`` holds one or two functions; the curve is their pointwise
     max.  f(0) >= target is assumed (it holds for the two moment curves,
-    which start at 1 >= b**-xi0).  The first grid point x_i = i * step
+    which start at 1 >= b**-xi0).  The first grid point x_i = i * SCAN_STEP
     with f(x_i) <= target is found by bisection over the grid index, then
     the root is bisected on [x_{i-1}, x_i].  ``values`` holds f at grid
     indices: one dict passed to every search of a curve on the same grid
@@ -85,7 +83,7 @@ def _smallest_root(
     def at(i):
         v = values.get(i)
         if v is None:
-            x = i * step
+            x = i * SCAN_STEP
             v = values[i] = max([g(x) for g in branches])
         return v
 
@@ -94,8 +92,8 @@ def _smallest_root(
         if abs(f0 - target) <= ROOT_TOL:
             return 0.0
         raise NoRootError(f"curve starts below target: f(0)={f0} < {target}")
-    n_steps = int(round(hi / step))
-    finite = finite_at / step
+    n_steps = int(round(hi / SCAN_STEP))
+    finite = finite_at / SCAN_STEP
     lo, top = 1, n_steps
     while lo < top:
         mid = (lo + top) // 2  # below top, so mid + 1 is still on the grid
@@ -110,7 +108,7 @@ def _smallest_root(
             lo = mid + 1
     if n_steps < 1 or at(lo) > target:
         raise NoRootError(f"no root in [0, {hi}] (curve stays above {target})")
-    lo_b, hi_b = (lo - 1) * step, lo * step
+    lo_b, hi_b = (lo - 1) * SCAN_STEP, lo * SCAN_STEP
     g, h = branches[0], branches[-1]  # one branch: h is g, and is never called
     for _ in range(100):
         mid = 0.5 * (lo_b + hi_b)
@@ -163,29 +161,22 @@ def _check_xi0(xi0: float) -> None:
         raise ConfigError(f"xi0 must be in [0, 1], got {xi0}")
 
 
-def _check_q_max(q_max: float) -> None:
-    if not math.isfinite((q_max + 1.0) / SCAN_STEP):
-        raise ConfigError(f"q_max must span a finite number of grid steps, got {q_max}")
-
-
-def solve_xi(model: WeightModel, xi0: float, q_max: float = Q_MAX) -> float:
-    """Smallest xi >= 0 with max_k E|W_k|**xi = b**-xi0."""
+def solve_xi(model: WeightModel, xi0: float) -> float:
+    """Smallest xi in [0, Q_MAX] with max_k E|W_k|**xi = b**-xi0."""
     _check_xi0(xi0)
-    _check_q_max(q_max)
     if xi0 == 0.0:
         return 0.0
-    return _solve(model, _psi, model.base**-xi0, q_max)
+    return _solve(model, _psi, model.base**-xi0, Q_MAX)
 
 
-def solve_zeta(model: WeightModel, xi0: float, q_max: float = Q_MAX) -> float:
-    """Smallest zeta >= 0 solving the cross-moment equation.
+def solve_zeta(model: WeightModel, xi0: float) -> float:
+    """Smallest zeta in [0, Q_MAX + 1] solving the cross-moment equation.
 
     The curve is finite at z = 1, where both moments' exponents are
     >= 0; it may be infinite left of it, where an atom of |W_k| is 0.
     """
     _check_xi0(xi0)
-    _check_q_max(q_max)
-    return _solve(model, _psi_tilde, model.base**-xi0, q_max + 1.0, finite_at=1.0)
+    return _solve(model, _psi_tilde, model.base**-xi0, Q_MAX + 1.0, finite_at=1.0)
 
 
 def xi_star(model: WeightModel) -> float:

@@ -119,6 +119,13 @@ def test_check_model_failing_assumptions(model_file):
     assert main(["check-model", "--model", model_file(BAD_LOGNORMAL)]) == 3
 
 
+def test_check_model_takes_no_force(model_file, capsys):
+    # it never read the flag: a failing model exited 3 with --force as without
+    with pytest.raises(SystemExit) as usage:
+        main(["check-model", "--model", model_file(BAD_LOGNORMAL), "--force"])
+    assert usage.value.code == 2 and "unrecognized arguments: --force" in capsys.readouterr().err
+
+
 def test_predict_writes_table_and_manifest(model_file, tmp_path):
     out = tmp_path / "out"
     rc = main(
@@ -577,6 +584,31 @@ def test_duplicate_model_keys_are_config_errors(model_file, text):
     with pytest.raises(ConfigError, match="duplicate"):
         modelio.parse_model(text)
     assert main(["check-model", "--model", model_file(text)]) == 2
+
+
+SIGN_ROWS = "sign ++ 0.9\nsign +- 0.05\nsign -+ 0.05\nsign -- 0\n"
+
+
+@pytest.mark.parametrize(
+    "text, unread",
+    [
+        ("kind mixed\nb 2\nalpha 0.8\nbeta 0.1\nsignpluss 0.95\n", "'signpluss'"),
+        (FRACTIONAL + "sigma 0.3\n", "'sigma'"),
+        (TABLE + SIGN_ROWS, "'sign'"),
+        ("kind mixed\nb 2\nalpha 0.8\nbeta 0.1\n" + SIGN_ROWS, "'sign'"),
+        (LOGNORMAL + "alpha1 0.7\n", "'alpha1'"),
+        (FRACTIONAL + "atom 0.5 0.5 1\n", "'atom'"),
+        (LOGNORMAL + "alpha2 0.7\nalpha1 0.7\n", "'alpha1', 'alpha2'"),
+    ],
+    ids=["misspelt-signplus", "sigma-on-fractional", "sign-on-table", "sign-on-mixed", "alpha1-on-lognormal",
+         "atom-on-fractional", "two-keys"],
+)
+def test_a_key_its_kind_does_not_read_is_a_config_error(model_file, capsys, text, unread):
+    # each was parsed and its key dropped: neither the digest nor the manifest showed it
+    with pytest.raises(ConfigError, match=f"model kind '[a-z]+' does not read {unread}$"):
+        modelio.parse_model(text)
+    assert main(["check-model", "--model", model_file(text)]) == 2
+    assert "does not read" in capsys.readouterr().err
 
 
 def test_repeated_atom_rows_stay_legal():

@@ -246,9 +246,9 @@ def test_several_q_raise_what_a_call_per_q_raises(model, seed, qs, lo, hi):
     assert real._min_max == {}
 
 
-def test_one_level_windows_are_config_errors_before_any_walk():
+def test_windows_without_two_levels_in_the_depth_are_config_errors_before_any_walk():
     real = cascade.build(FRAC, seed=1, depth=10)
-    for lo, hi in ((4, 4), (1, 1), (10, 10)):
+    for lo, hi in ((4, 4), (1, 1), (10, 10), (6, 5), (-1, 4), (2, 11)):
         with pytest.raises(ConfigError, match=rf"bad level window \[{lo}, {hi}\]: a fit needs two levels"):
             estimate.partition_function(real, [(1.0, 1.0)], lo, hi)
         with pytest.raises(ConfigError, match=rf"bad level window \[{lo}, {hi}\]: a fit needs two levels"):
@@ -326,9 +326,21 @@ def test_empty_level_set_convention():
 def test_level_crossing_counts_are_nondecreasing():
     real = cascade.build(FRAC, seed=9, depth=12)
     y = float(cascade.grid_values(real)[0][2**11])  # an attained value
-    counts = estimate.level_crossing_counts(real, 1, y, 2, 8)
+    ms, counts = zip(*estimate.level_set(real, 1, y, 8)[1].counts_per_scale)
+    assert ms == tuple(range(2, 9))
     assert np.all(np.diff(counts) >= 0)
     assert counts[0] >= 1
+
+
+@pytest.mark.parametrize("level, fit_lo", [(8, 2), (8, 7), (12, 1), (5, 4)])
+def test_level_set_reads_each_level_of_its_window_once(monkeypatch, level, fit_lo):
+    real = cascade.build(FRAC, seed=9, depth=12)
+    reads = []
+    grid_min_max = cascade.grid_min_max
+    monkeypatch.setattr(cascade, "grid_min_max", lambda r, m: reads.append(m) or grid_min_max(r, m))
+    estimate.level_set(real, 1, 0.1, level, fit_lo)
+    assert reads == list(range(level, fit_lo - 1, -1))  # finest first
+    assert set(real._min_max) >= set(reads)  # kept for the next y
 
 
 @pytest.mark.parametrize("k", [0, 3])
@@ -336,13 +348,6 @@ def test_level_set_component_outside_one_two_is_a_config_error(k):
     real = cascade.build(FRAC, seed=9, depth=10)
     with pytest.raises(ConfigError):
         estimate.level_set(real, k, 0.1, 6)
-
-
-@pytest.mark.parametrize("lo,hi", [(6, 5), (-1, 4), (2, 11)])
-def test_level_crossing_window_outside_the_depth_is_a_config_error(lo, hi):
-    real = cascade.build(FRAC, seed=9, depth=10)
-    with pytest.raises(ConfigError):
-        estimate.level_crossing_counts(real, 1, 0.1, lo, hi)
 
 
 def test_occupation_histogram_identity_is_uniform():
@@ -375,24 +380,16 @@ def test_occupation_histogram_arguments_that_are_not_integers_are_config_errors(
 def test_level_set_component_that_is_not_an_integer_is_a_config_error(k):
     # 1.0 raised a raw TypeError from the component index
     real = cascade.build(FRAC, seed=9, depth=10)
-    for call in (
-        lambda: estimate.level_set(real, k, 0.5, 8),
-        lambda: estimate.level_crossing_counts(real, k, 0.5, 2, 8),
-    ):
-        with pytest.raises(ConfigError, match="must be an integer"):
-            call()
+    with pytest.raises(ConfigError, match="must be an integer"):
+        estimate.level_set(real, k, 0.5, 8)
 
 
 @pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf])
 def test_non_finite_level_is_a_config_error(y):
     # NaN brackets nothing: level_set(real, 1, nan, 6) reported an empty level set
     real = cascade.build(FRAC, seed=9, depth=10)
-    for call in (
-        lambda: estimate.level_set(real, 1, y, 6),
-        lambda: estimate.level_crossing_counts(real, 1, y, 2, 6),
-    ):
-        with pytest.raises(ConfigError, match="must be finite"):
-            call()
+    with pytest.raises(ConfigError, match="must be finite"):
+        estimate.level_set(real, 1, y, 6)
 
 
 @pytest.mark.parametrize("masses, count", [
@@ -546,7 +543,6 @@ def test_level_windows_must_be_integers(lo, hi):
     for call in (
         lambda: estimate.partition_function(real, [(1.0, 1.0)], lo, hi),
         lambda: estimate.holder_exponents(real, [0, 3], lo, hi),
-        lambda: estimate.level_crossing_counts(real, 1, 0.5, lo, hi),
         lambda: estimate.level_set(real, 1, 0.5, hi, lo),
     ):
         with pytest.raises(ConfigError, match="must be an integer"):

@@ -78,9 +78,9 @@ def test_xi0_out_of_range():
 
 
 def test_no_root_is_surfaced():
-    # root sits at 1.5, beyond a q_max of 1
+    # root sits at 1.5, beyond a search interval of [0, 1]
     with pytest.raises(NoRootError):
-        predict.solve_xi(FRAC_NE, 0.9, q_max=1.0)
+        predict._smallest_root(predict._psi(FRAC_NE), FRAC_NE.base**-0.9, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -467,9 +467,13 @@ def test_grid_bisection_evaluates_each_point_once_in_the_former_order(model):
 def test_wide_search_interval_keeps_the_root(q_max):
     m = lognormal_beta(2, 0.8, 0.1)  # both curves overflow to inf from about 105.8 on
     target = m.base**-0.5
-    assert predict.solve_xi(m, 0.5, q_max) == linear_scan_root(xi_curve(m), target, q_max)
-    assert predict.solve_zeta(m, 0.5, q_max) == linear_scan_root(zeta_curve(m), target, q_max + 1.0)
-    assert predict.solve_xi(m, 0.5, q_max) == 0.5948751620467192
+    xi = predict._smallest_root(predict._psi(m), target, q_max)
+    zeta = predict._smallest_root(predict._psi_tilde(m), target, q_max + 1.0, finite_at=1.0)
+    assert xi == linear_scan_root(xi_curve(m), target, q_max)
+    assert zeta == linear_scan_root(zeta_curve(m), target, q_max + 1.0)
+    assert xi == 0.5948751620467192
+    if q_max == predict.Q_MAX:
+        assert (predict.solve_xi(m, 0.5), predict.solve_zeta(m, 0.5)) == (xi, zeta)
 
 
 def test_curve_that_overflows_past_its_minimum_keeps_its_root():
@@ -498,15 +502,10 @@ def test_zeta_root_between_a_leading_infinite_stretch_and_an_overflow(q_max):
     m = DiscreteTable(2, (((0.0, 0.5), 0.3), ((2.0, -0.2), 0.7)))
     target = m.base**-0.5
     want = linear_scan_root(zeta_curve(m), target, q_max + 1.0)
-    assert predict.solve_zeta(m, 0.5, q_max) == want == 1.4244002341588384
-
-
-@pytest.mark.parametrize("q_max", [math.inf, -math.inf, math.nan, 1e308])
-def test_q_max_off_a_finite_grid_is_a_config_error(q_max):
-    for solve in (predict.solve_xi, predict.solve_zeta):
-        for xi0 in (0.0, 0.5):
-            with pytest.raises(ConfigError):
-                solve(LN, xi0, q_max)
+    zeta = predict._smallest_root(predict._psi_tilde(m), target, q_max + 1.0, finite_at=1.0)
+    assert zeta == want == 1.4244002341588384
+    if q_max == predict.Q_MAX:
+        assert predict.solve_zeta(m, 0.5) == zeta
 
 
 def oracle_rows(model, grid):
