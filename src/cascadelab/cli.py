@@ -140,11 +140,12 @@ def _below_depth(args, least: int, what: str, option: str) -> int:
 
 
 def _xi0_grid(spec: str) -> list[float]:
-    """Either an integer point count for a uniform grid on [0,1], or a
-    comma-separated list of values."""
-    if "," in spec:
+    """A spec that ``int`` reads is a point count for a uniform grid on
+    [0,1]; any other is a comma-separated list of values, one or more."""
+    try:
+        n = int(spec)
+    except ValueError:
         return [_float(v, "xi0 value") for v in spec.split(",")]
-    n = _number(int, spec, "xi0 grid size")
     if n < 2:
         raise ConfigError("xi0 grid needs at least 2 points")
     return [i / (n - 1) for i in range(n)]

@@ -274,8 +274,9 @@ def partition_function(
 
     The fitted slope of log_b S_m against m is expected to equal
     1 - phi(q) (counting factor b**m times the moment decay b**-m*phi).
-    The window needs two levels, 1 <= level_lo < level_hi <= depth, and
-    a q that is not finite raises ConfigError; a sum that overflows a
+    A q that is not finite anywhere in ``qs`` raises ConfigError, naming
+    the first such q, before the window is checked.  The window needs two
+    levels, 1 <= level_lo < level_hi <= depth; a sum that overflows a
     double raises DivergenceError.  Of several failing q's, the first in
     ``qs`` is raised, at its coarsest failing level: the error that one
     call per q raises.
@@ -293,26 +294,21 @@ def partition_function(
     see cascade.grid_min_max: those are then the finest.)
     """
     qs = list(qs)
-    finite = [math.isfinite(q1) and math.isfinite(q2) for q1, q2 in qs]
-    if qs and not finite[0]:
-        raise ConfigError(f"q must be finite, got {qs[0]}")
+    for q in qs:
+        if not (math.isfinite(q[0]) and math.isfinite(q[1])):
+            raise ConfigError(f"q must be finite, got {q}")
     level_lo, level_hi = _fit_window(real, level_lo, level_hi)
-    # the q's before the first one that is not finite: a call per q fits them before it raises
-    walked = qs[: finite.index(False) if False in finite else len(qs)]
     ms = list(range(level_lo, level_hi + 1))
-    sums = [{} for _ in walked]
+    sums = [{} for _ in qs]
     forget = cascade._forgetter(real)
     for m in reversed(ms):  # finest first, so each coarser table derives from the memo
-        for i, (q1, q2) in enumerate(walked):
+        for i, (q1, q2) in enumerate(qs):
             tables = cascade.grid_min_max(real, m)
             if i == 0:
                 forget(m)
             sums[i][m] = _partition_sum(tables, q1, q2)
     forget(-1)
-    estimates = [_partition_fit(real.base, q, ms, s) for q, s in zip(walked, sums)]
-    if len(walked) < len(qs):
-        raise ConfigError(f"q must be finite, got {qs[len(walked)]}")
-    return estimates
+    return [_partition_fit(real.base, q, ms, s) for q, s in zip(qs, sums)]
 
 
 def _partition_sum(tables, q1: float, q2: float) -> float | None:

@@ -5,18 +5,17 @@ Root solvers for the two moment equations
     b**-xi0 = max(E|W1|**x, E|W2|**x)                       (xi)
     b**-xi0 = max(E(|W1|**(z-1) |W2|), E(|W1| |W2|**(z-1))) (zeta)
 
-with smallest-root semantics (bisection over the index of a fixed
-grid, exact because the moment curves are log-convex, then bisection
-of the bracketing grid cell), the crossover exponent xi_star, the
-image-dimension law (min(xi, zeta) when the two components can differ,
-min(xi, 1) when they are almost surely equal), the KPZ curve of the
-sign-and-modulus kinds in closed form, the restricted
-spectrum points xi0 + q . grad_phi(q) - phi(q), and the level-set
+with smallest-root semantics (the first grid cell where the curve's
+running minimum reaches the target, then bisection of that cell), the
+crossover exponent xi_star, the image-dimension law (min(xi, zeta) when
+the two components can differ, min(xi, 1) when they are almost surely
+equal), the KPZ curve of the sign-and-modulus kinds in closed form, the
+restricted spectrum points xi0 + q . grad_phi(q) - phi(q), and the level-set
 dimension 1 - alpha_k of fractional cascades.
 
-Each model object memoizes its two curves (see _solve): their values
-at the grid points, shared by every search on that model, and their
-roots per (target, upper end), so a KPZ sweep evaluates each grid point
+Each model object memoizes its two curves (see _solve): their running
+minima at the grid points, shared by every search on that model, and
+their roots keyed by target, so a KPZ sweep evaluates each grid point
 of a curve once and a repeated solve is a lookup.  The memo lives in
 the model's own __dict__ and holds only floats, so it is freed with the
 model.
@@ -32,6 +31,7 @@ are the ones the max of both branches gives, bit for bit.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -43,72 +43,47 @@ Q_MAX = 4.0
 ROOT_TOL = 1e-12
 
 
-def _smallest_root(branches, target: float, hi: float, values=None, finite_at: float = 0.0) -> float:
+def _smallest_root(branches, target: float, hi: float, table=None) -> float:
     """Smallest x in [0, hi] with f(x) = target, for the curve f = max(branches).
 
     ``branches`` holds one or two functions; the curve is their pointwise
     max.  f(0) >= target is assumed (it holds for the two moment curves,
-    which start at 1 >= b**-xi0).  The first grid point x_i = i * SCAN_STEP
-    with f(x_i) <= target is found by bisection over the grid index, then
-    the root is bisected on [x_{i-1}, x_i].  ``values`` holds f at grid
-    indices: one dict passed to every search of a curve on the same grid
-    evaluates each grid point once across all of them.
+    which start at 1 >= b**-xi0).  The root lies in the cell that ends at
+    the first grid point x_i = i * SCAN_STEP with f(x_i) <= target; that
+    cell is bisected to ROOT_TOL.
 
-    The grid bisection compares values of f, so a grid point evaluates
-    every branch.  Each step of the cell bisection asks only whether
-    f(mid) <= target, which holds exactly when every branch is <= target
-    (no branch returns NaN; ``WeightModel.joint_moment`` never does).  A
-    step therefore stops at the first branch above the target, and tries
-    that branch first on the next step: near the root, the branch that
-    decided the last step mostly decides the next.
+    ``table`` holds the running minimum of f along the grid from x_0,
+    negated so that it ascends: one list passed to every search of a
+    curve evaluates each grid point once across all of them.  A search
+    extends it one grid point at a time, only while its last entry is
+    still above the target and i <= hi / SCAN_STEP, and then reads the
+    cell's end i off it by bisection.  The first index where the running
+    minimum is <= target is the first grid point where f is, so the cell
+    is the one a left-to-right scan finds, on any curve.
 
-    The grid bisection rests on log-convexity.  Every moment curve
-    x -> E|W1|**a(x) |W2|**c(x) with affine exponents is log-convex
-    (Holder), and so is the max of two.  A convex sequence falls, then
-    rises, so the predicate ``f(x_i) <= target or f(x_{i+1}) >= f(x_i)``
-    is false up to some index and true from it on.  Where it first holds
-    either f(x_i) <= target, and no earlier grid point reached the
-    target, or the curve has turned upward above the target and never
-    comes back down.  A log-convex curve is finite on an interval, so an
-    infinite or NaN value lies either on a leading stretch (where an
-    exponent is negative and an atom is zero), which counts as still
-    falling, or past the minimum, where the curve overflows and the
-    predicate holds.  It is past the minimum when it lies right of
-    ``finite_at``, a point where the curve is known to be finite (0 by
-    default): bisection alone cannot find the finite stretch between a
-    leading infinite stretch and an overflow.
+    A grid point evaluates every branch.  Each step of the cell bisection
+    asks only whether f(mid) <= target, which holds exactly when every
+    branch is <= target (no branch returns NaN; ``WeightModel.joint_moment``
+    never does).  A step therefore stops at the first branch above the
+    target, and tries that branch first on the next step: near the root,
+    the branch that decided the last step mostly decides the next.
     """
-    values = {} if values is None else values
-
-    def at(i):
-        v = values.get(i)
-        if v is None:
-            x = i * SCAN_STEP
-            v = values[i] = max([g(x) for g in branches])
-        return v
-
-    f0 = at(0)
+    table = [] if table is None else table
+    if not table:
+        table.append(-max([g(0.0) for g in branches]))
+    f0 = -table[0]
     if f0 <= target:
         if abs(f0 - target) <= ROOT_TOL:
             return 0.0
         raise NoRootError(f"curve starts below target: f(0)={f0} < {target}")
     n_steps = int(round(hi / SCAN_STEP))
-    finite = finite_at / SCAN_STEP
-    lo, top = 1, n_steps
-    while lo < top:
-        mid = (lo + top) // 2  # below top, so mid + 1 is still on the grid
-        v = at(mid)
-        if v < math.inf:
-            settled = v <= target or at(mid + 1) >= v
-        else:
-            settled = mid > finite
-        if settled:
-            top = mid
-        else:
-            lo = mid + 1
-    if n_steps < 1 or at(lo) > target:
+    while table[-1] < -target and len(table) <= n_steps:
+        x = len(table) * SCAN_STEP
+        table.append(max(table[-1], -max([g(x) for g in branches])))
+    i = bisect.bisect_left(table, -target)
+    if i > n_steps:
         raise NoRootError(f"no root in [0, {hi}] (curve stays above {target})")
-    lo_b, hi_b = (lo - 1) * SCAN_STEP, lo * SCAN_STEP
+    lo_b, hi_b = (i - 1) * SCAN_STEP, i * SCAN_STEP
     g, h = branches[0], branches[-1]  # one branch: h is g, and is never called
     for _ in range(100):
         mid = 0.5 * (lo_b + hi_b)
@@ -136,23 +111,21 @@ def _psi_tilde(model: WeightModel):
     return branches[:1] if model.symmetric_moments() else branches
 
 
-def _solve(model: WeightModel, curve, target: float, hi: float, finite_at: float = 0.0) -> float:
+def _solve(model: WeightModel, curve, target: float, hi: float) -> float:
     """``_smallest_root`` of ``curve(model)``'s branches on [0, hi], through the model's memo of that curve.
 
-    ``finite_at`` is a point where the curve is known to be finite (see
-    _smallest_root).
-
-    The memo is ``(values, roots)`` in the model's __dict__, under the
-    curve's name: the curve at grid indices, at most hi / SCAN_STEP + 1
-    of them for the widest hi, and each root found, keyed by
-    (target, hi).  A search that raises NoRootError keeps the values it
-    read and no root.  The branches are built afresh on each search, so
-    the memo holds floats only and no reference back to the model.
+    The memo is ``(table, roots)`` in the model's __dict__, under the
+    curve's name: the curve's negated running minimum at the grid points
+    (see _smallest_root), at most hi / SCAN_STEP + 1 of them, and each
+    root found, keyed by target; each curve is searched on one interval.
+    A search that raises NoRootError keeps the table it extended and no
+    root.  The branches are built afresh on each search, so the memo
+    holds floats only and no reference back to the model.
     """
-    values, roots = vars(model).setdefault(f"{curve.__name__}_memo", ({}, {}))
-    root = roots.get((target, hi))
+    table, roots = vars(model).setdefault(f"{curve.__name__}_memo", ([], {}))
+    root = roots.get(target)
     if root is None:
-        root = roots[target, hi] = _smallest_root(curve(model), target, hi, values=values, finite_at=finite_at)
+        root = roots[target] = _smallest_root(curve(model), target, hi, table=table)
     return root
 
 
@@ -170,13 +143,9 @@ def solve_xi(model: WeightModel, xi0: float) -> float:
 
 
 def solve_zeta(model: WeightModel, xi0: float) -> float:
-    """Smallest zeta in [0, Q_MAX + 1] solving the cross-moment equation.
-
-    The curve is finite at z = 1, where both moments' exponents are
-    >= 0; it may be infinite left of it, where an atom of |W_k| is 0.
-    """
+    """Smallest zeta in [0, Q_MAX + 1] solving the cross-moment equation."""
     _check_xi0(xi0)
-    return _solve(model, _psi_tilde, model.base**-xi0, Q_MAX + 1.0, finite_at=1.0)
+    return _solve(model, _psi_tilde, model.base**-xi0, Q_MAX + 1.0)
 
 
 def xi_star(model: WeightModel) -> float:

@@ -152,6 +152,18 @@ def test_predict_explicit_grid(model_file, tmp_path):
     assert float(rows[2][1]) == pytest.approx(0.8, abs=1e-9)
 
 
+def test_predict_takes_one_source_dimension(model_file, tmp_path):
+    # a spec int() cannot read is a list of values: '0.5' once exited 2 as a bad grid size
+    tables = {}
+    for spec in ("0.5", "0.25,0.5"):
+        out = tmp_path / spec
+        assert main(["predict", "--model", model_file(LOGNORMAL), "--out", str(out), "--xi0-grid", spec]) == 0
+        tables[spec] = read_csv(out / "predict.csv")
+    header, *rows = tables["0.25,0.5"]
+    assert tables["0.5"] == [header, rows[1]]
+    assert float(rows[1][0]) == 0.5
+
+
 def test_spectrum_predict(model_file, tmp_path):
     out = tmp_path / "out"
     rc = main(
@@ -506,6 +518,7 @@ def test_overflowing_moments_and_sums_are_numeric_errors(model_file, tmp_path, c
         ["levelset", "--depth", "8", "--y-count", "-1"],
         ["levelset", "--depth", "8", "--y", "nan"],
         ["image-dim", "--depth", "8", "--testset", "1000000000000:0:1"],
+        ["predict", "--xi0-grid", "1"],
     ],
 )
 def test_bad_cli_text_is_config_error(model_file, tmp_path, capsys, argv):

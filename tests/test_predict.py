@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import gc
 import math
 import weakref
@@ -323,11 +322,11 @@ def test_closed_form_equals_the_solver_off_the_capped_branch(model, xi0):
 
 
 # ---------------------------------------------------------------------------
-# grid bisection against the linear-scan root finder
+# the grid search against the linear-scan root finder
 
 
 def linear_scan_root(f, target, hi, step=predict.SCAN_STEP):
-    """The former _smallest_root: walk the grid, then bisect the first crossing."""
+    """Walk the grid left to right, then bisect the first crossing."""
     prev_x, prev_v = 0.0, f(0.0)
     if prev_v <= target:
         if abs(prev_v - target) <= predict.ROOT_TOL:
@@ -411,52 +410,40 @@ def test_curve_with_no_crossing_raises_like_the_scan():
     assert predict._smallest_root((f,), 0.7, 4.0) == linear_scan_root(f, 0.7, 4.0)
 
 
-def cached_bisection_calls(f, target, hi, step=predict.SCAN_STEP):
-    """The points the grid bisection evaluates, in order, with a functools.cache memo and a settled helper."""
-    calls = []
+def test_non_convex_curve_keeps_its_first_crossing():
+    def bump(x):  # crosses 0.85 at 0.375, rises above it on [0.75, 1.125), then falls for good
+        if x < 0.5:
+            return 1.0 - 0.4 * x
+        if x < 1.0:
+            return 0.8 + 0.2 * (x - 0.5)
+        return 0.9 - 0.4 * (x - 1.0)
 
-    @functools.cache
-    def at(i):
-        calls.append(i * step)
-        return f(i * step)
-
-    def settled(i):
-        v = at(i)
-        if v <= target:
-            return True
-        if i == n_steps:
-            return False
-        return v < math.inf and at(i + 1) >= v
-
-    n_steps = int(round(hi / step))
-    lo, top = 1, n_steps
-    while lo < top:
-        mid = (lo + top) // 2
-        if settled(mid):
-            top = mid
-        else:
-            lo = mid + 1
-    at(lo)
-    return calls
+    root = predict._smallest_root((bump,), 0.85, 4.0)
+    assert root == linear_scan_root(bump, 0.85, 4.0) == 0.37499999999954525
 
 
 @pytest.mark.parametrize("model", ORACLE_MODELS[:9], ids=lambda m: f"{type(m).__name__}-b{m.base}")
-def test_grid_bisection_evaluates_each_point_once_in_the_former_order(model):
-    def curve(x):
-        return max(model.joint_moment(x, 0.0), model.joint_moment(0.0, x))
+def test_sweep_evaluates_each_grid_point_once_in_ascending_order(model):
+    grid = [i / 256 for i in range(257)]
+    for curve, hi in ((xi_curve(model), predict.Q_MAX), (zeta_curve(model), predict.Q_MAX + 1.0)):
+        indices = []
 
-    for xi0 in (1.0 / 3.0, 0.5, 0.9):
-        target = model.base**-xi0
-        calls = []
-
-        def f(x):
-            calls.append(x)
+        def f(x, curve=curve):
+            i = x / predict.SCAN_STEP
+            if i.is_integer():  # a grid point: the cell bisection's points lie strictly inside a cell
+                indices.append(int(i))
             return curve(x)
 
-        outcome(predict._smallest_root, (f,), target, predict.Q_MAX)
-        grid = cached_bisection_calls(curve, target, predict.Q_MAX)
-        assert calls[1 : len(grid) + 1] == grid  # after f(0), before the cell bisection
-        assert len(set(grid)) == len(grid)
+        table = []
+        roots = [outcome(predict._smallest_root, (f,), model.base**-xi0, hi, table) for xi0 in grid]
+        last_cell = (
+            int(round(hi / predict.SCAN_STEP))
+            if NoRootError in roots
+            else math.ceil(max(roots) / predict.SCAN_STEP)
+        )
+        assert len(set(indices)) == len(indices)
+        assert indices == sorted(indices)
+        assert max(indices) <= last_cell
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +455,7 @@ def test_wide_search_interval_keeps_the_root(q_max):
     m = lognormal_beta(2, 0.8, 0.1)  # both curves overflow to inf from about 105.8 on
     target = m.base**-0.5
     xi = predict._smallest_root(predict._psi(m), target, q_max)
-    zeta = predict._smallest_root(predict._psi_tilde(m), target, q_max + 1.0, finite_at=1.0)
+    zeta = predict._smallest_root(predict._psi_tilde(m), target, q_max + 1.0)
     assert xi == linear_scan_root(xi_curve(m), target, q_max)
     assert zeta == linear_scan_root(zeta_curve(m), target, q_max + 1.0)
     assert xi == 0.5948751620467192
@@ -491,9 +478,9 @@ def test_finite_point_tells_a_leading_infinite_stretch_from_an_overflow():
         return 0.6 * math.exp((x - 1.0) ** 2) if 0.5 <= x and (x - 1.0) ** 2 < 709.0 else math.inf
 
     for hi in (4.0, 100.0, 1000.0):
-        assert predict._smallest_root((f,), 0.7, hi, finite_at=1.0) == linear_scan_root(f, 0.7, hi)
+        assert predict._smallest_root((f,), 0.7, hi) == linear_scan_root(f, 0.7, hi)
         with pytest.raises(NoRootError):
-            predict._smallest_root((f,), 0.5, hi, finite_at=1.0)
+            predict._smallest_root((f,), 0.5, hi)
 
 
 @pytest.mark.parametrize("q_max", [4.0, 2000.0, 2100.0, 3000.0])
@@ -502,7 +489,7 @@ def test_zeta_root_between_a_leading_infinite_stretch_and_an_overflow(q_max):
     m = DiscreteTable(2, (((0.0, 0.5), 0.3), ((2.0, -0.2), 0.7)))
     target = m.base**-0.5
     want = linear_scan_root(zeta_curve(m), target, q_max + 1.0)
-    zeta = predict._smallest_root(predict._psi_tilde(m), target, q_max + 1.0, finite_at=1.0)
+    zeta = predict._smallest_root(predict._psi_tilde(m), target, q_max + 1.0)
     assert zeta == want == 1.4244002341588384
     if q_max == predict.Q_MAX:
         assert predict.solve_zeta(m, 0.5) == zeta
@@ -567,8 +554,8 @@ def test_kpz_curve_evaluates_only_the_deciding_branches(model, ratio, monkeypatc
 
 
 def memo_sizes(model):
-    """(grid values, roots) held for the xi and the zeta curve."""
-    return [tuple(map(len, vars(model).get(name, ({}, {})))) for name in ("_psi_memo", "_psi_tilde_memo")]
+    """(grid points tabulated, roots) held for the xi and the zeta curve."""
+    return [tuple(map(len, vars(model).get(name, ([], {})))) for name in ("_psi_memo", "_psi_tilde_memo")]
 
 
 @pytest.mark.parametrize("model", ORACLE_MODELS, ids=lambda m: f"{type(m).__name__}-b{m.base}")
@@ -585,9 +572,9 @@ def test_memoized_kpz_curve_equals_the_linear_scan_rows(model):
         return
     b = model.base
     for name, hi, solved in (("_psi_memo", predict.Q_MAX, grid[1:]), ("_psi_tilde_memo", predict.Q_MAX + 1.0, grid)):
-        values, roots = vars(model)[name]
-        assert len(values) <= hi / predict.SCAN_STEP + 1
-        assert set(roots) == {(b**-xi0, hi) for xi0 in solved}
+        table, roots = vars(model)[name]
+        assert len(table) <= hi / predict.SCAN_STEP + 1
+        assert set(roots) == {b**-xi0 for xi0 in solved}
 
 
 def test_memo_does_not_keep_its_model_alive():
