@@ -40,6 +40,13 @@ grid, 16 * (b**n + 1) bytes, only when asked for level n.  Every
 min/max table comes from one strided fold (see _fold), which turns each
 run of neighbours into one value.
 
+A walk of more than one chunk reads its leaf level's stream one chunk
+ahead on a helper thread (see _ReadAhead) when the process has a spare
+CPU: one process-wide budget of at most _CPU_THREADS CPU-bound threads,
+which the per-seed threads of the CLI take from first (see _take_cpus).
+The helper only reads the stream, in order and in the walk's slices, so
+every value is the one a walk on one thread gives.
+
 export_level returns one level as columns (see LevelExport): its words'
 text, built one aligned block at a time (see words.LevelWords), so the
 level's b**level strings never exist at once; its products in the
@@ -53,8 +60,12 @@ once (see LevelExport.distinct_ends).
 from __future__ import annotations
 
 import bisect
+import ctypes
 import functools
 import math
+import os
+import queue
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +78,55 @@ DEFAULT_CELL_BUDGET = 2**26
 _CHUNK_CELLS = 2**16  # leaves of the subtree a grid walk samples and sums at once
 _WHOLE_LEVEL_CELLS = 2**12  # a grid walk builds every level of at most this many nodes whole
 _FOLD_RUN_MAX = 32  # _fold reduces each run in one call when it is longer
+_CPU_THREADS = 2  # CPU-bound threads the process runs at once, a caller's included; see _take_cpus
+
+_spare_lock = threading.Lock()
+_spare_taken = 0  # CPUs beyond the callers' held now by seed threads and read-ahead helpers
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on (see ``taskset``)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _take_cpus(n: int) -> int:
+    """Take up to ``n`` of the process's spare CPUs, for threads beyond the caller's; returns how many.
+
+    The process runs at most min(_cpus(), _CPU_THREADS) CPU-bound threads
+    at once: a caller's thread and the spare ones taken, which stay taken
+    until _give_cpus returns them.  The CPUs are counted afresh on every
+    call, so a ``taskset`` applies to the next take.
+    """
+    global _spare_taken
+    with _spare_lock:
+        taken = max(0, min(n, min(_cpus(), _CPU_THREADS) - 1 - _spare_taken))
+        _spare_taken += taken
+    return taken
+
+
+def _give_cpus(n: int) -> None:
+    """Return ``n`` spare CPUs taken by _take_cpus."""
+    global _spare_taken
+    with _spare_lock:
+        _spare_taken -= n
+
+
+def _other_cpus() -> set:
+    """The CPUs this process may run on but the calling thread's current one; empty where that is unknown.
+
+    Read where the C library has ``sched_getcpu`` and the OS thread
+    affinities (Linux).
+    """
+    try:
+        cpus = os.sched_getaffinity(0)
+        getcpu = ctypes.CDLL(None).sched_getcpu
+    except (AttributeError, OSError):
+        return set()
+    getcpu.argtypes, getcpu.restype = (), ctypes.c_int
+    here = getcpu()
+    return cpus - {here} if here in cpus else set()
 
 
 def _philox_key(seed: int, level: int) -> np.ndarray:
@@ -165,7 +225,9 @@ class _LevelStream:
     ``standard_normal(size)`` the normals from position n = b**m on, the
     layout of ``WeightModel.sample_pairs(rng, n)``; ``Philox.advance(k)``
     skips 4k doubles.  Slices drawn in order therefore consume the doubles
-    of one whole-level call, ziggurat normals included.
+    of one whole-level call, ziggurat normals included.  The two methods
+    read two generators, so each may be read on its own thread (see
+    _ReadAhead), as long as each reads its slices in order.
     """
 
     def __init__(self, seed: int, level: int, n: int):
@@ -179,6 +241,93 @@ class _LevelStream:
         normals.bit_generator.advance(self._n // 4)
         normals.random(self._n % 4)
         return normals.standard_normal
+
+
+class _ReadAhead:
+    """A _LevelStream whose slices a helper thread reads, each method at most one slice ahead.
+
+    A reader calls ``random(size)`` and ``standard_normal(size)`` as on the
+    stream.  A method's first call asks the helper for its first slice;
+    every call, once it has its slice, asks for the next one of the same
+    size, until ``slices`` have been asked for, so while the reader works
+    on one slice the helper reads the next.  The helper reads the slices
+    in the order they were asked for, so each method's generator is read
+    by one thread, in order, in the same sizes, and every value is the one
+    the stream gives on the reader's thread.  The reader allocates each
+    slice's array when it asks for it; the helper fills it in place and
+    lets go of it before it says it is done, so what a walk holds at any
+    step of the reader does not depend on how far the helper has got.  An
+    error raised in the helper is raised in the reader by the call that
+    takes its slice.  The helper runs on a spare CPU taken by the caller
+    (see _take_cpus); ``close`` stops and joins it, then returns that CPU.
+
+    The helper keeps off the CPU the reader ran on when it started (see
+    _other_cpus): the reader wakes it for every slice, and Linux would
+    queue a thread it wakes on the waker's CPU, so that the two threads
+    took turns on one CPU.  Where the helper cannot be kept off, it runs
+    wherever the OS puts it.
+    """
+
+    def __init__(self, stream: _LevelStream, slices: int):
+        self._stream, self._slices = stream, slices
+        self._asks = queue.SimpleQueue()
+        self._asked = {}  # method name -> [its done signals, slices left to ask for, the slice being filled]
+        # a daemon, so that a walk never closed does not keep the interpreter from exiting
+        self._helper = threading.Thread(
+            target=self._read, args=(_other_cpus(),), name="cascadelab-read-ahead", daemon=True
+        )
+        try:
+            self._helper.start()
+        except BaseException:
+            _give_cpus(1)
+            raise
+
+    def _read(self, cpus: set) -> None:
+        if cpus:
+            try:
+                os.sched_setaffinity(0, cpus)  # on Linux, of this thread alone
+            except OSError:  # say, no such CPU
+                pass
+        for ask in iter(self._asks.get, None):
+            name, out, done = ask
+            error = None
+            try:
+                getattr(self._stream, name)(out=out)
+            except BaseException as e:  # raised in the reader, by the call that takes this slice
+                error = e
+            del ask, out
+            done.put(error)
+
+    def _ask(self, name: str, size: int) -> None:
+        """Hand the helper the method's next slice to fill, while any is left to ask for."""
+        state = self._asked[name]
+        state[2] = None
+        if state[1]:
+            state[1] -= 1
+            state[2] = np.empty(size)
+            self._asks.put((name, state[2], state[0]))
+
+    def _take(self, name: str, size: int) -> np.ndarray:
+        if name not in self._asked:
+            self._asked[name] = [queue.SimpleQueue(), self._slices, None]
+            self._ask(name, size)
+        done, _, out = self._asked[name]
+        error = done.get()
+        if error is not None:
+            raise error
+        self._ask(name, size)
+        return out
+
+    def random(self, size: int) -> np.ndarray:
+        return self._take("random", size)
+
+    def standard_normal(self, size: int) -> np.ndarray:
+        return self._take("standard_normal", size)
+
+    def close(self) -> None:
+        self._asks.put(None)
+        self._helper.join()
+        _give_cpus(1)
 
 
 def build(model: WeightModel, seed: int, depth: int) -> CascadeRealization:
@@ -244,6 +393,11 @@ def grid_chunks(real: CascadeRealization):
     _LevelStream); the leaf products are written into the buffer and
     summed there in place, from the previous chunk's last value on,
     bit-identical to one cumsum over a whole-level build.
+
+    A walk of more than one chunk has its leaf level's stream read one
+    chunk ahead on a spare CPU when it can take one (see _ReadAhead); this
+    thread still samples every slice's pairs.  The helper is joined, and
+    its CPU returned, when the walk ends, raises or is closed.
     """
     model, seed, depth, b = real.model, real.seed, real.depth, real.base
     top, width = _chunk_shape(b, depth)
@@ -255,18 +409,25 @@ def grid_chunks(real: CascadeRealization):
     streams = [_LevelStream(seed, m, b**m) for m in range(whole + 1, depth + 1)]
     buffer = (np.empty(width + 1), np.empty(width + 1))
     ends = (0.0, 0.0)
-    for i in range(b**top):
-        c = _slice(q, i * span, (i + 1) * span)
-        for k, stream in enumerate(streams, whole - top + 1):
-            c = _next_signed(c, model.sample_pairs(stream, b**k), b)
-        signed_pairs(*c, out=[f[1:] for f in buffer])
-        for f, end in zip(buffer, ends):
-            f[0] = end
-            if i:  # never on the first chunk: 0.0 + -0.0 would drop a sign bit
-                f[1] += end
-            np.cumsum(f[1:], out=f[1:])
-        ends = (buffer[0][-1], buffer[1][-1])
-        yield buffer
+    ahead = _ReadAhead(streams[-1], b**top) if streams and b**top > 1 and _take_cpus(1) else None
+    if ahead is not None:
+        streams[-1] = ahead
+    try:
+        for i in range(b**top):
+            c = _slice(q, i * span, (i + 1) * span)
+            for k, stream in enumerate(streams, whole - top + 1):
+                c = _next_signed(c, model.sample_pairs(stream, b**k), b)
+            signed_pairs(*c, out=[f[1:] for f in buffer])
+            for f, end in zip(buffer, ends):
+                f[0] = end
+                if i:  # never on the first chunk: 0.0 + -0.0 would drop a sign bit
+                    f[1] += end
+                np.cumsum(f[1:], out=f[1:])
+            ends = (buffer[0][-1], buffer[1][-1])
+            yield buffer
+    finally:
+        if ahead is not None:
+            ahead.close()
 
 
 def grid_values(real: CascadeRealization, level: int | None = None) -> tuple:

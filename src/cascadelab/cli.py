@@ -15,7 +15,7 @@ import ctypes
 import dataclasses
 import json
 import math
-import os
+import platform
 import sys
 import threading
 import time
@@ -174,6 +174,22 @@ def _write_csv(path: Path, header, rows) -> None:
                 writer.writerow(row)
 
 
+def _environment() -> dict:
+    """The software and host a manifest's run had: versions, platform and the CPUs it could use.
+
+    The platform is the OS, its release and the machine.  (platform.platform()
+    would add the processor, which on Linux it reads by running ``uname -p``.)
+    """
+    host = platform.uname()
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": f"{host.system}-{host.release}-{host.machine}",
+        "cascadelab": __version__,
+        "cpus": cascade._cpus(),
+    }
+
+
 def _write_manifest(out: Path, command: str, args, model, seeds, t0) -> None:
     config = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
     manifest = {
@@ -182,6 +198,7 @@ def _write_manifest(out: Path, command: str, args, model, seeds, t0) -> None:
         "config": config,
         "model_digest": model.digest(),
         "seeds": seeds,
+        "environment": _environment(),
         "wall_time_s": round(time.time() - t0, 3),
     }
     with open(out / f"{command}_manifest.json", "w", encoding="utf-8") as fh:
@@ -305,8 +322,11 @@ def _per_seed(args, model, rows_of) -> list:
 
     The seeds share nothing, and a realization's walk spends most of its
     time in numpy calls that release the GIL, so they run on up to
-    _SEED_THREADS threads, one per CPU the process may use and per seed
-    (see _thread_map).
+    _SEED_THREADS threads, one per seed and per CPU the process may use
+    (see _thread_map).  The threads beyond this one are spare CPUs taken
+    from cascade's budget (see cascade._take_cpus) until the seeds are
+    done, so while two seeds run no walk starts a read-ahead helper, and
+    a lone seed's walks may.
 
     While they run, the switch interval is raised past any command's
     length: a thread then gives up the GIL only inside a call that
@@ -315,21 +335,15 @@ def _per_seed(args, model, rows_of) -> list:
     thread between its steps.
     """
     seeds = _seeds(args)
-    threads = min(len(seeds), _cpus(), _SEED_THREADS)
+    spare = cascade._take_cpus(min(len(seeds), _SEED_THREADS) - 1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(_SEED_SWITCH_INTERVAL_S)
     try:
-        per_seed = _thread_map(lambda seed: rows_of(seed, cascade.build(model, seed, args.depth)), seeds, threads)
+        per_seed = _thread_map(lambda seed: rows_of(seed, cascade.build(model, seed, args.depth)), seeds, 1 + spare)
     finally:
         sys.setswitchinterval(interval)
+        cascade._give_cpus(spare)
     return [row for rows in per_seed for row in rows]
-
-
-def _cpus() -> int:
-    """The number of CPUs this process may run on (see ``taskset``)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _thread_map(fn, items, threads: int) -> list:

@@ -1,5 +1,7 @@
 """Test helpers: forms the tests read that the library has no use for."""
 
+import os
+
 from cascadelab import cascade
 from cascadelab.errors import ConfigError
 from cascadelab.weights import Fractional, SignJoint
@@ -9,6 +11,18 @@ def oscillations(real, level):
     """(O1, O2) at one level: O_k(w) = max - min of the depth-n grid of F_k over closed I_w."""
     (min1, max1), (min2, max2) = cascade.grid_min_max(real, level)
     return max1 - min1, max2 - min2
+
+
+def on_cpus(monkeypatch, n):
+    """Let the process see n CPUs, as ``taskset`` would."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def made_read_aheads(monkeypatch):
+    """The list of every ``cascade._ReadAhead`` that a grid walk makes from now on."""
+    made, read_ahead = [], cascade._ReadAhead
+    monkeypatch.setattr(cascade, "_ReadAhead", lambda *args: made.append(read_ahead(*args)) or made[-1])
+    return made
 
 
 def word_index(text, base):

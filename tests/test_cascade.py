@@ -1,9 +1,13 @@
+import argparse
 import collections.abc
 import functools
 import hashlib
 import itertools
 import math
 import operator
+import os
+import sys
+import threading
 import time
 import tracemalloc
 import warnings
@@ -11,7 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cascadelab import cascade, estimate, predict, words
+from cascadelab import cascade, cli, estimate, predict, words
 from cascadelab.errors import ConfigError, DivergenceError, ResourceError
 from cascadelab.weights import (
     DiscreteTable,
@@ -23,7 +27,7 @@ from cascadelab.weights import (
     sigma_from_beta,
     signed_pairs,
 )
-from helpers import graph_bed, oscillations, word_index
+from helpers import graph_bed, made_read_aheads, on_cpus, oscillations, word_index
 
 
 def lognormal_beta(b, alpha, beta):
@@ -1239,3 +1243,163 @@ def test_tilted_paths_leave_the_stream_where_the_per_level_loop_does(model, q, d
     _, totals = tables
     leading = itertools.takewhile(lambda level: all(0.0 < t < math.inf for t in level), totals)
     assert len(list(leading)) == safe
+
+
+# ---------------------------------------------------------------------------
+# the leaf level's stream read ahead on a spare CPU
+
+
+def read_ahead_threads():
+    return [t for t in threading.enumerate() if t.name == "cascadelab-read-ahead"]
+
+
+@pytest.mark.parametrize("model", kinds(2) + kinds(4), ids=lambda m: f"{type(m).__name__}-b{m.base}")
+def test_read_ahead_walks_equal_one_cpu_walks(model, monkeypatch):
+    depth = 18 if model.base == 2 else 10  # 4 and 16 chunks
+    made = made_read_aheads(monkeypatch)
+    got = {}
+    for cpus in (1, 2):
+        on_cpus(monkeypatch, cpus)
+        made.clear()
+        real = cascade.build(model, seed=5, depth=depth)
+        tables = [a for pair in cascade.grid_min_max(real, depth - 3) for a in pair]
+        values = cascade.grid_values(real, depth - 2)
+        histograms = [a for k in (1, 2) for a in estimate.occupation_histogram(real, k, 16)]
+        got[cpus] = [a.tobytes() for a in (*tables, *values, *histograms)]
+        assert bool(made) == (cpus == 2)
+    assert got[1] == got[2]
+    assert read_ahead_threads() == [] and cascade._spare_taken == 0
+
+
+def test_read_ahead_helper_is_joined_and_its_cpu_returned_when_a_walk_is_closed(monkeypatch):
+    on_cpus(monkeypatch, 2)
+    walk = cascade.grid_chunks(cascade.build(lognormal_beta(2, 0.8, 0.1), seed=1, depth=18))
+    next(walk)
+    assert len(read_ahead_threads()) == 1 and cascade._spare_taken == 1
+    walk.close()
+    assert read_ahead_threads() == [] and cascade._spare_taken == 0
+
+
+def test_read_ahead_error_reaches_the_reader(monkeypatch):
+    on_cpus(monkeypatch, 2)
+    failed_on, init = [], cascade._LevelStream.__init__
+
+    def leaf_fails_on_its_second_slice(stream, seed, level, n):
+        init(stream, seed, level, n)
+        if level == 18:
+            random, calls = stream.random, []
+
+            def read(*args, **kwargs):
+                calls.append(args or kwargs)
+                if len(calls) == 2:  # asked for while the reader works on the first slice
+                    failed_on.append(threading.get_ident())
+                    raise MemoryError("no room for the second slice")
+                return random(*args, **kwargs)
+
+            stream.random = read
+
+    monkeypatch.setattr(cascade._LevelStream, "__init__", leaf_fails_on_its_second_slice)
+    with pytest.raises(MemoryError, match="second slice"):
+        cascade.grid_min_max(cascade.build(FRAC, seed=1, depth=18), 10)
+    assert len(failed_on) == 1 and failed_on[0] != threading.get_ident()
+    assert read_ahead_threads() == [] and cascade._spare_taken == 0
+
+
+class SlowStream:
+    """A level stream whose every read starts late, as on a helper thread that is not yet running."""
+
+    def __init__(self, stream):
+        self._stream = stream
+
+    def random(self, **kwargs):
+        time.sleep(0.005)
+        return self._stream.random(**kwargs)
+
+    def standard_normal(self, **kwargs):
+        time.sleep(0.005)
+        return self._stream.standard_normal(**kwargs)
+
+
+def test_read_ahead_peak_does_not_depend_on_the_helpers_pace(monkeypatch):
+    # the reader allocates each slice it asks for, so a late helper holds no less at the reader's peak
+    on_cpus(monkeypatch, 2)
+    model = lognormal_beta(2, 0.8, 0.1)
+    cascade.grid_min_max(cascade.build(model, seed=1, depth=6), 2)  # one-off allocations of a first call
+    peaks = []
+    for slow in (False, True):
+        if slow:
+            read_ahead = cascade._ReadAhead
+            monkeypatch.setattr(cascade, "_ReadAhead", lambda stream, slices: read_ahead(SlowStream(stream), slices))
+        _, peak = peak_bytes(cascade.grid_min_max, cascade.build(model, seed=1, depth=18), 14)
+        peaks.append(peak)
+    assert abs(peaks[1] - peaks[0]) < 64 * 1024  # a leaf slice is 512 KiB
+
+
+def test_read_ahead_helper_holds_no_slice_it_has_filled(monkeypatch):
+    # else a slice the reader is done with would live on until the helper's next step
+    on_cpus(monkeypatch, 2)
+    assert cascade._take_cpus(1) == 1  # the CPU that close() returns
+    ahead = cascade._ReadAhead(cascade._LevelStream(1, 18, 2**18), 4)
+    try:
+        for _ in range(4):
+            for read in (ahead.random, ahead.standard_normal):
+                got = read(2**16)
+                assert sys.getrefcount(got) == 2  # ``got`` and getrefcount's argument
+    finally:
+        ahead.close()
+    assert cascade._spare_taken == 0
+
+
+def test_one_cpu_walks_start_no_thread(monkeypatch):
+    on_cpus(monkeypatch, 1)
+    started, start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread) or start(thread))
+    real = cascade.build(lognormal_beta(2, 0.8, 0.1), seed=1, depth=18)
+    cascade.grid_min_max(real, 14)
+    cascade.grid_values(real, 10)
+    estimate.occupation_histogram(real, 1, 16)
+    assert started == []
+
+
+@pytest.mark.parametrize("seeds,helpers", [(2, 0), (1, 1)])
+def test_per_seed_threads_take_the_spare_cpu_before_the_walks(monkeypatch, seeds, helpers):
+    # two seeds on two CPUs hold both, so no walk of theirs reads ahead; one seed leaves a CPU to its walk
+    on_cpus(monkeypatch, 2)
+    made = made_read_aheads(monkeypatch)
+    args = argparse.Namespace(seed=0, seeds=seeds, depth=18)
+    rows = cli._per_seed(args, FRAC, lambda seed, real: [len(cascade.grid_min_max(real, 10)[0][0])])
+    assert rows == [2**10] * seeds and len(made) == helpers
+    assert cascade._spare_taken == 0
+
+
+def test_read_ahead_loses_no_count_under_fast_switching(monkeypatch):
+    # a read-modify-write counter around sample_pairs, as the benchmark's tracer wraps it with; the
+    # pairs are sampled on the walk's own thread only, so no switch can land inside it
+    counted, threads, sample_pairs = [0], set(), Fractional.sample_pairs
+
+    def counting(model, rng, size):
+        seen = counted[0]
+        sum(range(2000))  # no GIL release, so nothing runs in between unless preempted
+        threads.add(threading.get_ident())
+        counted[0] = seen + 1
+        return sample_pairs(model, rng, size)
+
+    monkeypatch.setattr(Fractional, "sample_pairs", counting)
+    on_cpus(monkeypatch, 2)
+    made = made_read_aheads(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        cascade.grid_min_max(cascade.build(Fractional(2, 0.75, 0.6), seed=2, depth=20), 12)
+    finally:
+        sys.setswitchinterval(interval)
+    # levels 1 .. 12 whole, then levels 13 .. 20 in each of the 2**4 chunks
+    assert counted == [12 + 2**4 * 8] and threads == {threading.get_ident()} and len(made) == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no thread affinity on this platform")
+def test_read_ahead_helper_leaves_the_callers_cpus_alone():
+    # the helper keeps itself off the caller's CPU; the caller may still run on every CPU it could
+    cpus = os.sched_getaffinity(0)
+    cascade.grid_min_max(cascade.build(FRAC, seed=1, depth=18), 10)
+    assert os.sched_getaffinity(0) == cpus

@@ -25,6 +25,7 @@ from cascadelab import cascade, cli, estimate, modelio, words
 from cascadelab.cli import _parse_q_list, _parse_testset, _parse_window, _simulate_text, _xi0_grid, main
 from cascadelab.errors import ConfigError, DegenerateRangeError, DivergenceError
 from cascadelab.weights import DiscreteTable, Fractional, LognormalSigned, Mixed, sigma_from_beta
+from helpers import made_read_aheads, on_cpus
 
 FRACTIONAL = "kind fractional\nb 2\nalpha1 0.75\nalpha2 0.75\n"
 LOGNORMAL = "kind lognormal\nb 2\nalpha 0.8\nbeta 0.1\n"
@@ -126,7 +127,8 @@ def test_check_model_takes_no_force(model_file, capsys):
     assert usage.value.code == 2 and "unrecognized arguments: --force" in capsys.readouterr().err
 
 
-def test_predict_writes_table_and_manifest(model_file, tmp_path):
+def test_predict_writes_table_and_manifest(model_file, tmp_path, monkeypatch):
+    on_cpus(monkeypatch, 3)
     out = tmp_path / "out"
     rc = main(
         ["predict", "--model", model_file(LOGNORMAL), "--out", str(out), "--xi0-grid", "5"]
@@ -139,6 +141,14 @@ def test_predict_writes_table_and_manifest(model_file, tmp_path):
     assert manifest["command"] == "predict"
     assert manifest["model_digest"]
     assert "wall_time_s" in manifest and "version" in manifest
+    env = manifest["environment"]
+    assert env == {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": f"{platform.system()}-{platform.release()}-{platform.machine()}",
+        "cascadelab": cascadelab.__version__,
+        "cpus": 3,  # the CPUs the process may use, as taskset would set them
+    }
 
 
 def test_predict_explicit_grid(model_file, tmp_path):
@@ -783,11 +793,6 @@ PER_SEED_COMMANDS = {
 }
 
 
-def on_cpus(monkeypatch, n):
-    """Let the process see n CPUs, as ``taskset`` would."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-
-
 def csv_bytes(out):
     return {path.name: path.read_bytes() for path in sorted(out.glob("*.csv"))}
 
@@ -801,6 +806,30 @@ def test_per_seed_commands_write_the_same_bytes_on_one_cpu_and_two(model_file, t
         out = tmp_path / str(cpus)
         assert main([*argv, "--model", model_file(text), "--out", str(out)]) == 0
         got[cpus] = csv_bytes(out)
+    assert got[1] == got[2] and got[1]
+
+
+ONE_REALIZATION_COMMANDS = {
+    "levelset": (FRACTIONAL, ["levelset", "--depth", "18", "--y-count", "4"]),
+    "holder": (LOGNORMAL, ["holder", "--depth", "18", "--q", "1,1", "--paths", "50", "--scales", "3:12"]),
+    "simulate": (TABLE, ["simulate", "--depth", "18", "--level", "6"]),
+    "partition": (LOGNORMAL, ["partition", "--depth", "18", "--seeds", "1", "--q", "1,0;0.5,0.5", "--scales", "3:12"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ONE_REALIZATION_COMMANDS))
+def test_one_realization_commands_write_the_same_bytes_on_one_cpu_and_two(model_file, tmp_path, monkeypatch, command):
+    # on two CPUs their walks read the leaf level ahead on a helper thread
+    text, argv = ONE_REALIZATION_COMMANDS[command]
+    made = made_read_aheads(monkeypatch)
+    got = {}
+    for cpus in (1, 2):
+        on_cpus(monkeypatch, cpus)
+        made.clear()
+        out = tmp_path / str(cpus)
+        assert main([*argv, "--model", model_file(text), "--out", str(out)]) == 0
+        got[cpus] = csv_bytes(out)
+        assert bool(made) == (cpus == 2)
     assert got[1] == got[2] and got[1]
 
 
