@@ -32,7 +32,10 @@ WeightModel.sample_pairs: a sign byte per node, XOR-ed down the levels,
 and moduli multiplied alone (floats for the fractional kind, one shared
 array for the lognormal kind; see _next_signed).  Float products are
 assembled only at the leaves, bit-identical to signed float products.
-grid_chunks sums each chunk into one reused buffer, so a reader of it
+grid_chunks sums each chunk into one reused complex buffer, F1 its real
+part and F2 its imaginary part, with one cumsum for both: complex
+addition is two independent IEEE additions, and each part's sums are
+bit-identical to a float cumsum of its own.  A reader of the walk
 (grid_min_max, grid_values and estimate.occupation_histogram) peaks at
 one chunk plus what it keeps, whatever the depth.  grid_values keeps the
 values at one level's points, b**m + 1 of them at level m: the whole
@@ -45,7 +48,9 @@ ahead on a helper thread (see _ReadAhead) when the process has a spare
 CPU: one process-wide budget of at most _CPU_THREADS CPU-bound threads,
 which the per-seed threads of the CLI take from first (see _take_cpus).
 The helper only reads the stream, in order and in the walk's slices, so
-every value is the one a walk on one thread gives.
+every value is the one a walk on one thread gives; it is asked for the
+first chunk's uniforms as the walk starts, so that it reads them while
+the walk draws the chunk's upper levels.
 
 export_level returns one level as columns (see LevelExport): its words'
 text, built one aligned block at a time (see words.LevelWords), so the
@@ -218,6 +223,35 @@ def _slice(q: tuple, lo: int, hi: int) -> tuple:
     return signs[lo:hi], c1, c2
 
 
+# row s: the float sign bits of (W1, W2) for sign byte s (bit 0 for W1, bit 1 for W2)
+_SIGN_BITS = np.array([[0, 0], [1, 0], [0, 1], [1, 1]], dtype=np.uint64) << np.uint64(63)
+
+
+def _write_leaves(c: tuple, z: np.ndarray) -> None:
+    """W1 + i W2 of the nodes ``c``, in the signed form, written into the complex array ``z``.
+
+    Each value's bits are its sign bits OR-ed onto its moduli's, as
+    ``weights.signed_pairs`` assembles them, so both parts are
+    bit-identical to the float pairs.  Nodes whose moduli are floats take
+    one of four complex values by their sign byte, written in order; else
+    their sign bits are taken from _SIGN_BITS, in order, and each part's
+    moduli are OR-ed in a column at a time (one broadcast call for a
+    shared modulus is slower).  Writing the sign bits through the parts'
+    strided views instead takes about three times as long.  Sign bytes are
+    0 .. 3, so ``take`` clips none; its ``mode="clip"`` writes into ``z``
+    directly, where the default mode would fill a copy of it first.
+    """
+    signs, m1, m2 = c
+    if np.ndim(m1) == 0 and np.ndim(m2) == 0:
+        moduli = np.array([m1, m2], dtype=np.float64).view(np.uint64)
+        np.take((_SIGN_BITS | moduli).view(np.complex128).ravel(), signs, out=z, mode="clip")
+        return
+    bits = z.view(np.uint64).reshape(-1, 2)
+    np.take(_SIGN_BITS, signs, axis=0, out=bits, mode="clip")
+    for part, m in zip(bits.T, (m1, m2)):
+        part |= np.asarray(m, dtype=np.float64).view(np.uint64)
+
+
 class _LevelStream:
     """Level m's stream, read in slices exactly as one whole-level draw reads it.
 
@@ -247,19 +281,20 @@ class _ReadAhead:
     """A _LevelStream whose slices a helper thread reads, each method at most one slice ahead.
 
     A reader calls ``random(size)`` and ``standard_normal(size)`` as on the
-    stream.  A method's first call asks the helper for its first slice;
-    every call, once it has its slice, asks for the next one of the same
-    size, until ``slices`` have been asked for, so while the reader works
-    on one slice the helper reads the next.  The helper reads the slices
-    in the order they were asked for, so each method's generator is read
-    by one thread, in order, in the same sizes, and every value is the one
-    the stream gives on the reader's thread.  The reader allocates each
-    slice's array when it asks for it; the helper fills it in place and
-    lets go of it before it says it is done, so what a walk holds at any
-    step of the reader does not depend on how far the helper has got.  An
-    error raised in the helper is raised in the reader by the call that
-    takes its slice.  The helper runs on a spare CPU taken by the caller
-    (see _take_cpus); ``close`` stops and joins it, then returns that CPU.
+    stream.  A method's first slice is asked for by ``first``, or else by
+    the method's first call; every call, once it has its slice, asks for
+    the next one of the same size, until ``slices`` have been asked for,
+    so while the reader works on one slice the helper reads the next.
+    The helper reads the slices in the order they were asked for, so each
+    method's generator is read by one thread, in order, in the same sizes,
+    and every value is the one the stream gives on the reader's thread.
+    The reader allocates each slice's array when it asks for it; the
+    helper fills it in place and lets go of it before it says it is done,
+    so what a walk holds at any step of the reader does not depend on how
+    far the helper has got.  An error raised in the helper is raised in
+    the reader by the call that takes its slice.  The helper runs on a
+    spare CPU taken by the caller (see _take_cpus); ``close`` stops and
+    joins it, then returns that CPU.
 
     The helper keeps off the CPU the reader ran on when it started (see
     _other_cpus): the reader wakes it for every slice, and Linux would
@@ -307,10 +342,14 @@ class _ReadAhead:
             state[2] = np.empty(size)
             self._asks.put((name, state[2], state[0]))
 
+    def first(self, name: str, size: int) -> None:
+        """Ask for the method's first slice, of ``size`` values, before the reader calls it."""
+        self._asked[name] = [queue.SimpleQueue(), self._slices, None]
+        self._ask(name, size)
+
     def _take(self, name: str, size: int) -> np.ndarray:
         if name not in self._asked:
-            self._asked[name] = [queue.SimpleQueue(), self._slices, None]
-            self._ask(name, size)
+            self.first(name, size)
         done, _, out = self._asked[name]
         error = done.get()
         if error is not None:
@@ -390,9 +429,14 @@ def grid_chunks(real: CascadeRealization):
     overwrites the buffer, so a reader keeps what it needs of each one
     before it asks for the next.  Each chunk's slice of a level below
     the whole ones is one draw from the level's stream (see
-    _LevelStream); the leaf products are written into the buffer and
-    summed there in place, from the previous chunk's last value on,
-    bit-identical to one cumsum over a whole-level build.
+    _LevelStream).  The buffer is one complex array, F1 + i F2, and F1
+    and F2 are its real and imaginary views: the leaf products are
+    written into it in order (see _write_leaves), and one complex cumsum
+    per chunk sums both components in place, from the previous chunk's
+    last value on.  Each component's sums are bit-identical to one float
+    cumsum over a whole-level build: complex addition adds the two parts
+    on their own, and the carried end is added to neither part on the
+    first chunk, so a -0.0 leaf keeps its sign in either.
 
     A walk of more than one chunk has its leaf level's stream read one
     chunk ahead on a spare CPU when it can take one (see _ReadAhead); this
@@ -407,24 +451,24 @@ def grid_chunks(real: CascadeRealization):
     q = _signed_level(model, seed, whole)
     span = b ** (whole - top)  # level-whole words under each chunk
     streams = [_LevelStream(seed, m, b**m) for m in range(whole + 1, depth + 1)]
-    buffer = (np.empty(width + 1), np.empty(width + 1))
-    ends = (0.0, 0.0)
+    z = np.empty(width + 1, dtype=np.complex128)  # F1 + i F2
+    chunk, end = (z.real, z.imag), 0j
     ahead = _ReadAhead(streams[-1], b**top) if streams and b**top > 1 and _take_cpus(1) else None
-    if ahead is not None:
-        streams[-1] = ahead
     try:
+        if ahead is not None:
+            ahead.first("random", width)  # read while this thread samples the first chunk's upper levels
+            streams[-1] = ahead
         for i in range(b**top):
             c = _slice(q, i * span, (i + 1) * span)
             for k, stream in enumerate(streams, whole - top + 1):
                 c = _next_signed(c, model.sample_pairs(stream, b**k), b)
-            signed_pairs(*c, out=[f[1:] for f in buffer])
-            for f, end in zip(buffer, ends):
-                f[0] = end
-                if i:  # never on the first chunk: 0.0 + -0.0 would drop a sign bit
-                    f[1] += end
-                np.cumsum(f[1:], out=f[1:])
-            ends = (buffer[0][-1], buffer[1][-1])
-            yield buffer
+            _write_leaves(c, z[1:])
+            z[0] = end
+            if i:  # never on the first chunk: 0.0 + -0.0 would drop a sign bit
+                z[1] += end
+            np.cumsum(z[1:], out=z[1:])
+            end = z[-1]
+            yield chunk
     finally:
         if ahead is not None:
             ahead.close()

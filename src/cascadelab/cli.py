@@ -199,7 +199,7 @@ def _write_manifest(out: Path, command: str, args, model, seeds, t0) -> None:
         "model_digest": model.digest(),
         "seeds": seeds,
         "environment": _environment(),
-        "wall_time_s": round(time.time() - t0, 3),
+        "wall_time_s": round(time.perf_counter() - t0, 3),
     }
     with open(out / f"{command}_manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -220,7 +220,7 @@ def _run(args) -> int:
     ``--out``, write each ``(name, header, rows)`` table the command yields
     as ``<name>.csv``, then the manifest.  A row may be a sequence of
     fields, or a ``str`` holding finished CSV lines (see _write_csv)."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     if args.out is None:
         raise ConfigError("--out is required for commands that write tables")
     model = modelio.load_model(args.model)
@@ -238,7 +238,7 @@ def _run(args) -> int:
 
 
 def cmd_check_model(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     model = modelio.load_model(args.model)
     report = check_assumptions(model)
     payload = dataclasses.asdict(report)

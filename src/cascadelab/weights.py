@@ -157,27 +157,23 @@ class SignJoint:
         return signs
 
 
-def _with_sign(signs: np.ndarray, bit: int, mag, out=None) -> np.ndarray:
+def _with_sign(signs: np.ndarray, bit: int, mag) -> np.ndarray:
     """-mag where sign bit ``bit`` (0 or 1) of ``signs`` is set, mag elsewhere (-0.0 for mag = 0.0).
 
     ``mag`` >= 0 is a float or an array as long as ``signs``.  The bit is
     shifted into the float sign bit and OR-ed onto the bits of mag,
-    several times cheaper than np.where.  The values are written into
-    ``out``, a float64 array as long as ``signs``, when it is given.
+    several times cheaper than np.where.
     """
-    bits = np.empty(len(signs), dtype=np.uint64) if out is None else out.view(np.uint64)
+    bits = np.empty(len(signs), dtype=np.uint64)
     np.right_shift(signs, bit, out=bits)
     bits <<= 63  # drops every higher bit
     bits |= np.asarray(mag, dtype=np.float64).view(np.uint64)
     return bits.view(np.float64)
 
 
-def signed_pairs(signs: np.ndarray, m1, m2, out=(None, None)) -> tuple[np.ndarray, np.ndarray]:
-    """(W1, W2) from the signed form: sign bytes (bit 0 for W1, bit 1 for W2) and moduli.
-
-    ``out`` may hold two float64 arrays as long as ``signs`` to write W1 and W2 into.
-    """
-    return _with_sign(signs, 0, m1, out[0]), _with_sign(signs, 1, m2, out[1])
+def signed_pairs(signs: np.ndarray, m1, m2) -> tuple[np.ndarray, np.ndarray]:
+    """(W1, W2) from the signed form: sign bytes (bit 0 for W1, bit 1 for W2) and moduli."""
+    return _with_sign(signs, 0, m1), _with_sign(signs, 1, m2)
 
 
 def default_sign_plus(base: int, alpha: float) -> float:

@@ -649,6 +649,21 @@ def test_streamed_min_max_keeps_the_sign_of_negative_zero(seed, chunk_cells, mon
             assert_same_bytes(pair, reduceat_min_max(f, 2**level, 2 ** (3 - level)))
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_chunk_carry_keeps_each_components_zero_sign_on_its_own(seed, monkeypatch):
+    # every weight is a zero whose sign differs between W1 and W2, so at many points one grid
+    # component is -0.0 while the other is +0.0; chunks of 2 leaves carry both across 15 boundaries
+    monkeypatch.setattr(cascade, "_CHUNK_CELLS", 2)
+    model = DiscreteTable(2, (((0.0, -0.0), 0.5), ((-0.0, 0.0), 0.5)))
+    grid = eager_build.__wrapped__(model, seed, 5)[2]
+    assert (np.signbit(grid[0]) != np.signbit(grid[1])).any()
+    real = cascade.build(model, seed=seed, depth=5)
+    assert_same_bytes(cascade.grid_values(real), grid)
+    for level in range(6):
+        for pair, f in zip(cascade.grid_min_max(real, level), grid, strict=True):
+            assert_same_bytes(pair, reduceat_min_max(f, 2**level, 2 ** (5 - level)))
+
+
 # bases above the fold's limit reduce each run in one call; 32 and 33 sit on either side of it
 @pytest.mark.parametrize("b,depth", [(8192, 1), (256, 2), (33, 3), (32, 3)])
 def test_large_base_min_max_equals_the_block_reduction_of_the_grid(b, depth):
@@ -1395,6 +1410,24 @@ def test_read_ahead_loses_no_count_under_fast_switching(monkeypatch):
         sys.setswitchinterval(interval)
     # levels 1 .. 12 whole, then levels 13 .. 20 in each of the 2**4 chunks
     assert counted == [12 + 2**4 * 8] and threads == {threading.get_ident()} and len(made) == 1
+
+
+def test_read_ahead_is_asked_for_the_first_leaf_slice_before_the_first_chunk_draws(monkeypatch):
+    # so the helper reads the first chunk's leaf uniforms while the walk draws the levels above them
+    on_cpus(monkeypatch, 2)
+    made = made_read_aheads(monkeypatch)
+    asked, sample_pairs = [], Fractional.sample_pairs
+
+    def sampling(model, rng, size):
+        asked.append([sorted(ahead._asked) for ahead in made])
+        return sample_pairs(model, rng, size)
+
+    monkeypatch.setattr(Fractional, "sample_pairs", sampling)
+    walk = cascade.grid_chunks(cascade.build(Fractional(2, 0.75, 0.6), seed=2, depth=20))
+    next(walk)
+    walk.close()
+    # levels 1 .. 12 whole, before the helper starts; then the first chunk's levels 13 .. 20
+    assert asked == [[]] * 12 + [[["random"]]] * 8
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no thread affinity on this platform")

@@ -4,6 +4,7 @@ import csv
 import ctypes
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import platform
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import types
 from pathlib import Path
@@ -149,6 +151,20 @@ def test_predict_writes_table_and_manifest(model_file, tmp_path, monkeypatch):
         "cascadelab": cascadelab.__version__,
         "cpus": 3,  # the CPUs the process may use, as taskset would set them
     }
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict", "--xi0-grid", "5"],
+    ["check-model"],
+])
+def test_manifest_wall_time_is_not_negative_when_the_clock_steps_back(model_file, tmp_path, monkeypatch, argv):
+    # every read of the wall clock is an hour earlier than the one before, as a clock stepped back mid-command
+    wall, reads = time.time, itertools.count()
+    monkeypatch.setattr(time, "time", lambda: wall() - 3600.0 * next(reads))
+    out = tmp_path / "out"
+    assert main([*argv, "--model", model_file(LOGNORMAL), "--out", str(out)]) == 0
+    manifest = json.loads((out / f"{argv[0]}_manifest.json").read_text())
+    assert manifest["wall_time_s"] >= 0
 
 
 def test_predict_explicit_grid(model_file, tmp_path):
